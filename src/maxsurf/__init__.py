@@ -9,189 +9,3 @@ domain is again a graph.
 Built-in example data live in :mod:`maxsurf.catalog`; the command-line entry
 point is :mod:`maxsurf.cli`.
 """
-
-from .duality import check_commutation, flat, sharp
-from .errors import (
-    AmbientMismatch,
-    CommonZeroError,
-    CurlError,
-    DegenerateMask,
-    DegenerateTriangle,
-    DomainError,
-    EquatorError,
-    IsotropyError,
-    MaxsurfError,
-    NewtonDivergence,
-    NorthPole,
-    NotAGraph,
-    NotSimplyConnected,
-    NotSpacelike,
-    OffHyperboloid,
-    OverlapEmpty,
-    PoleError,
-    PoleInDomain,
-    ToleranceError,
-)
-from .graphfield import (
-    ScalarField,
-    VectorField2,
-    dualize_maximal_to_minimal,
-    dualize_minimal_to_maximal,
-    flux_curl,
-    gradient,
-    load_field,
-    maximal_residual,
-    minimal_residual,
-    save_field,
-    shift_agreement,
-)
-from .lorentz import (
-    Ambient,
-    CausalCharacter,
-    Vec3,
-    causal_character,
-    cross_lorentz,
-    inner,
-    stereo,
-    stereo_inv,
-)
-from .meshcheck import (
-    FAIL,
-    NOT_APPLICABLE,
-    PASS,
-    GraphReport,
-    KrustInequality,
-    KrustReport,
-    ParamMesh,
-    ResampledGraph,
-    SpacelikeReport,
-    SurfaceMesh,
-    folded_disk_mesh,
-    krust_inequality_batch,
-    krust_inequality_check,
-    krust_pipeline,
-    krust_pipeline_immersion,
-    lee_equivalence_check,
-    projection_report,
-    pullback_segment,
-    resample_graph,
-    rotation_identity_check,
-    sample_surface,
-    spacelike_mesh_check,
-    triangulate_disk,
-)
-from .rational import (
-    HolomorphicForm,
-    RationalHolomorphic,
-    integrate_to_many,
-    path_integrate,
-)
-from .weierstrass import (
-    GENERAL,
-    MAXIMAL_GRAPH,
-    Immersion,
-    IsotropicCurve,
-    ProjectionIdentities,
-    WeierstrassData,
-    build_isotropic_euclidean,
-    build_isotropic_maximal,
-    conjugate_curve,
-    conjugate_immerse,
-    conjugate_immersion,
-    differential,
-    gauss_map,
-    immerse,
-    immersion_from_data,
-    integrals_at_many,
-    projection_identities,
-    sigma_tau,
-)
-
-__all__ = [
-    "Ambient",
-    "AmbientMismatch",
-    "CausalCharacter",
-    "CommonZeroError",
-    "CurlError",
-    "DegenerateMask",
-    "DegenerateTriangle",
-    "DomainError",
-    "EquatorError",
-    "FAIL",
-    "GENERAL",
-    "GraphReport",
-    "HolomorphicForm",
-    "Immersion",
-    "IsotropicCurve",
-    "IsotropyError",
-    "KrustInequality",
-    "KrustReport",
-    "MAXIMAL_GRAPH",
-    "MaxsurfError",
-    "NOT_APPLICABLE",
-    "NewtonDivergence",
-    "NorthPole",
-    "NotAGraph",
-    "NotSimplyConnected",
-    "NotSpacelike",
-    "OffHyperboloid",
-    "OverlapEmpty",
-    "PASS",
-    "ParamMesh",
-    "PoleError",
-    "PoleInDomain",
-    "ProjectionIdentities",
-    "RationalHolomorphic",
-    "ResampledGraph",
-    "ScalarField",
-    "SpacelikeReport",
-    "SurfaceMesh",
-    "ToleranceError",
-    "Vec3",
-    "VectorField2",
-    "WeierstrassData",
-    "build_isotropic_euclidean",
-    "build_isotropic_maximal",
-    "causal_character",
-    "check_commutation",
-    "conjugate_curve",
-    "conjugate_immerse",
-    "conjugate_immersion",
-    "cross_lorentz",
-    "differential",
-    "dualize_maximal_to_minimal",
-    "dualize_minimal_to_maximal",
-    "flat",
-    "flux_curl",
-    "folded_disk_mesh",
-    "gauss_map",
-    "gradient",
-    "immerse",
-    "immersion_from_data",
-    "inner",
-    "integrals_at_many",
-    "integrate_to_many",
-    "krust_inequality_batch",
-    "krust_inequality_check",
-    "krust_pipeline",
-    "krust_pipeline_immersion",
-    "lee_equivalence_check",
-    "load_field",
-    "maximal_residual",
-    "minimal_residual",
-    "path_integrate",
-    "projection_identities",
-    "projection_report",
-    "pullback_segment",
-    "resample_graph",
-    "rotation_identity_check",
-    "sample_surface",
-    "save_field",
-    "sharp",
-    "shift_agreement",
-    "sigma_tau",
-    "spacelike_mesh_check",
-    "stereo",
-    "stereo_inv",
-    "triangulate_disk",
-]

@@ -72,6 +72,10 @@ class CliError(Exception):
     """Bad invocation or unreadable input; maps to exit code 1."""
 
 
+# What building a datum or curve from a JSON object raises on bad content.
+_BAD_OBJECT = (KeyError, TypeError, ValueError, ZeroDivisionError, MaxsurfError)
+
+
 @dataclass
 class JobConfig:
     command: str
@@ -155,7 +159,7 @@ def _load_datum(cfg: JobConfig) -> WeierstrassData:
     if "g" in obj:
         try:
             return WeierstrassData.from_obj(obj)
-        except (KeyError, TypeError, ValueError, MaxsurfError) as e:
+        except _BAD_OBJECT as e:
             raise CliError(f"bad datum object: {e}") from e
     raise CliError("config does not describe a datum")
 
@@ -182,8 +186,9 @@ def _write_obj(path: Path, mesh: SurfaceMesh):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _settings(cfg: JobConfig) -> dict:
-    return {"tol": cfg.tol, "mesh_n": cfg.mesh_n, "grid_h": cfg.grid_h, "seed": cfg.seed}
+def _report(cfg: JobConfig, **fields) -> dict:
+    settings = {"tol": cfg.tol, "mesh_n": cfg.mesh_n, "grid_h": cfg.grid_h, "seed": cfg.seed}
+    return {"command": cfg.command, "settings": settings, **fields}
 
 
 # ---- subcommands ----
@@ -200,14 +205,13 @@ def _cmd_surface(cfg: JobConfig, conjugated: bool) -> int:
     _write_obj(out / name, mesh)
     report = projection_report(mesh)
     _emit(
-        {
-            "command": cfg.command,
-            "settings": _settings(cfg),
-            "vertices": int(mesh.param.vertices.size),
-            "triangles": int(mesh.param.triangles.shape[0]),
-            "projection_report": report.to_obj(),
-            "files": [str(out / name)],
-        }
+        _report(
+            cfg,
+            vertices=int(mesh.param.vertices.size),
+            triangles=int(mesh.param.triangles.shape[0]),
+            projection_report=report.to_obj(),
+            files=[str(out / name)],
+        )
     )
     return 0
 
@@ -217,7 +221,7 @@ def _load_curve(cfg: JobConfig) -> IsotropicCurve:
     if obj is not None and "psi1" in obj:
         try:
             return IsotropicCurve.from_obj(obj)
-        except (KeyError, TypeError, ValueError, MaxsurfError) as e:
+        except _BAD_OBJECT as e:
             raise CliError(f"bad curve object: {e}") from e
     return build_isotropic_maximal(_load_datum(cfg))
 
@@ -229,15 +233,14 @@ def _cmd_dualize_curve(cfg: JobConfig) -> int:
     path = out / "dual_curve.json"
     _write_json(path, dual.to_obj())
     _emit(
-        {
-            "command": cfg.command,
-            "settings": _settings(cfg),
-            "input_ambient": curve.ambient.value,
-            "output_ambient": dual.ambient.value,
-            "commutation_residual": check_commutation(curve),
-            "isotropy_residual": dual.isotropy_residual(),
-            "files": [str(path)],
-        }
+        _report(
+            cfg,
+            input_ambient=curve.ambient.value,
+            output_ambient=dual.ambient.value,
+            commutation_residual=check_commutation(curve),
+            isotropy_residual=dual.isotropy_residual(),
+            files=[str(path)],
+        )
     )
     return 0
 
@@ -249,7 +252,12 @@ def _cmd_dualize_graph(cfg: JobConfig) -> int:
     direction = obj.get("direction", "minimal-to-maximal")
     if direction not in ("minimal-to-maximal", "maximal-to-minimal"):
         raise CliError(f"unknown direction {direction!r}")
-    curl_tol = float(obj.get("curl_tol", 1e-3))
+    try:
+        curl_tol = float(obj.get("curl_tol", 1e-3))
+    except (TypeError, ValueError) as e:
+        raise CliError(f"bad curl_tol: {e}") from e
+    if not 0.0 < curl_tol < np.inf:
+        raise CliError(f"curl_tol must be finite and positive, got {curl_tol!r}")
     try:
         field = load_field(obj["csv"], obj["header"])
     except OSError as e:
@@ -262,14 +270,13 @@ def _cmd_dualize_graph(cfg: JobConfig) -> int:
     csv_path, head_path = out / "dual_field.csv", out / "dual_field.header.json"
     save_field(dual, csv_path, head_path)
     _emit(
-        {
-            "command": cfg.command,
-            "settings": _settings(cfg),
-            "direction": direction,
-            "curl_tol": curl_tol,
-            "cells": int(dual.mask.sum()),
-            "files": [str(csv_path), str(head_path)],
-        }
+        _report(
+            cfg,
+            direction=direction,
+            curl_tol=curl_tol,
+            cells=int(dual.mask.sum()),
+            files=[str(csv_path), str(head_path)],
+        )
     )
     return 0
 
@@ -286,12 +293,7 @@ def _cmd_verify_krust(cfg: JobConfig) -> int:
     for name, data in _catalog_items(cfg):
         reports[name] = krust_pipeline(data, cfg.mesh_n, cfg.tol).to_obj()
     verdicts = {name: r["verdict"] for name, r in reports.items()}
-    report = {
-        "command": cfg.command,
-        "settings": _settings(cfg),
-        "verdicts": verdicts,
-        "reports": reports,
-    }
+    report = _report(cfg, verdicts=verdicts, reports=reports)
     if cfg.out_dir:
         _write_json(_out_dir(cfg) / "krust_report.json", report)
     _emit(report)
@@ -343,14 +345,7 @@ def _cmd_identities(cfg: JobConfig) -> int:
         for key, val in res.items():
             worst[key] = max(worst.get(key, 0.0), val)
     ok = all(worst[k] <= _THRESHOLDS[k] for k in _THRESHOLDS)
-    report = {
-        "command": cfg.command,
-        "settings": _settings(cfg),
-        "thresholds": _THRESHOLDS,
-        "worst": worst,
-        "per_datum": per_datum,
-        "ok": ok,
-    }
+    report = _report(cfg, thresholds=_THRESHOLDS, worst=worst, per_datum=per_datum, ok=ok)
     if cfg.out_dir:
         _write_json(_out_dir(cfg) / "identities_report.json", report)
     _emit(report)
@@ -377,7 +372,7 @@ def _cmd_export(cfg: JobConfig) -> int:
     (out / "boundary.csv").write_text("\n".join(rows) + "\n")
     files.append(str(out / "boundary.csv"))
 
-    _emit({"command": cfg.command, "settings": _settings(cfg), "files": files})
+    _emit(_report(cfg, files=files))
     return 0
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     AmbientMismatch,
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .graphfield import ScalarField, dualize_maximal_to_minimal, shift_agreement
 from .lorentz import Ambient, Vec3, cross_lorentz
-from .rational import WK15, XK15
+from .rational import integrate_to_many
 from .weierstrass import (
     GENERAL,
     Immersion,
@@ -337,23 +336,17 @@ def rotation_identity_check(
 # ---- Newton continuation in the projection plane ----
 
 
-def _panel_many(density, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One vectorized Kronrod panel per segment pair (a_k, b_k)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * (density._eval(mid[:, None] + half[:, None] * XK15[None, :]) @ WK15)
-
-
 class _ProjectionWalker:
     """Tracks beta with pi(X(beta)) following prescribed plane targets.
 
-    Keeps the horizontal integrals at the last accepted node and extends them
-    by one quadrature panel per Newton candidate, so each continuation step
-    costs a handful of vectorized evaluations.
+    Keeps the horizontal integrals of the forms psi1, psi2 at the last
+    accepted node and extends them along the short segment to each Newton
+    candidate, so each continuation step costs a handful of vectorized
+    evaluations.
     """
 
-    def __init__(self, d1, d2, pi_offset, w, i1, i2, eval_radius, domain_radius, tol):
-        self.d1, self.d2 = d1, d2
+    def __init__(self, f1, f2, pi_offset, w, i1, i2, eval_radius, domain_radius, tol):
+        self.f1, self.f2 = f1, f2
         self.off = pi_offset
         self.w = np.asarray(w, dtype=complex).copy()
         self.i1 = np.asarray(i1, dtype=complex).copy()
@@ -368,16 +361,16 @@ class _ProjectionWalker:
     def solve(self, target: np.ndarray, depth: int = 0):
         w = self.w.copy()
         for _ in range(_NEWTON_ITERS):
-            j1 = self.i1 + _panel_many(self.d1, self.w, w)
-            j2 = self.i2 + _panel_many(self.d2, self.w, w)
+            j1 = self.i1 + integrate_to_many(self.f1, self.w, w, self.tol)
+            j2 = self.i2 + integrate_to_many(self.f2, self.w, w, self.tol)
             r = (self.off + j1.real + 1j * j2.real) - target
             if float(np.max(np.abs(r))) <= self.tol:
                 if float(np.max(np.abs(w))) > self.domain_r * (1.0 + 1e-9):
                     raise NewtonDivergence("pullback path exits the domain disk")
                 self.w, self.i1, self.i2 = w, j1, j2
                 return
-            v1 = self.d1._eval(w)
-            v2 = self.d2._eval(w)
+            v1 = self.f1.density._eval(w)
+            v2 = self.f2.density._eval(w)
             a = 0.5 * (v1 + 1j * v2)
             bc = 0.5 * np.conj(v1 - 1j * v2)
             det = np.abs(a) ** 2 - np.abs(bc) ** 2
@@ -419,8 +412,8 @@ def pullback_segment(
     p2 = complex(p2) if np.isscalar(p2) or isinstance(p2, complex) else complex(p2[0], p2[1])
     off = complex(im.base_value.x1, im.base_value.x2)
     walker = _ProjectionWalker(
-        im.curve.psi1.density,
-        im.curve.psi2.density,
+        im.curve.psi1,
+        im.curve.psi2,
         off,
         np.array([im.base_point]),
         np.zeros(1, complex),
@@ -483,8 +476,8 @@ def krust_inequality_batch(
 
     curve, eval_r = _wide_maximal_curve(data)
     walker = _ProjectionWalker(
-        curve.psi1.density,
-        curve.psi2.density,
+        curve.psi1,
+        curve.psi2,
         off,
         w1,
         ints1[:, 0],
@@ -566,6 +559,50 @@ def _erode(mask: np.ndarray, rounds: int) -> np.ndarray:
     return out
 
 
+def _nearest_vertex(points: np.ndarray, triangles: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of the projected mesh vertex nearest to each target (complex
+    arrays; ties go to the lower index), for targets inside an injectively
+    projected mesh.
+
+    Vertices are bucketed on a square grid of spacing reach and only the
+    3 x 3 buckets around a target are searched.  That is exact: every target
+    lies in some projected triangle, and a point of a triangle lies within
+    (longest edge)/sqrt(3) of one of its vertices, so the nearest vertex is
+    closer than reach and sits in a neighbouring bucket.
+    """
+    edges = points[triangles] - points[np.roll(triangles, 1, axis=1)]
+    reach = float(np.max(np.abs(edges))) / np.sqrt(3.0) * (1.0 + 1e-9)
+    corner = complex(points.real.min(), points.imag.min())
+
+    def bucket(z):
+        z = (z - corner) / reach
+        return np.floor(z.real).astype(np.int64) + 1, np.floor(z.imag).astype(np.int64) + 1
+
+    bx, by = bucket(points)
+    width = int(by.max()) + 3
+    keys = bx * width + by
+    order = np.argsort(keys)
+    keys = keys[order]
+    tx, ty = bucket(targets)
+    owner, cand = [], []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            key = (tx + dx) * width + (ty + dy)
+            start = np.searchsorted(keys, key, "left")
+            count = np.searchsorted(keys, key, "right") - start
+            first = np.repeat(np.cumsum(count) - count, count)
+            owner.append(np.repeat(np.arange(targets.size), count))
+            cand.append(order[np.repeat(start, count) + np.arange(first.size) - first])
+    owner, cand = np.concatenate(owner), np.concatenate(cand)
+    dist = np.abs(points[cand] - targets[owner])
+    best = np.full(targets.size, np.inf)
+    np.minimum.at(best, owner, dist)
+    hit = dist == best[owner]
+    nearest = np.full(targets.size, points.size)
+    np.minimum.at(nearest, owner[hit], cand[hit])
+    return nearest
+
+
 def resample_graph(
     data: WeierstrassData,
     grid_h: float,
@@ -605,11 +642,11 @@ def resample_graph(
         raise OverlapEmpty("no grid cells inside the projected domain at this spacing")
 
     targets = (gx + 1j * gy)[mask]
-    seed = cKDTree(np.column_stack([px, py])).query(np.column_stack([targets.real, targets.imag]))[1]
+    seed = _nearest_vertex(px + 1j * py, mesh.triangles, targets)
     curve, eval_r = _wide_maximal_curve(data)
     walker = _ProjectionWalker(
-        curve.psi1.density,
-        curve.psi2.density,
+        curve.psi1,
+        curve.psi2,
         complex(base[0], base[1]),
         mesh.vertices[seed],
         ints[seed, 0],
@@ -619,7 +656,7 @@ def resample_graph(
         max(tol, 1e-12),
     )
     walker.solve(targets)
-    i3 = ints[seed, 2] + _panel_many(curve.psi3.density, mesh.vertices[seed], walker.w)
+    i3 = ints[seed, 2] + integrate_to_many(curve.psi3, mesh.vertices[seed], walker.w, walker.tol)
 
     f = np.zeros(mask.shape)
     s = np.zeros(mask.shape)

@@ -10,8 +10,8 @@ coefficient level, so algebraic identities between derived quantities hold to
 rounding error rather than to a quadrature tolerance.
 
 :class:`HolomorphicForm` tags a rational function as the coefficient of dz,
-and :func:`path_integrate` integrates such a form along a straight segment
-with an adaptive 7-15 Gauss-Kronrod rule.
+and :func:`integrate_to_many` integrates such a form along straight segments
+with a composite 7-15 Gauss-Kronrod rule, vectorized over the segments.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ WG7_AT_K[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 _POLE_EPS = 1e-14
 _WINDING_SAMPLES = 512
 _WINDING_BAND = 0.4
-_MAX_DEPTH = 40
 
 
 def _as_coeffs(seq) -> np.ndarray:
@@ -288,57 +287,26 @@ class HolomorphicForm:
         return cls(RationalHolomorphic.from_obj(obj))
 
 
-def _panel(f, a: complex, b: complex):
-    """One G7/K15 pass over the segment [a, b]; returns (k15, |k15-g7|)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = f(mid + half * XK15)
-    k15 = half * np.dot(WK15, vals)
-    g7 = half * np.dot(WG7_AT_K, vals)
-    return k15, abs(k15 - g7)
+def integrate_to_many(form: HolomorphicForm, a, endpoints, tol: float = 1e-10) -> np.ndarray:
+    """Integrals of the form along the segments [a, w] for an array of endpoints w.
 
-
-def path_integrate(form: HolomorphicForm, a: complex, b: complex, tol: float = 1e-10) -> complex:
-    """Integrate a holomorphic form along the straight segment from a to b.
-
-    Adaptive Gauss-Kronrod with recursive bisection; absolute error below
-    tol, or ToleranceError once the recursion depth reaches 40.
+    The start a is one point or an array shaped like endpoints.  Composite
+    G7/K15 with a panel count shared by all segments, starting at one panel
+    and doubled until the worst per-segment error estimate is below tol
+    (ToleranceError past 4096 panels).  All start and end points must lie in
+    the validity disk.
     """
-    r = form.radius * (1.0 + 1e-12)
-    if abs(a) > r or abs(b) > r:
-        raise DomainError("segment endpoint outside validity disk")
-    if a == b:
-        return 0j
-    f = form.density._eval
-
-    def recurse(lo: complex, hi: complex, budget: float, depth: int) -> complex:
-        val, err = _panel(f, lo, hi)
-        if err <= budget:
-            return val
-        if depth >= _MAX_DEPTH:
-            raise ToleranceError(f"error estimate {err:.3g} > {budget:.3g} at depth {depth}")
-        mid = 0.5 * (lo + hi)
-        return recurse(lo, mid, budget / 2, depth + 1) + recurse(mid, hi, budget / 2, depth + 1)
-
-    return complex(recurse(a, b, tol, 0))
-
-
-def integrate_to_many(form: HolomorphicForm, a: complex, endpoints, tol: float = 1e-10) -> np.ndarray:
-    """Integrals of the form along [a, w] for an array of endpoints w.
-
-    Composite G7/K15 with a shared panel count, doubled until the worst
-    per-endpoint error estimate is below tol.  All endpoints must lie in the
-    validity disk.
-    """
+    shape = np.shape(endpoints)
     w = np.asarray(endpoints, dtype=complex).ravel()
     if w.size == 0:
-        return np.zeros(0, dtype=complex)
+        return np.zeros(shape, dtype=complex)
+    a = np.broadcast_to(np.asarray(a, dtype=complex), shape).ravel()
     r = form.radius * (1.0 + 1e-12)
-    if abs(a) > r or np.max(np.abs(w)) > r:
-        raise DomainError("endpoint outside validity disk")
+    if np.max(np.abs(a)) > r or np.max(np.abs(w)) > r:
+        raise DomainError("segment endpoint outside validity disk")
     f = form.density._eval
     span = w - a
-    m = 2
+    m = 1
     while True:
         total = np.zeros(w.size, dtype=complex)
         err = np.zeros(w.size)
@@ -346,13 +314,13 @@ def integrate_to_many(form: HolomorphicForm, a: complex, endpoints, tol: float =
             t0, t1 = p / m, (p + 1) / m
             tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
             tn = tm + th * XK15
-            vals = f(a + np.outer(span, tn))
+            vals = f(a[:, None] + np.outer(span, tn))
             k15 = (span * th) * (vals @ WK15)
             g7 = (span * th) * (vals @ WG7_AT_K)
             total += k15
             err += np.abs(k15 - g7)
         if float(np.max(err)) <= tol:
-            return total.reshape(np.shape(endpoints))
+            return total.reshape(shape)
         m *= 2
         if m > 4096:
             raise ToleranceError("panel doubling exhausted before reaching tolerance")

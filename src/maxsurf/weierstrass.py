@@ -34,12 +34,7 @@ from .errors import (
     NotSpacelike,
 )
 from .lorentz import Ambient, Vec3, stereo_inv
-from .rational import (
-    HolomorphicForm,
-    RationalHolomorphic,
-    integrate_to_many,
-    path_integrate,
-)
+from .rational import HolomorphicForm, RationalHolomorphic, integrate_to_many
 
 _ISOTROPY_SAMPLES = 32
 _ISOTROPY_TOL = 1e-10
@@ -256,10 +251,6 @@ def immersion_from_data(data: WeierstrassData) -> Immersion:
     )
 
 
-def _integrals_at(im: Immersion, w: complex, tol: float) -> np.ndarray:
-    return np.array([path_integrate(f, im.base_point, w, tol) for f in im.curve.forms])
-
-
 def integrals_at_many(im: Immersion, ws, tol: float = 1e-10) -> np.ndarray:
     """Component integrals int_{w0}^{w} psi for an array of parameters; (N, 3)."""
     ws = np.asarray(ws, dtype=complex).ravel()
@@ -270,15 +261,13 @@ def integrals_at_many(im: Immersion, ws, tol: float = 1e-10) -> np.ndarray:
 
 def immerse(im: Immersion, w: complex, tol: float = 1e-10) -> Vec3:
     """X(w) = base_value + Re int psi."""
-    im._check_domain(w)
-    vals = im.base_value.as_array() + _integrals_at(im, w, tol).real
+    vals = im.base_value.as_array() + integrals_at_many(im, [w], tol)[0].real
     return Vec3(*vals, im.ambient)
 
 
 def conjugate_immerse(im: Immersion, w: complex, tol: float = 1e-10) -> Vec3:
     """X*(w) = Im int psi, pinned to X*(base_point) = 0."""
-    im._check_domain(w)
-    return Vec3(*_integrals_at(im, w, tol).imag, im.ambient)
+    return Vec3(*integrals_at_many(im, [w], tol)[0].imag, im.ambient)
 
 
 def conjugate_immersion(im: Immersion) -> Immersion:
@@ -312,9 +301,7 @@ def _half_forms(data: WeierstrassData) -> tuple[HolomorphicForm, HolomorphicForm
 
 def sigma_tau(data: WeierstrassData, w: complex, tol: float = 1e-10) -> tuple[complex, complex]:
     """The primitive pair (sigma, tau) integrated from the base point."""
-    sform, tform = _half_forms(data)
-    s = path_integrate(sform, data.base_point, w, tol)
-    t = path_integrate(tform, data.base_point, w, tol)
+    s, t = (complex(integrate_to_many(f, data.base_point, w, tol)) for f in _half_forms(data))
     return s, t
 
 
@@ -341,7 +328,7 @@ def projection_identities(
     """Compare pi(X) - pi(X(w0)) with conj(tau) - sigma, and the conjugate
     projection with i(conj(tau) + sigma)."""
     im = immersion_from_data(data)
-    ints = _integrals_at(im, complex(w), tol)
+    ints = integrals_at_many(im, [w], tol)[0]
     pi_x = complex(ints[0].real, ints[1].real)
     pi_star = complex(ints[0].imag, ints[1].imag)
     s, t = sigma_tau(data, complex(w), tol)

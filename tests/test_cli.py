@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +139,17 @@ class TestDualizeGraph:
         assert code == 1
         assert "dualize-graph needs" in cap.err
 
+    @pytest.mark.parametrize("curl_tol", ["nan", "abc", 0, -1])
+    def test_meaningless_curl_tol_rejected(self, tmp_path, capsys, curl_tol):
+        _, cfg = self.make_field(tmp_path)
+        obj = json.loads(cfg.read_text())
+        obj["curl_tol"] = curl_tol
+        cfg.write_text(json.dumps(obj))
+        code, cap = run_json(capsys, "dualize-graph", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert "curl_tol" in cap.err
+        assert not (tmp_path / "dual_field.csv").exists()
+
     def test_bad_direction_rejected(self, tmp_path, capsys):
         _, cfg = self.make_field(tmp_path)
         obj = json.loads(cfg.read_text())
@@ -248,6 +263,33 @@ class TestErrors:
         assert code == 1
         assert json.loads(cap.err)["error"].startswith("unknown catalog datum")
 
+    @pytest.mark.parametrize(
+        "command, kind",
+        [("verify-krust", "datum"), ("dualize-curve", "datum"), ("dualize-curve", "curve")],
+    )
+    def test_zero_denominator_config(self, tmp_path, capsys, command, kind):
+        zero = {"num": [[3, 0]], "den": [[0, 0]], "radius": 2}
+        one = {"num": [[1, 0]], "den": [[1, 0]], "radius": 2}
+        if kind == "datum":
+            obj = {"g": zero, "dh": one, "radius": 0.5, "base": [0, 0],
+                   "base_value": [0, 0, 0], "kind": "maximal-graph"}
+        else:
+            obj = {"psi1": zero, "psi2": one, "psi3": one, "ambient": "lorentzian"}
+        cfgp = tmp_path / "zero.json"
+        cfgp.write_text(json.dumps(obj))
+        code, cap = run_json(capsys, command, "--config", str(cfgp), "--out", str(tmp_path))
+        assert code == 1
+        assert f"bad {kind} object" in cap.err
+
     def test_bad_mesh_n(self, capsys):
         code, cap = run_json(capsys, "generate", "--datum", "plane-r05", "--mesh-n", "0")
         assert code == 1
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import maxsurf.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -8,6 +8,8 @@ from maxsurf.lorentz import Ambient, Vec3
 from maxsurf.meshcheck import (
     ParamMesh,
     SurfaceMesh,
+    _in_polygon,
+    _nearest_vertex,
     folded_disk_mesh,
     krust_inequality_batch,
     krust_inequality_check,
@@ -22,8 +24,7 @@ from maxsurf.meshcheck import (
     spacelike_mesh_check,
     triangulate_disk,
 )
-from maxsurf.rational import path_integrate
-from maxsurf.weierstrass import Immersion, immerse, immersion_from_data
+from maxsurf.weierstrass import Immersion, immerse, immersion_from_data, integrals_at_many
 
 from conftest import disk_samples
 from oracles import (
@@ -31,6 +32,7 @@ from oracles import (
     disk_triangle_count,
     disk_vertex_count,
     plane_immersion_point,
+    simpson_line,
 )
 
 
@@ -221,6 +223,25 @@ class TestResampling:
             assert abs(complex(p.x1, p.x2) - complex(x, y)) < 1e-9
             assert abs(p.x3 - f.values[i, j]) < 1e-8
 
+    def test_nearest_vertex_matches_brute_force(self, catalog_data):
+        data = catalog_data["rational-r09"]
+        mesh = triangulate_disk(data.domain_radius, 48)
+        ints = integrals_at_many(immersion_from_data(data), mesh.vertices)
+        pv = ints[:, 0].real + 1j * ints[:, 1].real
+        h = 0.01
+        xs = h * np.arange(np.floor(pv.real.min() / h), np.ceil(pv.real.max() / h) + 1)
+        ys = h * np.arange(np.floor(pv.imag.min() / h), np.ceil(pv.imag.max() / h) + 1)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        poly = np.column_stack([pv.real, pv.imag])[mesh.boundary]
+        inside = (gx + 1j * gy).ravel()[_in_polygon(gx.ravel(), gy.ravel(), poly)]
+        targets = inside[::4]  # every 4th grid point keeps the brute force at ~1 s
+        assert targets.size > 15000
+        got = _nearest_vertex(pv, mesh.triangles, targets)
+        want = np.concatenate(
+            [np.argmin(np.abs(pv[None, :] - t[:, None]), axis=1) for t in np.array_split(targets, 32)]
+        )
+        assert np.array_equal(got, want)
+
     def test_lee_equivalence_small_discrepancy(self, catalog_data):
         assert lee_equivalence_check(catalog_data["shift3-r05"], 0.02) < 1e-4
 
@@ -229,8 +250,8 @@ def _invert_projection(im, target, iters=60):
     """Newton inversion of pi(X) independent of the package walker."""
     w = 0j
     for _ in range(iters):
-        i1 = path_integrate(im.curve.psi1, 0j, w)
-        i2 = path_integrate(im.curve.psi2, 0j, w)
+        i1 = simpson_line(im.curve.psi1.density.eval, 0j, w)
+        i2 = simpson_line(im.curve.psi2.density.eval, 0j, w)
         r = target - complex(i1.real, i2.real)
         if abs(r) < 1e-13:
             return w

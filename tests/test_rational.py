@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from maxsurf.errors import DomainError, PoleError, PoleInDomain, ToleranceError
-from maxsurf.rational import (
-    HolomorphicForm,
-    RationalHolomorphic,
-    integrate_to_many,
-    path_integrate,
-)
+from maxsurf.rational import HolomorphicForm, RationalHolomorphic, integrate_to_many
 
 from oracles import poly_antiderivative, polyval_ascending, simpson_line
 
@@ -101,7 +96,7 @@ class TestPathIntegration:
         anti = poly_antiderivative(coeffs)
         for a, b in [(0.0, 1.0), (-0.5 + 0.5j, 0.25 - 1.0j), (1.5, -1.5)]:
             want = polyval_ascending(anti, np.array(b)) - polyval_ascending(anti, np.array(a))
-            got = path_integrate(form, a, b)
+            got = integrate_to_many(form, a, b)
             assert abs(got - want) < 1e-13
 
     def test_rational_segment_against_simpson(self):
@@ -109,24 +104,28 @@ class TestPathIntegration:
         form = HolomorphicForm(f)
         a, b = -0.8 + 0.1j, 0.9 + 0.4j
         want = simpson_line(lambda z: f.eval(z), a, b)
-        assert abs(path_integrate(form, a, b) - want) < 1e-10
+        assert abs(integrate_to_many(form, a, b) - want) < 1e-10
 
     def test_endpoint_outside_disk_raises(self):
         form = HolomorphicForm(rh([1.0], radius=1.0))
         with pytest.raises(DomainError):
-            path_integrate(form, 0.0, 1.0 + 1e-6)
+            integrate_to_many(form, 0.0, 1.0 + 1e-6)
+        with pytest.raises(DomainError):
+            integrate_to_many(form, 1.0 + 1e-6, [0.0, 0.5])
+        with pytest.raises(DomainError):
+            integrate_to_many(form, [0.0, -1.0 - 1e-6], [0.5, 0.5])
 
     def test_zero_length_segment(self):
         form = HolomorphicForm(rh([2.0, 1.0]))
-        assert path_integrate(form, 0.3j, 0.3j) == 0.0
+        assert integrate_to_many(form, 0.3j, 0.3j) == 0.0
 
     def test_additivity_along_a_path(self):
         f = rh([1.0, 0.5, 2.0], [4.0, 1.0])
         form = HolomorphicForm(f)
         a, m, b = -0.7, 0.2 + 0.5j, 0.8 - 0.3j
-        whole = path_integrate(form, a, b)
+        whole = integrate_to_many(form, a, b)
         # different piecewise route: holomorphy makes the integral path free
-        split = path_integrate(form, a, m) + path_integrate(form, m, b)
+        split = integrate_to_many(form, a, m) + integrate_to_many(form, m, b)
         assert abs(whole - split) < 1e-12
 
     def test_integrate_to_many_matches_scalar_route(self):
@@ -134,17 +133,31 @@ class TestPathIntegration:
         form = HolomorphicForm(f)
         ends = np.array([0.5, -0.5j, 0.9 + 0.9j, -1.0, 0.0])
         many = integrate_to_many(form, 0.1j, ends)
-        single = np.array([path_integrate(form, 0.1j, e) for e in ends])
+        single = np.array([integrate_to_many(form, 0.1j, e) for e in ends])
+        assert many.shape == ends.shape
         assert np.max(np.abs(many - single)) < 1e-11
+
+    def test_array_start_points_match_scalar_starts(self):
+        f = rh([1.0, 0.5, 2.0], [4.0, 1.0])
+        form = HolomorphicForm(f)
+        starts = np.array([[0.1j, -0.6], [0.3 + 0.3j, 0.0]])
+        ends = np.array([[0.5, 0.9 + 0.9j], [0.3 + 0.3j, -1.0 - 0.2j]])
+        many = integrate_to_many(form, starts, ends)
+        single = np.array(
+            [integrate_to_many(form, a, b) for a, b in zip(starts.ravel(), ends.ravel())]
+        )
+        assert many.shape == ends.shape
+        assert np.max(np.abs(many.ravel() - single)) < 1e-11
+        assert many[1, 0] == 0.0
 
     def test_unreachable_tolerance_raises(self):
         form = HolomorphicForm(rh([1.0], [1.0, -0.99], radius=1.0))
         with pytest.raises(ToleranceError):
-            path_integrate(form, -0.999, 0.999, tol=1e-300)
+            integrate_to_many(form, -0.999, 0.999, tol=1e-300)
 
     def test_form_scaled(self):
         f = rh([1.0, 2.0])
         form = HolomorphicForm(f).scaled(-1j)
-        got = path_integrate(form, 0.0, 1.0)
-        want = -1j * path_integrate(HolomorphicForm(f), 0.0, 1.0)
+        got = integrate_to_many(form, 0.0, 1.0)
+        want = -1j * integrate_to_many(HolomorphicForm(f), 0.0, 1.0)
         assert abs(got - want) < 1e-15

@@ -9,7 +9,7 @@ from maxsurf.errors import (
     NotSpacelike,
 )
 from maxsurf.lorentz import Ambient, CausalCharacter, Vec3, causal_character, cross_lorentz, inner
-from maxsurf.rational import HolomorphicForm, RationalHolomorphic, path_integrate
+from maxsurf.rational import HolomorphicForm, RationalHolomorphic
 from maxsurf.weierstrass import (
     Immersion,
     IsotropicCurve,
@@ -35,6 +35,7 @@ from oracles import (
     sigma_tau_plane,
     sigma_tau_rational,
     sigma_tau_shift,
+    simpson_line,
 )
 
 
@@ -186,7 +187,7 @@ class TestImmersion:
         many = integrals_at_many(im, ws)
         for k, w in enumerate(ws):
             single = np.array(
-                [path_integrate(f, im.base_point, complex(w)) for f in im.curve.forms]
+                [simpson_line(f.density.eval, im.base_point, complex(w)) for f in im.curve.forms]
             )
             assert np.max(np.abs(many[k] - single)) < 1e-11
 
