@@ -72,20 +72,31 @@ class ParamMesh:
         b = np.asarray(self.boundary, dtype=int).ravel()
         if t.ndim != 2 or t.shape[1] != 3 or t.shape[0] == 0:
             raise ValueError("mesh must contain at least one triangle")
+        n = v.size
+        if min(t.min(), b.min(initial=0)) < 0 or max(t.max(), b.max(initial=0)) >= n:
+            raise ValueError("vertex index out of range")
         if np.unique(b).size != b.size:
             raise ValueError("boundary cycle repeats a vertex")
         areas = _signed_areas(np.column_stack([v.real, v.imag]), t)
         if np.min(areas) <= 0:
             raise ValueError("parameter triangles must be positively oriented")
-        if v.size - _undirected_edges(t).shape[0] + t.shape[0] != 1:
+        # Directed half-edge a -> b as the key a*n + b, sorted once.  In an
+        # oriented disk each half-edge occurs once; a repeat means two
+        # triangles lie on the same side of one edge, i.e. they overlap.
+        head, tail = t.ravel(), np.roll(t, -1, axis=1).ravel()
+        half = np.sort(head * n + tail)
+        if np.any(half[1:] == half[:-1]):
+            raise ValueError("two triangles share a directed edge (they overlap)")
+        rev = (half % n) * n + half // n
+        paired = half[np.minimum(np.searchsorted(half, rev), half.size - 1)] == rev
+        # an interior edge carries both of its half-edges, a rim edge one
+        if n - (half.size - np.count_nonzero(paired) // 2) + t.shape[0] != 1:
             raise ValueError("mesh is not disk-type (Euler count != 1)")
         # Euler count 1 alone admits e.g. two triangles glued at a vertex; a
-        # disk additionally has its rim edges forming the one given cycle.
-        raw = np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
-        edges, counts = np.unique(raw, axis=0, return_counts=True)
-        rim = edges[counts == 1]
-        cyc = np.unique(np.sort(np.column_stack([b, np.roll(b, -1)]), axis=1), axis=0)
-        if rim.shape[0] != b.size or not np.array_equal(cyc, rim):
+        # disk additionally has its rim half-edges forming the one given
+        # cycle, traversed in the mesh's (counterclockwise) orientation.
+        rim = half[~paired]
+        if not np.array_equal(np.sort(b * n + np.roll(b, -1)), rim):
             raise ValueError("boundary must be the rim cycle of the triangulation")
         for arr in (v, t, b):
             arr.setflags(write=False)
@@ -95,12 +106,39 @@ class ParamMesh:
 
 
 def _undirected_edges(triangles: np.ndarray) -> np.ndarray:
-    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    return np.unique(np.sort(e, axis=1), axis=0)
+    """Distinct edges (i, j), i < j, in lexicographic order."""
+    n = int(triangles.max()) + 1
+    a, b = triangles.ravel(), np.roll(triangles, -1, axis=1).ravel()
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    return np.column_stack([keys // n, keys % n])
 
 
 def _ring_start(k: int) -> int:
     return 1 + 3 * k * (k - 1)
+
+
+def _ring_triangles(k: int) -> np.ndarray:
+    """Triangles between rings k - 1 and k (k >= 2), in the order of a merge
+    walk by angle over the m = 6(k-1) inner and mm = 6k outer edges.
+
+    The walk takes outer step o before inner step i iff (o+1) m <= (i+1) mm,
+    so a stable sort of these keys, outer steps first, is the walk; running
+    counts give the inner (outer) position at each outer (inner) step.
+    Outer-edge triangles keep the outer circle CCW, inner-edge triangles are
+    reversed so all areas stay positive.
+    """
+    inner, m = _ring_start(k - 1), 6 * (k - 1)
+    outer, mm = _ring_start(k), 6 * k
+    keys = np.concatenate([np.arange(1, mm + 1) * m, np.arange(1, m + 1) * mm])
+    is_outer = np.argsort(keys, kind="stable") < mm
+    o = np.cumsum(is_outer) - is_outer
+    i = np.cumsum(~is_outer) - ~is_outer
+    return np.column_stack([
+        np.where(is_outer, outer + o % mm, inner + (i + 1) % m),
+        np.where(is_outer, outer + (o + 1) % mm, inner + i % m),
+        np.where(is_outer, inner + i % m, outer + o % mm),
+    ])
 
 
 def triangulate_disk(radius: float, n: int) -> ParamMesh:
@@ -110,30 +148,15 @@ def triangulate_disk(radius: float, n: int) -> ParamMesh:
         raise ValueError("need at least one ring")
     if not radius > 0:
         raise ValueError("radius must be positive")
-    verts = [0.0 + 0.0j]
+    verts = [np.zeros(1, dtype=complex)]
     for k in range(1, n + 1):
         ang = 2.0 * np.pi * np.arange(6 * k) / (6 * k)
         verts.append((radius * k / n) * np.exp(1j * ang))
-    vertices = np.concatenate([np.atleast_1d(np.asarray(a)) for a in verts])
-
-    tris = []
-    for j in range(6):
-        tris.append((1 + j, 1 + (j + 1) % 6, 0))
-    for k in range(2, n + 1):
-        inner, m = _ring_start(k - 1), 6 * (k - 1)
-        outer, mm = _ring_start(k), 6 * k
-        i = o = 0
-        # merge walk by angle; outer-edge triangles keep the outer circle CCW,
-        # inner-edge triangles are reversed so all areas stay positive
-        while i < m or o < mm:
-            if o < mm and (i == m or (o + 1) * m <= (i + 1) * mm):
-                tris.append((outer + o % mm, outer + (o + 1) % mm, inner + i % m))
-                o += 1
-            else:
-                tris.append((inner + (i + 1) % m, inner + i % m, outer + o % mm))
-                i += 1
+    first = np.arange(6)
+    tris = [np.column_stack([1 + first, 1 + (first + 1) % 6, np.zeros(6, dtype=int)])]
+    tris += [_ring_triangles(k) for k in range(2, n + 1)]
     boundary = np.arange(_ring_start(n), _ring_start(n) + 6 * n)
-    return ParamMesh(vertices, np.array(tris, dtype=int), boundary)
+    return ParamMesh(np.concatenate(verts), np.concatenate(tris), boundary)
 
 
 # ---- sampled surfaces ----
@@ -185,39 +208,109 @@ def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
+def _offsets(count: np.ndarray) -> np.ndarray:
+    """0, 1, ..., count[g] - 1 for each run g in turn (the index of each
+    entry of np.repeat(..., count) within its run)."""
+    return np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
+
+
 def _boundary_simple(pts: np.ndarray) -> bool:
-    """No contact between non-adjacent edges of the closed polyline (O(m^2))."""
+    """No contact between non-adjacent edges of the closed polyline.
+
+    Contact is a proper crossing (strict orientation signs both ways) or an
+    endpoint collinear with another edge and inside its closed bounding box.
+    In exact arithmetic either needs the two closed boxes to meet, so only
+    such pairs are tested.  (The orientation products are rounded: for
+    nearly collinear edges with disjoint boxes they can fake a crossing,
+    which an all-pairs test reports and this one does not.)  The pairs are
+    found by bucketing the boxes on a square grid whose cell is the
+    largest edge extent: each box covers a range of about 2 x 2 cells, and
+    since floor is monotone, two boxes sharing a point share the cell of
+    that point.  Work and memory are linear in the number of edges plus
+    candidate pairs, which stays linear while edge lengths are comparable.
+    A polyline with a non-finite point is not certified simple.
+    """
     m = pts.shape[0]
+    if m < 4:  # every pair of edges is adjacent
+        return True
+    if not np.all(np.isfinite(pts)):
+        return False
     a = pts
     b = np.roll(pts, -1, axis=0)
-    d1 = _cross2(b[:, None] - a[:, None], a[None, :] - a[:, None])
-    d2 = _cross2(b[:, None] - a[:, None], b[None, :] - a[:, None])
-    proper = ((d1 > 0) & (d2 < 0) | (d1 < 0) & (d2 > 0))
-    proper &= proper.T
-
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    # touching[i, j]: endpoint a_j (then b_j) collinear with and inside edge i's box
-    on_a = (d1 == 0) & np.all((a[None, :] >= lo[:, None]) & (a[None, :] <= hi[:, None]), axis=2)
-    on_b = (d2 == 0) & np.all((b[None, :] >= lo[:, None]) & (b[None, :] <= hi[:, None]), axis=2)
-    contact = proper | on_a | on_b | on_a.T | on_b.T
+    size = float(np.max(hi - lo)) or 1.0
+    c0 = np.floor((lo - lo.min(axis=0)) / size).astype(np.int64)
+    c1 = np.floor((hi - lo.min(axis=0)) / size).astype(np.int64)
+    ny = c1[:, 1] - c0[:, 1] + 1
+    cover = (c1[:, 0] - c0[:, 0] + 1) * ny
 
-    i = np.arange(m)
-    diff = np.abs(i[:, None] - i[None, :])
-    adjacent = (diff <= 1) | (diff == m - 1)
-    return not bool(np.any(contact & ~adjacent))
+    # one (cell, edge) entry per covered cell, grouped by cell, edges ascending
+    edge = np.repeat(np.arange(m), cover)
+    k = _offsets(cover)
+    cell = (c0[edge, 0] + k // ny[edge]) * (int(c1[:, 1].max()) + 1) + c0[edge, 1] + k % ny[edge]
+    order = np.argsort(cell, kind="stable")
+    edge, cell = edge[order], cell[order]
+
+    # every pair (p, q), p < q, of entries in one cell
+    stop = np.searchsorted(cell, cell, side="right")
+    later = stop - np.arange(edge.size) - 1
+    p = np.repeat(np.arange(edge.size), later)
+    q = p + 1 + _offsets(later)
+    pair = np.unique(edge[p] * m + edge[q])
+    i, j = pair // m, pair % m
+    gap = j - i
+    keep = (gap > 1) & (gap != m - 1)
+    i, j = i[keep], j[keep]
+
+    def cross(e, f):  # orientation of f's endpoints against edge e
+        d = b[e] - a[e]
+        return _cross2(d, a[f] - a[e]), _cross2(d, b[f] - a[e])
+
+    def inside(x, e):
+        return np.all((x >= lo[e]) & (x <= hi[e]), axis=1)
+
+    d1, d2 = cross(i, j)
+    e1, e2 = cross(j, i)
+    proper = ((d1 > 0) & (d2 < 0) | (d1 < 0) & (d2 > 0)) & ((e1 > 0) & (e2 < 0) | (e1 < 0) & (e2 > 0))
+    contact = (
+        proper
+        | (d1 == 0) & inside(a[j], i)
+        | (d2 == 0) & inside(b[j], i)
+        | (e1 == 0) & inside(a[i], j)
+        | (e2 == 0) & inside(b[i], j)
+    )
+    return not bool(np.any(contact))
 
 
 def _in_polygon(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd ray casting toward +x; poly (m, 2), implicitly closed."""
+    """Even-odd ray casting toward +x; poly (m, 2) finite, implicitly closed.
+
+    Scanline form: the edge crossings of each distinct row py are computed
+    once, and a point is inside iff an odd number of its row's crossings lie
+    strictly right of px.  Edge e crosses row y iff exactly one endpoint has
+    y_k <= y, i.e. min(y0, y1) <= y < max(y0, y1), which selects the rows of
+    each edge by binary search.  Memory is linear in points plus crossings.
+    """
     x0, y0 = poly[:, 0], poly[:, 1]
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    px = px[:, None]
-    py = py[:, None]
-    straddles = (y0[None, :] <= py) != (y1[None, :] <= py)
+    rows, row = np.unique(py, return_inverse=True)
+    first = np.searchsorted(rows, np.minimum(y0, y1))
+    count = np.searchsorted(rows, np.maximum(y0, y1)) - first
+    edge = np.repeat(np.arange(x0.size), count)
+    r = np.repeat(first, count) + _offsets(count)
     dy = np.where(y1 - y0 == 0, 1.0, y1 - y0)
-    xint = x0[None, :] + (py - y0[None, :]) * ((x1 - x0) / dy)[None, :]
-    return (np.sum(straddles & (px < xint), axis=1) % 2) == 1
+    xint = x0[edge] + (rows[r] - y0[edge]) * ((x1 - x0) / dy)[edge]
+
+    # rank the crossings among their distinct values, so (row, x) orders as
+    # one integer key row * width + rank; px maps to the count of values <= px
+    values = np.unique(xint)
+    width = values.size + 1
+    keys = np.sort(r * width + np.searchsorted(values, xint))
+    right = np.searchsorted(keys, (row + 1) * width) - np.searchsorted(
+        keys, row * width + np.searchsorted(values, px, side="right")
+    )
+    return right % 2 == 1
 
 
 # ---- projection certification ----
@@ -590,9 +683,8 @@ def _nearest_vertex(points: np.ndarray, triangles: np.ndarray, targets: np.ndarr
             key = (tx + dx) * width + (ty + dy)
             start = np.searchsorted(keys, key, "left")
             count = np.searchsorted(keys, key, "right") - start
-            first = np.repeat(np.cumsum(count) - count, count)
             owner.append(np.repeat(np.arange(targets.size), count))
-            cand.append(order[np.repeat(start, count) + np.arange(first.size) - first])
+            cand.append(order[np.repeat(start, count) + _offsets(count)])
     owner, cand = np.concatenate(owner), np.concatenate(cand)
     dist = np.abs(points[cand] - targets[owner])
     best = np.full(targets.size, np.inf)

@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
 Everything here is computed by a route disjoint from the package internals:
-closed-form antiderivatives, composite Simpson quadrature on dense nodes, and
+closed-form antiderivatives, composite Simpson quadrature on dense nodes,
+loop and all-pairs forms of the mesh build and planar predicates, and
 hand-derived constants for the built-in catalog families.  Tests compare
 package output against these, never against the package itself.
 """
@@ -112,3 +113,76 @@ def disk_vertex_count(n: int) -> int:
 
 def disk_triangle_count(n: int) -> int:
     return 6 * n * n
+
+
+# ---- brute-force mesh and planar-predicate oracles ----
+#
+# Straightforward loop and all-pairs forms of the package's triangulation and
+# predicates; the package versions must agree with these bit for bit.
+
+
+def merge_walk_disk(radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and triangles of the concentric-ring disk, built triangle by
+    triangle with a merge walk by angle between consecutive rings."""
+
+    def ring_start(k):
+        return 1 + 3 * k * (k - 1)
+
+    verts = [0.0 + 0.0j]
+    for k in range(1, n + 1):
+        ang = 2.0 * np.pi * np.arange(6 * k) / (6 * k)
+        verts.append((radius * k / n) * np.exp(1j * ang))
+    vertices = np.concatenate([np.atleast_1d(np.asarray(a)) for a in verts])
+
+    tris = [(1 + j, 1 + (j + 1) % 6, 0) for j in range(6)]
+    for k in range(2, n + 1):
+        inner, m = ring_start(k - 1), 6 * (k - 1)
+        outer, mm = ring_start(k), 6 * k
+        i = o = 0
+        while i < m or o < mm:
+            if o < mm and (i == m or (o + 1) * m <= (i + 1) * mm):
+                tris.append((outer + o % mm, outer + (o + 1) % mm, inner + i % m))
+                o += 1
+            else:
+                tris.append((inner + (i + 1) % m, inner + i % m, outer + o % mm))
+                i += 1
+    return vertices, np.array(tris, dtype=int)
+
+
+def _cross2(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def boundary_simple_all_pairs(pts: np.ndarray) -> bool:
+    """No contact between non-adjacent edges of the closed polyline, with every
+    pair of edges tested through (m, m) arrays."""
+    m = pts.shape[0]
+    a = pts
+    b = np.roll(pts, -1, axis=0)
+    d1 = _cross2(b[:, None] - a[:, None], a[None, :] - a[:, None])
+    d2 = _cross2(b[:, None] - a[:, None], b[None, :] - a[:, None])
+    proper = (d1 > 0) & (d2 < 0) | (d1 < 0) & (d2 > 0)
+    proper &= proper.T
+
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    on_a = (d1 == 0) & np.all((a[None, :] >= lo[:, None]) & (a[None, :] <= hi[:, None]), axis=2)
+    on_b = (d2 == 0) & np.all((b[None, :] >= lo[:, None]) & (b[None, :] <= hi[:, None]), axis=2)
+    contact = proper | on_a | on_b | on_a.T | on_b.T
+
+    i = np.arange(m)
+    diff = np.abs(i[:, None] - i[None, :])
+    adjacent = (diff <= 1) | (diff == m - 1)
+    return not bool(np.any(contact & ~adjacent))
+
+
+def in_polygon_ray_cast(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Even-odd ray casting toward +x, every point against every edge."""
+    x0, y0 = poly[:, 0], poly[:, 1]
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    px = px[:, None]
+    py = py[:, None]
+    straddles = (y0[None, :] <= py) != (y1[None, :] <= py)
+    dy = np.where(y1 - y0 == 0, 1.0, y1 - y0)
+    xint = x0[None, :] + (py - y0[None, :]) * ((x1 - x0) / dy)[None, :]
+    return (np.sum(straddles & (px < xint), axis=1) % 2) == 1

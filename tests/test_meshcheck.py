@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from maxsurf.lorentz import Ambient, Vec3
 from maxsurf.meshcheck import (
     ParamMesh,
     SurfaceMesh,
+    _boundary_simple,
     _in_polygon,
     _nearest_vertex,
     folded_disk_mesh,
@@ -29,8 +32,11 @@ from maxsurf.weierstrass import Immersion, immerse, immersion_from_data, integra
 from conftest import disk_samples
 from oracles import (
     PLANE_KRUST_BOTH_SIDES,
+    boundary_simple_all_pairs,
     disk_triangle_count,
     disk_vertex_count,
+    in_polygon_ray_cast,
+    merge_walk_disk,
     plane_immersion_point,
     simpson_line,
 )
@@ -75,6 +81,42 @@ class TestTriangulation:
         with pytest.raises(ValueError):
             ParamMesh(verts, tris, np.array([1, 2, 3, 4]))
 
+    @pytest.mark.parametrize("radius", [0.9, 1.3])
+    def test_matches_merge_walk_oracle(self, radius):
+        for n in range(1, 41):
+            mesh = triangulate_disk(radius, n)
+            verts, tris = merge_walk_disk(radius, n)
+            assert np.array_equal(mesh.vertices, verts)
+            assert np.array_equal(mesh.triangles, tris)
+
+    def test_overlapping_flap_rejected(self):
+        # both triangles sit left of the edge 0 -> 1 and overlap; Euler count
+        # and the undirected rim alone accept this mesh
+        verts = np.array([0, 1, 0.5 + 1j, 0.5 + 0.3j], dtype=complex)
+        with pytest.raises(ValueError, match="directed edge"):
+            ParamMesh(verts, np.array([[0, 1, 2], [0, 1, 3]]), np.array([0, 3, 1, 2]))
+
+    def test_three_triangles_on_one_edge_rejected(self):
+        verts = np.array([0, 1, 0.5 + 1j, 0.5 + 0.3j, 0.5 - 1j], dtype=complex)
+        tris = np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]])
+        with pytest.raises(ValueError):
+            ParamMesh(verts, tris, np.array([0, 4, 1, 3, 2]))
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_vertex_index_out_of_range_rejected(self, index):
+        verts = np.array([0.0, 1.0, 1j], dtype=complex)
+        with pytest.raises(ValueError, match="out of range"):
+            ParamMesh(verts, np.array([[0, 1, index]]), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("cycle", ["reversed rim", "inner ring"])
+    def test_boundary_cycle_other_than_rim_rejected(self, cycle):
+        # the rim traversed clockwise, or ring 2 of the n = 3 disk (a cycle of
+        # mesh edges inside the rim)
+        mesh = triangulate_disk(1.0, 3)
+        b = mesh.boundary[::-1] if cycle == "reversed rim" else np.arange(7, 19)
+        with pytest.raises(ValueError, match="rim cycle"):
+            ParamMesh(mesh.vertices, mesh.triangles, b)
+
 
 class TestProjectionReport:
     def test_plane_sample_injective_and_convex(self, catalog_data):
@@ -112,6 +154,104 @@ class TestProjectionReport:
         for k in (0, 7, 30, len(param.vertices) - 1):
             want = plane_immersion_point(complex(param.vertices[k]))
             assert np.max(np.abs(mesh.positions[k] - want)) < 1e-12
+
+
+def _random_polylines(rng, count):
+    """Closed polylines of three kinds: small-integer points (exact
+    predicates: collinear overlaps, touching endpoints, repeated points),
+    Gaussian points, and circles with one vertex pushed out into a spike."""
+    for k in range(count):
+        m = int(rng.integers(3, 48))
+        kind = k % 3
+        if kind == 0:
+            yield rng.integers(-3, 4, size=(m, 2)).astype(float)
+        elif kind == 1:
+            yield rng.normal(size=(m, 2))
+        else:
+            t = 2.0 * np.pi * np.arange(m) / m
+            pts = np.column_stack([np.cos(t), np.sin(t)])
+            pts[rng.integers(m)] *= rng.uniform(0.0, 4.0)
+            yield pts
+
+
+class TestPlanarPredicates:
+    def test_boundary_simple_matches_all_pairs_oracle(self, rng):
+        verdicts = []
+        for pts in _random_polylines(rng, 3000):
+            got = _boundary_simple(pts)
+            assert got == boundary_simple_all_pairs(pts), pts
+            verdicts.append(got)
+        assert 0 < sum(verdicts) < len(verdicts)  # both verdicts exercised
+
+    def test_non_finite_boundary_not_simple(self):
+        t = 2.0 * np.pi * np.arange(12) / 12
+        pts = np.column_stack([np.cos(t), np.sin(t)])
+        assert _boundary_simple(pts)
+        pts[5] = np.nan
+        assert not _boundary_simple(pts)
+        assert not _boundary_simple(np.full((6, 2), np.nan))
+
+    def test_boundary_simple_matches_oracle_on_catalog_rims(self, catalog_data):
+        meshes = {r: triangulate_disk(r, 128) for r in {d.domain_radius for d in catalog_data.values()}}
+        for data in catalog_data.values():
+            im = immersion_from_data(data)
+            mesh = meshes[data.domain_radius]
+            ints = integrals_at_many(im, mesh.vertices[mesh.boundary])[:, :2]
+            base = data.base_value.as_array()[:2]
+            for rim in (base + ints.real, ints.imag):
+                assert _boundary_simple(rim) == boundary_simple_all_pairs(rim)
+                assert _boundary_simple(rim)
+
+    def test_in_polygon_matches_ray_cast_oracle(self, rng):
+        grid = np.arange(-6.0, 6.5, 0.5)  # integer rows pass through vertices
+        gx, gy = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+        for k in range(200):
+            m = int(rng.integers(3, 40))
+            if k % 2:
+                poly = rng.integers(-5, 6, size=(m, 2)).astype(float)
+            else:
+                poly = 3.0 * rng.normal(size=(m, 2))
+            assert np.array_equal(_in_polygon(gx, gy, poly), in_polygon_ray_cast(gx, gy, poly))
+            px, py = 3.0 * rng.normal(size=(2, 300))
+            py[::3] = poly[rng.integers(m, size=100), 1]  # rows through vertices
+            assert np.array_equal(_in_polygon(px, py, poly), in_polygon_ray_cast(px, py, poly))
+
+    def test_boundary_simple_memory_is_linear(self):
+        # 6144-edge circle, the rim of the n = 1024 disk.  The all-pairs form holds (m, m)
+        # arrays: 6144^2 * 8 B = 302 MB per float array, 38 MB per bool array.
+        # Bucketing holds O(m) arrays: each edge covers at most 2 x 2 cells,
+        # so the (cell, edge) entries and candidate pairs number about 4m, and
+        # 32 int64 arrays of 4m entries are 32 * 4 * 6144 * 8 B = 6.3 MB.
+        t = 2.0 * np.pi * np.arange(6144) / 6144
+        pts = np.column_stack([np.cos(t), np.sin(t)])
+        assert _boundary_simple(pts)
+        peak = _traced_peak(_boundary_simple, pts)
+        assert peak < 8e6, peak
+
+    def test_in_polygon_memory_is_linear(self):
+        # 10^6 grid points against a 3000-edge circle.  Ray casting against
+        # every edge holds (points, edges) arrays: 3e9 entries, 3 GB per bool
+        # array.  The scanline form holds arrays over points (the row index
+        # and sort workspace of np.unique, ranks, keys, counts) and over the
+        # ~2000 crossings: 12 arrays of 10^6 * 8 B are 96 MB.
+        t = 2.0 * np.pi * np.arange(3000) / 3000
+        poly = np.column_stack([np.cos(t), np.sin(t)])
+        g = np.linspace(-1.1, 1.1, 1000)
+        gx, gy = (a.ravel() for a in np.meshgrid(g, g, indexing="ij"))
+        peak = _traced_peak(_in_polygon, gx, gy, poly)
+        assert peak < 96e6, peak
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes allocated during fn(*args); numpy reports its buffers to
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 class TestKrustPipeline:
