@@ -12,8 +12,9 @@ One binary, seven subcommands:
 
 Inputs come from --datum (built-in catalog name) or --config (JSON: either a
 Weierstrass datum object, {"datum": <name>}, or the dualize-graph file spec).
-All randomized work is seeded (--seed, default 0) and outputs are
-byte-deterministic for a fixed configuration.
+Each subcommand accepts only the flags it reads (_COMMANDS) and rejects the
+rest.  All randomized work is seeded (identities --seed, default 0) and
+outputs are byte-deterministic for a fixed configuration.
 
 Exit codes: 0 success, 1 input error, 2 a theorem-level check failed.
 """
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -76,23 +76,28 @@ class CliError(Exception):
 _BAD_OBJECT = (KeyError, TypeError, ValueError, ZeroDivisionError, MaxsurfError)
 
 
-@dataclass
-class JobConfig:
-    command: str
-    datum_name: str | None
-    config_path: str | None
-    out_dir: str | None
-    tol: float
-    mesh_n: int
-    grid_h: float
-    seed: int
-    json_errors: bool
-
-    def __post_init__(self):
-        if self.tol <= 0 or self.grid_h <= 0:
-            raise CliError("tolerances and spacings must be positive")
-        if self.mesh_n < 1:
-            raise CliError("--mesh-n must be at least 1")
+_FLAGS = {
+    "--datum": {"help": "built-in catalog datum name"},
+    "--config": {"help": "path to a JSON input description"},
+    "--out": {"help": "output directory"},
+    "--tol": {"type": float, "default": 1e-10},
+    "--mesh-n": {"type": int, "default": 64},
+    "--seed": {"type": int, "default": 0},
+}
+# Per subcommand: help line and the flags its handler reads (each also takes
+# --json).  The numeric ones among them are echoed as the report's settings.
+_INPUT = ("--datum", "--config", "--out")
+_SAMPLED = _INPUT + ("--tol", "--mesh-n")
+_COMMANDS = {
+    "generate": ("sample a surface mesh and write it as OBJ", _SAMPLED),
+    "conjugate": ("sample the conjugate surface and write it as OBJ", _SAMPLED),
+    "dualize-curve": ("twist the isotropic curve to the other ambient", _INPUT),
+    "dualize-graph": ("dualize a gridded graph function", ("--config", "--out")),
+    "verify-krust": ("certify the graph property of conjugates", _SAMPLED),
+    "identities": ("run the randomized identity battery", _INPUT + ("--tol", "--seed")),
+    "export": ("write datum, curve, and boundary artifacts", _SAMPLED),
+}
+_SETTINGS = ("tol", "mesh_n", "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,25 +112,19 @@ def _parser() -> argparse.ArgumentParser:
         description="construct, dualize, and certify zero-mean-curvature graphs",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, blurb in [
-        ("generate", "sample a surface mesh and write it as OBJ"),
-        ("conjugate", "sample the conjugate surface and write it as OBJ"),
-        ("dualize-curve", "twist the isotropic curve to the other ambient"),
-        ("dualize-graph", "dualize a gridded graph function"),
-        ("verify-krust", "certify the graph property of conjugates"),
-        ("identities", "run the randomized identity battery"),
-        ("export", "write datum, curve, and boundary artifacts"),
-    ]:
+    for name, (blurb, flags) in _COMMANDS.items():
         q = sub.add_parser(name, help=blurb)
-        q.add_argument("--datum", help="built-in catalog datum name")
-        q.add_argument("--config", help="path to a JSON input description")
-        q.add_argument("--out", help="output directory")
-        q.add_argument("--tol", type=float, default=1e-10)
-        q.add_argument("--mesh-n", type=int, default=64, dest="mesh_n")
-        q.add_argument("--grid-h", type=float, default=0.02, dest="grid_h")
-        q.add_argument("--seed", type=int, default=0)
+        for flag in flags:
+            q.add_argument(flag, **_FLAGS[flag])
         q.add_argument("--json", action="store_true", help="machine-readable errors")
     return p
+
+
+def _check_args(args: argparse.Namespace):
+    if "tol" in args and not 0.0 < args.tol < np.inf:
+        raise CliError(f"--tol must be finite and positive, got {args.tol!r}")
+    if "mesh_n" in args and args.mesh_n < 1:
+        raise CliError("--mesh-n must be at least 1")
 
 
 def _read_json(path: str) -> dict:
@@ -138,17 +137,20 @@ def _read_json(path: str) -> dict:
         raise CliError(f"malformed JSON in {path}: {e}") from e
 
 
-def _config_obj(cfg: JobConfig) -> dict | None:
-    return _read_json(cfg.config_path) if cfg.config_path else None
+def _config_obj(args: argparse.Namespace) -> dict | None:
+    return _read_json(args.config) if args.config else None
 
 
-def _load_datum(cfg: JobConfig) -> WeierstrassData:
-    if cfg.datum_name:
+def _load_datum(args: argparse.Namespace, obj: dict | None = None) -> WeierstrassData:
+    """The --datum catalog entry, else the datum --config describes; obj is
+    the --config content when the caller has read it already."""
+    if args.datum:
         try:
-            return _catalog.get(cfg.datum_name)
+            return _catalog.get(args.datum)
         except KeyError as e:
             raise CliError(e.args[0]) from e
-    obj = _config_obj(cfg)
+    if obj is None:
+        obj = _config_obj(args)
     if obj is None:
         raise CliError("need --datum or --config")
     if "datum" in obj:
@@ -164,10 +166,10 @@ def _load_datum(cfg: JobConfig) -> WeierstrassData:
     raise CliError("config does not describe a datum")
 
 
-def _out_dir(cfg: JobConfig) -> Path:
-    if not cfg.out_dir:
-        raise CliError(f"{cfg.command} requires --out")
-    out = Path(cfg.out_dir)
+def _out_dir(args: argparse.Namespace) -> Path:
+    if not args.out:
+        raise CliError(f"{args.command} requires --out")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -186,27 +188,27 @@ def _write_obj(path: Path, mesh: SurfaceMesh):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _report(cfg: JobConfig, **fields) -> dict:
-    settings = {"tol": cfg.tol, "mesh_n": cfg.mesh_n, "grid_h": cfg.grid_h, "seed": cfg.seed}
-    return {"command": cfg.command, "settings": settings, **fields}
+def _report(args: argparse.Namespace, **fields) -> dict:
+    settings = {key: vars(args)[key] for key in _SETTINGS if key in args}
+    return {"command": args.command, "settings": settings, **fields}
 
 
 # ---- subcommands ----
 
 
-def _cmd_surface(cfg: JobConfig, conjugated: bool) -> int:
-    data = _load_datum(cfg)
-    out = _out_dir(cfg)
+def _cmd_surface(args: argparse.Namespace, conjugated: bool) -> int:
+    data = _load_datum(args)
+    out = _out_dir(args)
     im = immersion_from_data(data)
     if conjugated:
         im = conjugate_immersion(im)
-    mesh = sample_surface(im, triangulate_disk(im.domain_radius, cfg.mesh_n), cfg.tol)
+    mesh = sample_surface(im, triangulate_disk(im.domain_radius, args.mesh_n), args.tol)
     name = "conjugate.obj" if conjugated else "surface.obj"
     _write_obj(out / name, mesh)
     report = projection_report(mesh)
     _emit(
         _report(
-            cfg,
+            args,
             vertices=int(mesh.param.vertices.size),
             triangles=int(mesh.param.triangles.shape[0]),
             projection_report=report.to_obj(),
@@ -216,25 +218,25 @@ def _cmd_surface(cfg: JobConfig, conjugated: bool) -> int:
     return 0
 
 
-def _load_curve(cfg: JobConfig) -> IsotropicCurve:
-    obj = _config_obj(cfg)
+def _load_curve(args: argparse.Namespace) -> IsotropicCurve:
+    obj = _config_obj(args)
     if obj is not None and "psi1" in obj:
         try:
             return IsotropicCurve.from_obj(obj)
         except _BAD_OBJECT as e:
             raise CliError(f"bad curve object: {e}") from e
-    return build_isotropic_maximal(_load_datum(cfg))
+    return build_isotropic_maximal(_load_datum(args, obj))
 
 
-def _cmd_dualize_curve(cfg: JobConfig) -> int:
-    curve = _load_curve(cfg)
-    out = _out_dir(cfg)
+def _cmd_dualize_curve(args: argparse.Namespace) -> int:
+    curve = _load_curve(args)
+    out = _out_dir(args)
     dual = sharp(curve) if curve.ambient is Ambient.LORENTZIAN else flat(curve)
     path = out / "dual_curve.json"
     _write_json(path, dual.to_obj())
     _emit(
         _report(
-            cfg,
+            args,
             input_ambient=curve.ambient.value,
             output_ambient=dual.ambient.value,
             commutation_residual=check_commutation(curve),
@@ -245,8 +247,8 @@ def _cmd_dualize_curve(cfg: JobConfig) -> int:
     return 0
 
 
-def _cmd_dualize_graph(cfg: JobConfig) -> int:
-    obj = _config_obj(cfg)
+def _cmd_dualize_graph(args: argparse.Namespace) -> int:
+    obj = _config_obj(args)
     if obj is None or "csv" not in obj or "header" not in obj:
         raise CliError('dualize-graph needs --config with {"csv", "header", "direction"}')
     direction = obj.get("direction", "minimal-to-maximal")
@@ -264,14 +266,14 @@ def _cmd_dualize_graph(cfg: JobConfig) -> int:
         raise CliError(f"cannot read field: {e}") from e
     except (ValueError, KeyError, TypeError) as e:
         raise CliError(f"malformed field file: {e}") from e
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     op = dualize_minimal_to_maximal if direction == "minimal-to-maximal" else dualize_maximal_to_minimal
     dual = op(field, curl_tol=curl_tol)
     csv_path, head_path = out / "dual_field.csv", out / "dual_field.header.json"
     save_field(dual, csv_path, head_path)
     _emit(
         _report(
-            cfg,
+            args,
             direction=direction,
             curl_tol=curl_tol,
             cells=int(dual.mask.sum()),
@@ -281,21 +283,21 @@ def _cmd_dualize_graph(cfg: JobConfig) -> int:
     return 0
 
 
-def _catalog_items(cfg: JobConfig) -> list[tuple[str, WeierstrassData]]:
-    if cfg.datum_name or cfg.config_path:
-        data = _load_datum(cfg)
-        return [(cfg.datum_name or "config", data)]
+def _catalog_items(args: argparse.Namespace) -> list[tuple[str, WeierstrassData]]:
+    if args.datum or args.config:
+        data = _load_datum(args)
+        return [(args.datum or "config", data)]
     return sorted(_catalog.catalog().items())
 
 
-def _cmd_verify_krust(cfg: JobConfig) -> int:
+def _cmd_verify_krust(args: argparse.Namespace) -> int:
     reports = {}
-    for name, data in _catalog_items(cfg):
-        reports[name] = krust_pipeline(data, cfg.mesh_n, cfg.tol).to_obj()
+    for name, data in _catalog_items(args):
+        reports[name] = krust_pipeline(immersion_from_data(data), args.mesh_n, args.tol).to_obj()
     verdicts = {name: r["verdict"] for name, r in reports.items()}
-    report = _report(cfg, verdicts=verdicts, reports=reports)
-    if cfg.out_dir:
-        _write_json(_out_dir(cfg) / "krust_report.json", report)
+    report = _report(args, verdicts=verdicts, reports=reports)
+    if args.out:
+        _write_json(_out_dir(args) / "krust_report.json", report)
     _emit(report)
     return 2 if any(v == FAIL for v in verdicts.values()) else 0
 
@@ -335,29 +337,29 @@ def _identity_battery(data: WeierstrassData, rng: np.random.Generator, tol: floa
     }
 
 
-def _cmd_identities(cfg: JobConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
+def _cmd_identities(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(args.seed)
     worst: dict[str, float] = {}
     per_datum = {}
-    for name, data in _catalog_items(cfg):
-        res = _identity_battery(data, rng, cfg.tol)
+    for name, data in _catalog_items(args):
+        res = _identity_battery(data, rng, args.tol)
         per_datum[name] = res
         for key, val in res.items():
             worst[key] = max(worst.get(key, 0.0), val)
     ok = all(worst[k] <= _THRESHOLDS[k] for k in _THRESHOLDS)
-    report = _report(cfg, thresholds=_THRESHOLDS, worst=worst, per_datum=per_datum, ok=ok)
-    if cfg.out_dir:
-        _write_json(_out_dir(cfg) / "identities_report.json", report)
+    report = _report(args, thresholds=_THRESHOLDS, worst=worst, per_datum=per_datum, ok=ok)
+    if args.out:
+        _write_json(_out_dir(args) / "identities_report.json", report)
     _emit(report)
     return 0 if ok else 2
 
 
-def _cmd_export(cfg: JobConfig) -> int:
-    data = _load_datum(cfg)
-    out = _out_dir(cfg)
+def _cmd_export(args: argparse.Namespace) -> int:
+    data = _load_datum(args)
+    out = _out_dir(args)
     curve = build_isotropic_maximal(data)
     im = immersion_from_data(data)
-    mesh = sample_surface(im, triangulate_disk(data.domain_radius, cfg.mesh_n), cfg.tol)
+    mesh = sample_surface(im, triangulate_disk(data.domain_radius, args.mesh_n), args.tol)
 
     files = []
     _write_json(out / "datum.json", data.to_obj())
@@ -372,21 +374,21 @@ def _cmd_export(cfg: JobConfig) -> int:
     (out / "boundary.csv").write_text("\n".join(rows) + "\n")
     files.append(str(out / "boundary.csv"))
 
-    _emit(_report(cfg, files=files))
+    _emit(_report(args, files=files))
     return 0
 
 
-def run(cfg: JobConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     handlers = {
-        "generate": lambda: _cmd_surface(cfg, conjugated=False),
-        "conjugate": lambda: _cmd_surface(cfg, conjugated=True),
-        "dualize-curve": lambda: _cmd_dualize_curve(cfg),
-        "dualize-graph": lambda: _cmd_dualize_graph(cfg),
-        "verify-krust": lambda: _cmd_verify_krust(cfg),
-        "identities": lambda: _cmd_identities(cfg),
-        "export": lambda: _cmd_export(cfg),
+        "generate": lambda: _cmd_surface(args, conjugated=False),
+        "conjugate": lambda: _cmd_surface(args, conjugated=True),
+        "dualize-curve": lambda: _cmd_dualize_curve(args),
+        "dualize-graph": lambda: _cmd_dualize_graph(args),
+        "verify-krust": lambda: _cmd_verify_krust(args),
+        "identities": lambda: _cmd_identities(args),
+        "export": lambda: _cmd_export(args),
     }
-    return handlers[cfg.command]()
+    return handlers[args.command]()
 
 
 def _emit_error(message: str, json_errors: bool):
@@ -403,27 +405,13 @@ def run_argv(argv=None) -> int:
         _emit_error(str(e), False)
         return 1
     try:
-        cfg = JobConfig(
-            command=args.command,
-            datum_name=args.datum,
-            config_path=args.config,
-            out_dir=args.out,
-            tol=args.tol,
-            mesh_n=args.mesh_n,
-            grid_h=args.grid_h,
-            seed=args.seed,
-            json_errors=args.json,
-        )
-    except CliError as e:
-        _emit_error(str(e), bool(getattr(args, "json", False)))
-        return 1
-    try:
-        return run(cfg)
+        _check_args(args)
+        return run(args)
     except (CliError, MaxsurfError) as e:
-        _emit_error(str(e), cfg.json_errors)
+        _emit_error(str(e), args.json)
         return 1
     except OSError as e:
-        _emit_error(f"i/o failure: {e}", cfg.json_errors)
+        _emit_error(f"i/o failure: {e}", args.json)
         return 1
 
 

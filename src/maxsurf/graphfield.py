@@ -1,8 +1,11 @@
 """Masked-grid scalar fields and the discrete graph dualities.
 
 Fields live at cell centers (x0 + i h, y0 + j h), i < nx, j < ny, with a
-boolean mask that must be 4-connected and hole-free (flood fill plus Euler
-count V - E + F = 1).  Derivative estimates are built per grid edge: the
+boolean mask.  Dualization needs the mask nonempty, 4-connected and
+hole-free: it checks the Euler count V - E + F = 1 of the mask's cell
+complex up front, and connectivity as it integrates along a spanning tree
+(the only topology checks; other fields, such as the plaquette residuals,
+may have any mask).  Derivative estimates are built per grid edge: the
 along-edge derivative is the exact two-point difference at the edge midpoint,
 the cross derivative averages the two endpoint cells' best stencils.  Cells
 use the central difference where both neighbors exist and otherwise a 5-point
@@ -29,7 +32,7 @@ vanishing of all plaquette circulations is exactly path independence.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,32 +47,18 @@ from .errors import (
 _SPACELIKE_EPS = 1e-12
 
 
-def _flood(mask: np.ndarray) -> np.ndarray:
-    seed = np.unravel_index(int(np.argmax(mask)), mask.shape)
-    visited = np.zeros_like(mask)
-    visited[seed] = True
-    while True:
-        grown = visited.copy()
-        grown[1:, :] |= visited[:-1, :]
-        grown[:-1, :] |= visited[1:, :]
-        grown[:, 1:] |= visited[:, :-1]
-        grown[:, :-1] |= visited[:, 1:]
-        grown &= mask
-        if np.array_equal(grown, visited):
-            return visited
-        visited = grown
-
-
 def _validate_mask(mask: np.ndarray):
+    # components minus holes; a second component with a hole passes here and
+    # is caught by _tree_integrate's visited check
     if not mask.any():
         raise NotSimplyConnected("mask is empty")
-    if int(_flood(mask).sum()) != int(mask.sum()):
-        raise NotSimplyConnected("mask is not 4-connected")
     v = int(mask.sum())
     e = int((mask[:-1, :] & mask[1:, :]).sum()) + int((mask[:, :-1] & mask[:, 1:]).sum())
     f = int((mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]).sum())
     if v - e + f != 1:
-        raise NotSimplyConnected(f"mask Euler count {v - e + f} != 1; region has holes")
+        raise NotSimplyConnected(
+            f"mask Euler count {v - e + f} != 1; region is disconnected or has holes"
+        )
 
 
 @dataclass(frozen=True)
@@ -80,19 +69,16 @@ class ScalarField:
     spacing: float
     values: np.ndarray
     mask: np.ndarray
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
+    def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         mask = np.asarray(self.mask, dtype=bool)
         if values.shape != mask.shape or values.ndim != 2:
             raise ValueError("values and mask must be equal-shape 2d arrays")
         if not (np.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError("spacing must be positive")
-        if validate:
-            _validate_mask(mask)
-            if not np.all(np.isfinite(values[mask])):
-                raise ValueError("non-finite value on mask")
+        if not np.all(np.isfinite(values[mask])):
+            raise ValueError("non-finite value on mask")
         values.setflags(write=False)
         mask.setflags(write=False)
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
@@ -300,7 +286,7 @@ def _plaquette_divergence(f: ScalarField, a_on_y, b_on_x, plaq) -> ScalarField:
         (a_on_y[1:, :] - a_on_y[:-1, :]) / h + (b_on_x[:, 1:] - b_on_x[:, :-1]) / h
     )[plaq]
     origin = (f.origin[0] + h / 2, f.origin[1] + h / 2)
-    return ScalarField(origin, h, resid, plaq, validate=False)
+    return ScalarField(origin, h, resid, plaq)
 
 
 def _residual(f: ScalarField, sign: float) -> ScalarField:
@@ -389,8 +375,7 @@ def _dualize(f: ScalarField, sign: float, curl_tol: float) -> ScalarField:
     w2_on_y = (sign) * e.cy / e.ny_edge
     h = f.spacing
     vals = _tree_integrate(f.mask, h * w1_on_x, h * w2_on_y, _anchor_index(f.mask))
-    out = ScalarField(f.origin, h, np.where(f.mask, vals, 0.0), f.mask, validate=False)
-    return out
+    return ScalarField(f.origin, h, np.where(f.mask, vals, 0.0), f.mask)
 
 
 def dualize_minimal_to_maximal(f: ScalarField, curl_tol: float = 1e-3) -> ScalarField:

@@ -54,9 +54,6 @@ class Vec3:
 
     __rmul__ = __mul__
 
-    def norm_sq(self) -> float:
-        return inner(self, self)
-
 
 def _same_ambient(u: Vec3, v: Vec3):
     if u.ambient is not v.ambient:

@@ -25,19 +25,17 @@ import numpy as np
 from .errors import (
     AmbientMismatch,
     DegenerateTriangle,
-    MaxsurfError,
     NewtonDivergence,
     NotAGraph,
     OverlapEmpty,
+    PoleInDomain,
 )
 from .graphfield import ScalarField, dualize_maximal_to_minimal, shift_agreement
-from .lorentz import Ambient, Vec3, cross_lorentz
-from .rational import integrate_to_many
+from .lorentz import Ambient, cross_lorentz
+from .rational import HolomorphicForm, RationalHolomorphic, integrate_to_many
 from .weierstrass import (
-    GENERAL,
     Immersion,
     WeierstrassData,
-    build_isotropic_maximal,
     conjugate_immersion,
     differential,
     gauss_map,
@@ -53,6 +51,18 @@ _CONVEXITY_BAND = -1e-9
 _AREA_EPS = 1e-16
 _NEWTON_ITERS = 30
 _MAX_SPLIT = 12
+# Quadrature and Newton tolerance of pullback_segment, krust_inequality_batch
+# and resample_graph; resample_graph's mesh rings and grid erosion; the curl
+# tolerance of lee_equivalence_check's grid dualization.
+_TOL = 1e-10
+_RESAMPLE_MESH_N = 48
+_RESAMPLE_MARGIN_CELLS = 2
+_LEE_CURL_TOL = 1e-2
+# Shewchuk's bound on the rounding error of the float (b - a) x (c - a),
+# (3 + 16 eps) eps with eps = 2^-53, relative to the sum of the two products'
+# magnitudes; 8 x 2^-52 exceeds it.  The tiny term covers underflow.
+_ORIENT_REL = 8 * np.finfo(float).eps
+_ORIENT_ABS = np.finfo(float).tiny
 
 
 # ---- parameter-disk triangulation ----
@@ -208,6 +218,27 @@ def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
+def _orientation(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Sign (-1, 0 or 1) of (b - a) x (c - a) for each row of the (k, 2)
+    point arrays, exact: a float result within its rounding bound is decided
+    again in integer arithmetic.  Every float is n / 2^j exactly, so scaling
+    a row's six coordinates by their largest 2^j makes them integers (this
+    is Fraction arithmetic without its gcd reductions)."""
+    left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+    right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    det = left - right
+    sign = np.sign(det)
+    unsure = np.flatnonzero(~(np.abs(det) > _ORIENT_REL * (np.abs(left) + np.abs(right)) + _ORIENT_ABS))
+    rows = np.column_stack([a[unsure], b[unsure], c[unsure]]).tolist()
+    for k, row in zip(unsure, rows):
+        ratios = [v.as_integer_ratio() for v in row]
+        scale = max(den for _, den in ratios)
+        ax, ay, bx, by, cx, cy = (num * (scale // den) for num, den in ratios)
+        exact = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        sign[k] = (exact > 0) - (exact < 0)
+    return sign
+
+
 def _offsets(count: np.ndarray) -> np.ndarray:
     """0, 1, ..., count[g] - 1 for each run g in turn (the index of each
     entry of np.repeat(..., count) within its run)."""
@@ -219,11 +250,9 @@ def _boundary_simple(pts: np.ndarray) -> bool:
 
     Contact is a proper crossing (strict orientation signs both ways) or an
     endpoint collinear with another edge and inside its closed bounding box.
-    In exact arithmetic either needs the two closed boxes to meet, so only
-    such pairs are tested.  (The orientation products are rounded: for
-    nearly collinear edges with disjoint boxes they can fake a crossing,
-    which an all-pairs test reports and this one does not.)  The pairs are
-    found by bucketing the boxes on a square grid whose cell is the
+    Orientation signs are exact (_orientation), and either kind of contact
+    needs the two closed boxes to meet, so only such pairs are tested.  The
+    pairs are found by bucketing the boxes on a square grid whose cell is the
     largest edge extent: each box covers a range of about 2 x 2 cells, and
     since floor is monotone, two boxes sharing a point share the cell of
     that point.  Work and memory are linear in the number of edges plus
@@ -264,8 +293,7 @@ def _boundary_simple(pts: np.ndarray) -> bool:
     i, j = i[keep], j[keep]
 
     def cross(e, f):  # orientation of f's endpoints against edge e
-        d = b[e] - a[e]
-        return _cross2(d, a[f] - a[e]), _cross2(d, b[f] - a[e])
+        return _orientation(a[e], b[e], a[f]), _orientation(a[e], b[e], b[f])
 
     def inside(x, e):
         return np.all((x >= lo[e]) & (x <= hi[e]), axis=1)
@@ -391,7 +419,7 @@ def _verdict(domain: GraphReport, conjugate: GraphReport) -> str:
     return PASS if conjugate.injective else FAIL
 
 
-def krust_pipeline_immersion(im: Immersion, n: int = 64, tol: float = 1e-10) -> KrustReport:
+def krust_pipeline(im: Immersion, n: int = 64, tol: float = 1e-10) -> KrustReport:
     """Certify "graph over a convex domain implies the conjugate is a graph"
     for one immersion, sampled at n rings.
 
@@ -404,10 +432,6 @@ def krust_pipeline_immersion(im: Immersion, n: int = 64, tol: float = 1e-10) -> 
     domain = _report_from_points(base[None, :2] + ints[:, :2].real, mesh)
     conjugate = _report_from_points(ints[:, :2].imag, mesh)
     return KrustReport(domain, conjugate, _verdict(domain, conjugate))
-
-
-def krust_pipeline(data: WeierstrassData, n: int = 64, tol: float = 1e-10) -> KrustReport:
-    return krust_pipeline_immersion(immersion_from_data(data), n, tol)
 
 
 # ---- rotation identity ----
@@ -432,21 +456,22 @@ def rotation_identity_check(
 class _ProjectionWalker:
     """Tracks beta with pi(X(beta)) following prescribed plane targets.
 
-    Keeps the horizontal integrals of the forms psi1, psi2 at the last
+    Starts at the parameters w, whose integrals of psi1, psi2 from the base
+    point are the columns 0, 1 of ints.  Keeps those integrals at the last
     accepted node and extends them along the short segment to each Newton
     candidate, so each continuation step costs a handful of vectorized
-    evaluations.
+    evaluations.  forms are im's curve forms, certified on the disk of
+    eval_radius, which Newton iterates may reach beyond the domain disk.
     """
 
-    def __init__(self, f1, f2, pi_offset, w, i1, i2, eval_radius, domain_radius, tol):
-        self.f1, self.f2 = f1, f2
-        self.off = pi_offset
-        self.w = np.asarray(w, dtype=complex).copy()
-        self.i1 = np.asarray(i1, dtype=complex).copy()
-        self.i2 = np.asarray(i2, dtype=complex).copy()
-        self.eval_r = eval_radius
-        self.domain_r = domain_radius
-        self.tol = tol
+    def __init__(self, im: Immersion, forms, eval_radius: float, w, ints):
+        self.f1, self.f2 = forms[0], forms[1]
+        self.off = complex(im.base_value.x1, im.base_value.x2)
+        self.w = np.array(w, dtype=complex)
+        self.i1 = np.array(ints[:, 0], dtype=complex)
+        self.i2 = np.array(ints[:, 1], dtype=complex)
+        self.eval_r = eval_radius * (1.0 + 1e-12)
+        self.domain_r = im.domain_radius
 
     def projection(self) -> np.ndarray:
         return self.off + self.i1.real + 1j * self.i2.real
@@ -454,10 +479,10 @@ class _ProjectionWalker:
     def solve(self, target: np.ndarray, depth: int = 0):
         w = self.w.copy()
         for _ in range(_NEWTON_ITERS):
-            j1 = self.i1 + integrate_to_many(self.f1, self.w, w, self.tol)
-            j2 = self.i2 + integrate_to_many(self.f2, self.w, w, self.tol)
+            j1 = self.i1 + integrate_to_many(self.f1, self.w, w, _TOL)
+            j2 = self.i2 + integrate_to_many(self.f2, self.w, w, _TOL)
             r = (self.off + j1.real + 1j * j2.real) - target
-            if float(np.max(np.abs(r))) <= self.tol:
+            if float(np.max(np.abs(r))) <= _TOL:
                 if float(np.max(np.abs(w))) > self.domain_r * (1.0 + 1e-9):
                     raise NewtonDivergence("pullback path exits the domain disk")
                 self.w, self.i1, self.i2 = w, j1, j2
@@ -479,19 +504,26 @@ class _ProjectionWalker:
         self.solve(target, depth + 1)
 
 
-def _wide_maximal_curve(data: WeierstrassData):
-    # evaluation slack for Newton overshoot: prefer the full validity disk
+def _wide_maximal_curve(im: Immersion, data: WeierstrassData):
+    """The forms of im = immersion_from_data(data) and the disk they are
+    certified on, as wide as possible for Newton overshoot.
+
+    The coefficients do not depend on the radius, so the forms are re-tagged
+    to min(g.radius, dh.radius).  Where g vanishes in that disk the re-tagged
+    denominators fail their certificate and the domain disk is kept.
+    """
     r = min(data.g.radius, data.dh.radius)
     try:
-        wide = WeierstrassData(data.g, data.dh, r, data.base_point, data.base_value, GENERAL)
-        return build_isotropic_maximal(wide), r
-    except MaxsurfError:
-        return build_isotropic_maximal(data), data.domain_radius
+        forms = [
+            HolomorphicForm(RationalHolomorphic(f.density.num, f.density.den, r))
+            for f in im.curve.forms
+        ]
+    except PoleInDomain:
+        return im.curve.forms, im.domain_radius
+    return forms, r
 
 
-def pullback_segment(
-    im: Immersion, p1, p2, steps: int = 200, tol: float = 1e-10
-) -> np.ndarray:
+def pullback_segment(im: Immersion, p1, p2, steps: int = 200) -> np.ndarray:
     """Parameters beta(t_k) with pi(X(beta(t_k))) = (1-t_k) p1 + t_k p2.
 
     Newton continuation seeded at the base point: a first pass walks the
@@ -503,18 +535,8 @@ def pullback_segment(
         raise ValueError("need at least 2 steps")
     p1 = complex(p1) if np.isscalar(p1) or isinstance(p1, complex) else complex(p1[0], p1[1])
     p2 = complex(p2) if np.isscalar(p2) or isinstance(p2, complex) else complex(p2[0], p2[1])
-    off = complex(im.base_value.x1, im.base_value.x2)
-    walker = _ProjectionWalker(
-        im.curve.psi1,
-        im.curve.psi2,
-        off,
-        np.array([im.base_point]),
-        np.zeros(1, complex),
-        np.zeros(1, complex),
-        im.curve.radius * (1.0 + 1e-12),
-        im.domain_radius,
-        tol,
-    )
+    walker = _ProjectionWalker(im, im.curve.forms, im.curve.radius, [im.base_point], np.zeros((1, 2)))
+    off = walker.off
     for t in np.linspace(0.0, 1.0, steps + 1)[1:]:
         walker.solve(np.array([off + t * (p1 - off)]))
     betas = [walker.w.copy()]
@@ -536,9 +558,7 @@ class KrustInequality:
     margin: np.ndarray
 
 
-def krust_inequality_batch(
-    data: WeierstrassData, w1, w2, steps: int = 200, tol: float = 1e-10
-) -> KrustInequality:
+def krust_inequality_batch(data: WeierstrassData, w1, w2, steps: int = 200) -> KrustInequality:
     """lhs = <p2 - p1, i (q2 - q1)>_0 with p = pi(X), q = pi(X*), against the
     path-integral form along the pulled-back plane segment:
 
@@ -558,27 +578,16 @@ def krust_inequality_batch(
         raise ValueError("pair endpoints must be distinct")
 
     im = immersion_from_data(data)
-    ints1 = integrals_at_many(im, w1, tol)
-    ints2 = integrals_at_many(im, w2, tol)
-    off = complex(data.base_value.x1, data.base_value.x2)
+    ints1 = integrals_at_many(im, w1, _TOL)
+    ints2 = integrals_at_many(im, w2, _TOL)
+    walker = _ProjectionWalker(im, *_wide_maximal_curve(im, data), w1, ints1)
+    off = walker.off
     p1 = off + ints1[:, 0].real + 1j * ints1[:, 1].real
     p2 = off + ints2[:, 0].real + 1j * ints2[:, 1].real
     q1 = ints1[:, 0].imag + 1j * ints1[:, 1].imag
     q2 = ints2[:, 0].imag + 1j * ints2[:, 1].imag
     lhs = np.real(np.conj(p2 - p1) * (1j * (q2 - q1)))
 
-    curve, eval_r = _wide_maximal_curve(data)
-    walker = _ProjectionWalker(
-        curve.psi1,
-        curve.psi2,
-        off,
-        w1,
-        ints1[:, 0],
-        ints1[:, 1],
-        eval_r * (1.0 + 1e-12),
-        data.domain_radius,
-        tol,
-    )
     betas = np.empty((steps + 1, w1.size), dtype=complex)
     betas[0] = w1
     span = p2 - p1
@@ -598,13 +607,6 @@ def krust_inequality_batch(
     integral = dt * (0.5 * f[0] + f[1:-1].sum(axis=0) + 0.5 * f[-1])
 
     return KrustInequality(lhs, integral, np.minimum(lhs, integral))
-
-
-def krust_inequality_check(
-    data: WeierstrassData, w1: complex, w2: complex, steps: int = 200, tol: float = 1e-10
-) -> KrustInequality:
-    out = krust_inequality_batch(data, [w1], [w2], steps, tol)
-    return KrustInequality(float(out.lhs[0]), float(out.integral[0]), float(out.margin[0]))
 
 
 # ---- edgewise spacelike check ----
@@ -695,23 +697,17 @@ def _nearest_vertex(points: np.ndarray, triangles: np.ndarray, targets: np.ndarr
     return nearest
 
 
-def resample_graph(
-    data: WeierstrassData,
-    grid_h: float,
-    mesh_n: int = 48,
-    tol: float = 1e-10,
-    margin_cells: int = 2,
-) -> ResampledGraph:
+def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
     """Resample x3 as a function of (x1, x2) on a grid inside the projected
-    domain (eroded by margin_cells), by Newton inversion of the projection
-    seeded from the nearest sampled mesh vertex.
+    domain (eroded by two cells), by Newton inversion of the projection
+    seeded from the nearest vertex of a 48-ring sampled mesh.
 
     Heights are exact up to quadrature tolerance: the grid carries no
     interpolation error, only its own later finite-difference error.
     """
     im = immersion_from_data(data)
-    mesh = triangulate_disk(data.domain_radius, mesh_n)
-    ints = integrals_at_many(im, mesh.vertices, tol)
+    mesh = triangulate_disk(data.domain_radius, _RESAMPLE_MESH_N)
+    ints = integrals_at_many(im, mesh.vertices, _TOL)
     base = data.base_value.as_array()
     px = base[0] + ints[:, 0].real
     py = base[1] + ints[:, 1].real
@@ -729,47 +725,29 @@ def resample_graph(
     ys = h * np.arange(j0, j1 + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     mask = _in_polygon(gx.ravel(), gy.ravel(), poly).reshape(gx.shape)
-    mask = _erode(mask, margin_cells)
+    mask = _erode(mask, _RESAMPLE_MARGIN_CELLS)
     if not mask.any():
         raise OverlapEmpty("no grid cells inside the projected domain at this spacing")
 
     targets = (gx + 1j * gy)[mask]
     seed = _nearest_vertex(px + 1j * py, mesh.triangles, targets)
-    curve, eval_r = _wide_maximal_curve(data)
-    walker = _ProjectionWalker(
-        curve.psi1,
-        curve.psi2,
-        complex(base[0], base[1]),
-        mesh.vertices[seed],
-        ints[seed, 0],
-        ints[seed, 1],
-        eval_r * (1.0 + 1e-12),
-        data.domain_radius,
-        max(tol, 1e-12),
-    )
+    forms, eval_r = _wide_maximal_curve(im, data)
+    walker = _ProjectionWalker(im, forms, eval_r, mesh.vertices[seed], ints[seed])
     walker.solve(targets)
-    i3 = ints[seed, 2] + integrate_to_many(curve.psi3, mesh.vertices[seed], walker.w, walker.tol)
+    i3 = ints[seed, 2] + integrate_to_many(forms[2], mesh.vertices[seed], walker.w, _TOL)
 
     f = np.zeros(mask.shape)
     s = np.zeros(mask.shape)
     f[mask] = base[2] + i3.real
     s[mask] = -i3.imag  # third component of the Euclidean dual: Re(i * I3)
     origin = (float(xs[0]), float(ys[0]))
-    return ResampledGraph(
-        ScalarField(origin, h, f, mask), ScalarField(origin, h, s, mask, validate=False)
-    )
+    return ResampledGraph(ScalarField(origin, h, f, mask), ScalarField(origin, h, s, mask))
 
 
-def lee_equivalence_check(
-    data: WeierstrassData,
-    grid_h: float,
-    tol: float = 1e-10,
-    mesh_n: int = 48,
-    curl_tol: float = 1e-2,
-) -> float:
+def lee_equivalence_check(data: WeierstrassData, grid_h: float) -> float:
     """Max-norm gap (after the optimal vertical shift) between the grid-level
     dual of the resampled graph and the exact height of the isotropic-curve
     dual; O(grid_h^2) when the two constructions agree."""
-    rs = resample_graph(data, grid_h, mesh_n, tol)
-    grid_dual = dualize_maximal_to_minimal(rs.field, curl_tol=curl_tol)
+    rs = resample_graph(data, grid_h)
+    grid_dual = dualize_maximal_to_minimal(rs.field, curl_tol=_LEE_CURL_TOL)
     return shift_agreement(grid_dual, rs.dual_height)

@@ -16,7 +16,7 @@ with a composite 7-15 Gauss-Kronrod rule, vectorized over the segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,10 +87,6 @@ def _horner(coeffs: np.ndarray, z):
     return out
 
 
-def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
-
-
 def _deriv_coeffs(a: np.ndarray) -> np.ndarray:
     if a.size == 1:
         return np.zeros(1, dtype=complex)
@@ -155,13 +151,6 @@ class RationalHolomorphic:
 
     # ---- exact coefficient arithmetic ----
 
-    @property
-    def is_constant(self) -> bool:
-        return self.num.size == 1 and self.den.size == 1
-
-    def _wrap(self, num, den, radius) -> "RationalHolomorphic":
-        return RationalHolomorphic(num, den, radius)
-
     def __add__(self, other):
         other = _coerce(other, self.radius)
         r = min(self.radius, other.radius)
@@ -169,19 +158,19 @@ class RationalHolomorphic:
             n = np.zeros(max(self.num.size, other.num.size), dtype=complex)
             n[: self.num.size] += self.num
             n[: other.num.size] += other.num
-            return self._wrap(n, self.den, r)
-        a = _conv(self.num, other.den)
-        b = _conv(other.num, self.den)
+            return RationalHolomorphic(n, self.den, r)
+        a = np.convolve(self.num, other.den)
+        b = np.convolve(other.num, self.den)
         n = np.zeros(max(a.size, b.size), dtype=complex)
         n[: a.size] += a
         n[: b.size] += b
-        return self._wrap(n, _conv(self.den, other.den), r)
+        return RationalHolomorphic(n, np.convolve(self.den, other.den), r)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return self._wrap(-self.num, self.den, self.radius)
+        return RationalHolomorphic(-self.num, self.den, self.radius)
 
     def __sub__(self, other):
         return self.__add__(-_coerce(other, self.radius))
@@ -191,11 +180,11 @@ class RationalHolomorphic:
 
     def __mul__(self, other):
         if np.isscalar(other) or isinstance(other, complex):
-            return self._wrap(self.num * complex(other), self.den, self.radius)
+            return RationalHolomorphic(self.num * complex(other), self.den, self.radius)
         other = _coerce(other, self.radius)
-        return self._wrap(
-            _conv(self.num, other.num),
-            _conv(self.den, other.den),
+        return RationalHolomorphic(
+            np.convolve(self.num, other.num),
+            np.convolve(self.den, other.den),
             min(self.radius, other.radius),
         )
 
@@ -204,28 +193,28 @@ class RationalHolomorphic:
 
     def reciprocal(self) -> "RationalHolomorphic":
         """1/f; fails with PoleInDomain if f has a zero in the disk."""
-        return self._wrap(self.den, self.num, self.radius)
+        return RationalHolomorphic(self.den, self.num, self.radius)
 
     def __truediv__(self, other):
         if np.isscalar(other) or isinstance(other, complex):
-            return self._wrap(self.num / complex(other), self.den, self.radius)
+            return RationalHolomorphic(self.num / complex(other), self.den, self.radius)
         return self.__mul__(_coerce(other, self.radius).reciprocal())
 
     def derivative(self) -> "RationalHolomorphic":
         """Exact quotient-rule derivative (P'Q - PQ')/Q^2."""
         if self.den.size == 1:
-            return self._wrap(_deriv_coeffs(self.num) / self.den[0], np.ones(1), self.radius)
-        pd = _conv(_deriv_coeffs(self.num), self.den)
-        qd = _conv(self.num, _deriv_coeffs(self.den))
+            return RationalHolomorphic(_deriv_coeffs(self.num) / self.den[0], np.ones(1), self.radius)
+        pd = np.convolve(_deriv_coeffs(self.num), self.den)
+        qd = np.convolve(self.num, _deriv_coeffs(self.den))
         n = np.zeros(max(pd.size, qd.size), dtype=complex)
         n[: pd.size] += pd
         n[: qd.size] -= qd
-        return self._wrap(n, _conv(self.den, self.den), self.radius)
+        return RationalHolomorphic(n, np.convolve(self.den, self.den), self.radius)
 
     def equivalent(self, other: "RationalHolomorphic", tol: float = 0.0) -> bool:
         """Cross-multiplication test P1*Q2 == P2*Q1 at the coefficient level."""
-        a = _conv(self.num, other.den)
-        b = _conv(other.num, self.den)
+        a = np.convolve(self.num, other.den)
+        b = np.convolve(other.num, self.den)
         n = max(a.size, b.size)
         d = np.zeros(n, dtype=complex)
         d[: a.size] += a
@@ -272,9 +261,6 @@ class HolomorphicForm:
     @property
     def radius(self) -> float:
         return self.density.radius
-
-    def at(self, z):
-        return self.density.eval(z)
 
     def scaled(self, c) -> "HolomorphicForm":
         return HolomorphicForm(self.density * complex(c))

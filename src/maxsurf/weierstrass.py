@@ -265,11 +265,6 @@ def immerse(im: Immersion, w: complex, tol: float = 1e-10) -> Vec3:
     return Vec3(*vals, im.ambient)
 
 
-def conjugate_immerse(im: Immersion, w: complex, tol: float = 1e-10) -> Vec3:
-    """X*(w) = Im int psi, pinned to X*(base_point) = 0."""
-    return Vec3(*integrals_at_many(im, [w], tol)[0].imag, im.ambient)
-
-
 def conjugate_immersion(im: Immersion) -> Immersion:
     """The conjugate as an immersion in its own right (base value 0)."""
     zero = Vec3(0.0, 0.0, 0.0, im.ambient)

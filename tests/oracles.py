@@ -10,6 +10,7 @@ package output against these, never against the package itself.
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
 
 import numpy as np
 
@@ -174,6 +175,32 @@ def boundary_simple_all_pairs(pts: np.ndarray) -> bool:
     diff = np.abs(i[:, None] - i[None, :])
     adjacent = (diff <= 1) | (diff == m - 1)
     return not bool(np.any(contact & ~adjacent))
+
+
+def boundary_simple_exact(pts: np.ndarray) -> bool:
+    """boundary_simple_all_pairs in rational arithmetic: a loop over every
+    non-adjacent pair of edges with Fraction coordinates, so no orientation
+    sign is rounded."""
+    m = pts.shape[0]
+    p = [(Fraction(float(x)), Fraction(float(y))) for x, y in pts]
+
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return (v > 0) - (v < 0)
+
+    def in_box(c, a, b):
+        return all(min(a[k], b[k]) <= c[k] <= max(a[k], b[k]) for k in (0, 1))
+
+    for i in range(m):
+        for j in range(i + 2, m - (i == 0)):
+            a, b, c, d = p[i], p[(i + 1) % m], p[j], p[(j + 1) % m]
+            d1, d2, e1, e2 = orient(a, b, c), orient(a, b, d), orient(c, d, a), orient(c, d, b)
+            if d1 * d2 < 0 and e1 * e2 < 0:
+                return False
+            touching = [(d1, c, a, b), (d2, d, a, b), (e1, a, c, d), (e2, b, c, d)]
+            if any(s == 0 and in_box(x, lo, hi) for s, x, lo, hi in touching):
+                return False
+    return True
 
 
 def in_polygon_ray_cast(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.ndarray:

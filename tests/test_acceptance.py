@@ -25,7 +25,6 @@ from maxsurf.meshcheck import (
     folded_disk_mesh,
     krust_inequality_batch,
     krust_pipeline,
-    krust_pipeline_immersion,
     lee_equivalence_check,
     projection_report,
     rotation_identity_check,
@@ -265,7 +264,7 @@ _VERDICTS: dict[str, str] = {}
 def _headline_verdicts(catalog_data):
     if not _VERDICTS:
         for name in sorted(catalog_data):
-            _VERDICTS[name] = krust_pipeline(catalog_data[name], 64, 1e-10).verdict
+            _VERDICTS[name] = krust_pipeline(immersion_from_data(catalog_data[name]), 64, 1e-10).verdict
     return _VERDICTS
 
 
@@ -294,6 +293,6 @@ def test_criterion_10_euclidean_krust(catalog_data):
             Vec3(0.0, 0.0, 0.0, Ambient.EUCLIDEAN),
             data.domain_radius,
         )
-        rep = krust_pipeline_immersion(dual, n=64)
+        rep = krust_pipeline(dual, n=64)
         assert rep.conjugate_report.injective, f"{name}: dual conjugate not injective"
     return f"conjugates of {len(pass_names)} sharp-dual immersions all injective at n=64"

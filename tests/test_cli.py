@@ -194,7 +194,7 @@ class TestVerifyKrust:
             def to_obj(self):
                 return {"verdict": "FAIL"}
 
-        monkeypatch.setattr(cli, "krust_pipeline", lambda data, n, tol: Stub())
+        monkeypatch.setattr(cli, "krust_pipeline", lambda im, n, tol: Stub())
         code, cap = run_json(capsys, "verify-krust", "--datum", "plane-r05")
         assert code == 2
 
@@ -284,6 +284,95 @@ class TestErrors:
     def test_bad_mesh_n(self, capsys):
         code, cap = run_json(capsys, "generate", "--datum", "plane-r05", "--mesh-n", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-10"])
+    def test_meaningless_tol_rejected(self, capsys, tol):
+        # "--tol=-inf": argparse reads a separate "-inf" as an option
+        code, cap = run_json(
+            capsys, "verify-krust", "--datum", "rational-r09", "--mesh-n", "4", f"--tol={tol}"
+        )
+        assert code == 1
+        assert "--tol must be finite and positive" in cap.err
+        assert cap.out == ""
+
+    def test_config_read_once(self, tmp_path, capsys, monkeypatch):
+        import maxsurf.cli as cli
+        from maxsurf.catalog import get
+
+        cfgp = tmp_path / "datum.json"
+        cfgp.write_text(json.dumps(get("plane-r05").to_obj()))
+        reads = []
+        read_json = cli._read_json
+        monkeypatch.setattr(cli, "_read_json", lambda path: reads.append(path) or read_json(path))
+        code, _ = run_json(capsys, "dualize-curve", "--config", str(cfgp), "--out", str(tmp_path))
+        assert code == 0
+        assert reads == [str(cfgp)]
+
+
+# The flags each subcommand's handler reads, besides --json.
+READS = {
+    "generate": {"--datum", "--config", "--out", "--tol", "--mesh-n"},
+    "conjugate": {"--datum", "--config", "--out", "--tol", "--mesh-n"},
+    "dualize-curve": {"--datum", "--config", "--out"},
+    "dualize-graph": {"--config", "--out"},
+    "verify-krust": {"--datum", "--config", "--out", "--tol", "--mesh-n"},
+    "identities": {"--datum", "--config", "--out", "--tol", "--seed"},
+    "export": {"--datum", "--config", "--out", "--tol", "--mesh-n"},
+}
+FLAG_VALUES = {
+    "--datum": "plane-r05",
+    "--config": "cfg.json",
+    "--out": "out",
+    "--tol": "1e-9",
+    "--mesh-n": "4",
+    "--seed": "3",
+    "--grid-h": "0.02",
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c in READS for f in sorted(set(FLAG_VALUES) - READS[c])],
+    )
+    def test_unread_flag_rejected(self, capsys, command, flag):
+        code, cap = run_json(capsys, command, flag, FLAG_VALUES[flag])
+        assert code == 1
+        assert "unrecognized arguments" in cap.err and flag in cap.err
+        assert cap.out == ""
+
+    def test_registered_flags_are_the_read_ones(self):
+        from maxsurf.cli import _parser
+
+        sub = next(a for a in _parser()._actions if a.choices)
+        for command, parser in sub.choices.items():
+            flags = {s for a in parser._actions for s in a.option_strings}
+            assert flags - {"-h", "--help", "--json"} == READS[command]
+
+    def test_settings_echo_the_read_flags(self, tmp_path, capsys):
+        field = TestDualizeGraph().make_field(tmp_path, h=0.1)[1]
+        runs = {
+            "generate": ["--datum", "plane-r05", "--mesh-n", "3", "--out", str(tmp_path)],
+            "conjugate": ["--datum", "plane-r05", "--mesh-n", "3", "--out", str(tmp_path)],
+            "dualize-curve": ["--datum", "plane-r05", "--out", str(tmp_path)],
+            "dualize-graph": ["--config", str(field), "--out", str(tmp_path)],
+            "verify-krust": ["--datum", "plane-r05", "--mesh-n", "3", "--tol", "1e-9"],
+            "identities": ["--datum", "plane-r05", "--seed", "3"],
+            "export": ["--datum", "plane-r05", "--mesh-n", "3", "--out", str(tmp_path)],
+        }
+        want = {
+            "generate": {"tol": 1e-10, "mesh_n": 3},
+            "conjugate": {"tol": 1e-10, "mesh_n": 3},
+            "dualize-curve": {},
+            "dualize-graph": {},
+            "verify-krust": {"tol": 1e-9, "mesh_n": 3},
+            "identities": {"tol": 1e-10, "seed": 3},
+            "export": {"tol": 1e-10, "mesh_n": 3},
+        }
+        for command, argv in runs.items():
+            code, cap = run_json(capsys, command, *argv)
+            assert code == 0, cap.err
+            assert json.loads(cap.out)["settings"] == want[command], command
 
 
 def test_cli_import_loads_no_scipy():

@@ -59,22 +59,6 @@ class TestScalarField:
         with pytest.raises(ValueError):
             ScalarField((0, 0), 0.1, vals, np.ones((3, 3), dtype=bool))
 
-    def test_empty_mask_rejected(self):
-        with pytest.raises(NotSimplyConnected):
-            ScalarField((0, 0), 0.1, np.zeros((3, 3)), np.zeros((3, 3), dtype=bool))
-
-    def test_disconnected_mask_rejected(self):
-        mask = np.zeros((5, 5), dtype=bool)
-        mask[0, 0] = mask[4, 4] = True
-        with pytest.raises(NotSimplyConnected):
-            ScalarField((0, 0), 0.1, np.zeros((5, 5)), mask)
-
-    def test_annulus_mask_rejected(self):
-        mask = np.ones((5, 5), dtype=bool)
-        mask[2, 2] = False
-        with pytest.raises(NotSimplyConnected):
-            ScalarField((0, 0), 0.1, np.zeros((5, 5)), mask)
-
     def test_arrays_read_only(self):
         f = rect(affine)
         with pytest.raises(ValueError):
@@ -194,6 +178,38 @@ class TestDualize:
     def test_non_spacelike_input_rejected(self):
         with pytest.raises(NotSpacelike):
             dualize_maximal_to_minimal(rect(lambda x, y: 1.5 * y))
+
+    # Fields may have any mask; dualization is where the mask must be
+    # nonempty, 4-connected and hole-free.
+    def test_empty_mask_rejected(self):
+        f = ScalarField((0, 0), 0.1, np.zeros((3, 3)), np.zeros((3, 3), dtype=bool))
+        with pytest.raises(NotSimplyConnected, match="empty"):
+            dualize_minimal_to_maximal(f)
+
+    def test_disconnected_mask_rejected(self):
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[0, 0] = mask[4, 4] = True
+        f = ScalarField((0, 0), 0.1, np.zeros((5, 5)), mask)
+        with pytest.raises(NotSimplyConnected, match="Euler count 2"):
+            dualize_minimal_to_maximal(f)
+
+    def test_annulus_mask_rejected(self):
+        mask = np.ones((5, 5), dtype=bool)
+        mask[2, 2] = False
+        f = ScalarField((0, 0), 0.1, np.zeros((5, 5)), mask)
+        with pytest.raises(NotSimplyConnected, match="Euler count 0"):
+            dualize_maximal_to_minimal(f)
+
+    def test_annulus_plus_block_rejected_by_tree(self):
+        # two components, one with a hole: Euler count 2 - 1 = 1, so the
+        # spanning-tree integration is what finds the second component
+        mask = np.zeros((12, 12), dtype=bool)
+        mask[:5, :5] = True
+        mask[2, 2] = False
+        mask[7:, 7:] = True
+        f = ScalarField((0, 0), 0.1, np.zeros((12, 12)), mask)
+        with pytest.raises(NotSimplyConnected, match="4-connected"):
+            dualize_minimal_to_maximal(f)
 
 
 class TestShiftAgreement:

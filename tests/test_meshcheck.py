@@ -15,9 +15,7 @@ from maxsurf.meshcheck import (
     _nearest_vertex,
     folded_disk_mesh,
     krust_inequality_batch,
-    krust_inequality_check,
     krust_pipeline,
-    krust_pipeline_immersion,
     lee_equivalence_check,
     projection_report,
     pullback_segment,
@@ -33,6 +31,7 @@ from conftest import disk_samples
 from oracles import (
     PLANE_KRUST_BOTH_SIDES,
     boundary_simple_all_pairs,
+    boundary_simple_exact,
     disk_triangle_count,
     disk_vertex_count,
     in_polygon_ray_cast,
@@ -174,7 +173,44 @@ def _random_polylines(rng, count):
             yield pts
 
 
+def _near_collinear_polylines(rng, count):
+    """Closed polylines of 4 to 8 points within 1e-11 to 1e-6 of the line
+    y = 7.5 x over x in [0, 1000], one point moved to y = 0, so that float
+    orientation signs of nearly collinear edges fall within their rounding."""
+    for k in range(count):
+        m = int(rng.integers(4, 9))
+        x = rng.uniform(0.0, 1000.0, m)
+        if k % 2:
+            x = np.sort(x)
+        y = 7.5 * x + rng.normal(size=m) * 10.0 ** rng.integers(-11, -6)
+        pts = np.column_stack([x, y])
+        pts[rng.integers(m)] = [rng.uniform(0.0, 1000.0), 0.0]
+        yield pts
+
+
 class TestPlanarPredicates:
+    def test_boundary_simple_exact_on_rounded_orientation(self):
+        # simple in exact arithmetic; the float orientation products of the
+        # nearly collinear edges AB and CD say they cross properly, although
+        # their x-ranges are disjoint
+        pts = np.array([
+            [213.27856413882404, 1599.6462029096133],
+            [725.299863158816, 5439.942718845754],
+            [726.5067331216937, 5448.994565951524],
+            [841.4779422374434, 6311.309345913316],
+            [841.4779422374434, 0.0],
+        ])
+        assert boundary_simple_exact(pts)
+        assert _boundary_simple(pts)
+
+    def test_boundary_simple_matches_exact_oracle_near_collinear(self, rng):
+        verdicts = []
+        for pts in _near_collinear_polylines(rng, 1000):
+            got = _boundary_simple(pts)
+            assert got == boundary_simple_exact(pts), pts
+            verdicts.append(got)
+        assert 0 < sum(verdicts) < len(verdicts)  # both verdicts exercised
+
     def test_boundary_simple_matches_all_pairs_oracle(self, rng):
         verdicts = []
         for pts in _random_polylines(rng, 3000):
@@ -257,13 +293,13 @@ def _traced_peak(fn, *args) -> int:
 class TestKrustPipeline:
     def test_catalog_verdicts(self, catalog_data):
         for name in ("plane-r05", "shift3-r09", "rational-r09"):
-            rep = krust_pipeline(catalog_data[name], n=24)
+            rep = krust_pipeline(immersion_from_data(catalog_data[name]), n=24)
             assert rep.verdict == "PASS"
             assert rep.domain_report.injective and rep.domain_report.is_convex_domain
             assert rep.conjugate_report.injective
 
     def test_report_serialization(self, catalog_data):
-        obj = krust_pipeline(catalog_data["plane-r05"], n=8).to_obj()
+        obj = krust_pipeline(immersion_from_data(catalog_data["plane-r05"]), n=8).to_obj()
         assert obj["verdict"] == "PASS"
         assert set(obj["domain_report"]) == {
             "min_projected_triangle_area",
@@ -282,7 +318,7 @@ class TestKrustPipeline:
             Vec3(0.0, 0.0, 0.0, Ambient.EUCLIDEAN),
             data.domain_radius,
         )
-        rep = krust_pipeline_immersion(dual, n=24)
+        rep = krust_pipeline(dual, n=24)
         assert rep.verdict == "PASS"
         assert rep.conjugate_report.injective
 
@@ -319,10 +355,10 @@ class TestPullbackAndInequality:
         assert np.max(np.abs(beta - np.linspace(0, 1, 17))) < 1e-12
 
     def test_plane_inequality_closed_form(self, plane15):
-        out = krust_inequality_check(plane15, 0j, 1.0 + 0j)
-        assert abs(out.lhs - PLANE_KRUST_BOTH_SIDES) < 1e-12
-        assert abs(out.integral - PLANE_KRUST_BOTH_SIDES) < 1e-9
-        assert out.margin > 0
+        out = krust_inequality_batch(plane15, [0j], [1.0 + 0j])
+        assert abs(out.lhs[0] - PLANE_KRUST_BOTH_SIDES) < 1e-12
+        assert abs(out.integral[0] - PLANE_KRUST_BOTH_SIDES) < 1e-9
+        assert out.margin[0] > 0
 
     def test_batch_positive_margins(self, catalog_data, rng):
         data = catalog_data["rational-r05"]
