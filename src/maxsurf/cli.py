@@ -80,24 +80,14 @@ _FLAGS = {
     "--datum": {"help": "built-in catalog datum name"},
     "--config": {"help": "path to a JSON input description"},
     "--out": {"help": "output directory"},
-    "--tol": {"type": float, "default": 1e-10},
     "--mesh-n": {"type": int, "default": 64},
     "--seed": {"type": int, "default": 0},
 }
-# Per subcommand: help line and the flags its handler reads (each also takes
-# --json).  The numeric ones among them are echoed as the report's settings.
+# Flag sets of the subcommands (_COMMANDS); the numeric flags a subcommand
+# takes are echoed as its report's settings.
 _INPUT = ("--datum", "--config", "--out")
-_SAMPLED = _INPUT + ("--tol", "--mesh-n")
-_COMMANDS = {
-    "generate": ("sample a surface mesh and write it as OBJ", _SAMPLED),
-    "conjugate": ("sample the conjugate surface and write it as OBJ", _SAMPLED),
-    "dualize-curve": ("twist the isotropic curve to the other ambient", _INPUT),
-    "dualize-graph": ("dualize a gridded graph function", ("--config", "--out")),
-    "verify-krust": ("certify the graph property of conjugates", _SAMPLED),
-    "identities": ("run the randomized identity battery", _INPUT + ("--tol", "--seed")),
-    "export": ("write datum, curve, and boundary artifacts", _SAMPLED),
-}
-_SETTINGS = ("tol", "mesh_n", "seed")
+_SAMPLED = _INPUT + ("--mesh-n",)
+_SETTINGS = ("mesh_n", "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,7 +102,7 @@ def _parser() -> argparse.ArgumentParser:
         description="construct, dualize, and certify zero-mean-curvature graphs",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (blurb, flags) in _COMMANDS.items():
+    for name, (blurb, flags, _) in _COMMANDS.items():
         q = sub.add_parser(name, help=blurb)
         for flag in flags:
             q.add_argument(flag, **_FLAGS[flag])
@@ -121,8 +111,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace):
-    if "tol" in args and not 0.0 < args.tol < np.inf:
-        raise CliError(f"--tol must be finite and positive, got {args.tol!r}")
     if "mesh_n" in args and args.mesh_n < 1:
         raise CliError("--mesh-n must be at least 1")
 
@@ -130,11 +118,14 @@ def _check_args(args: argparse.Namespace):
 def _read_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as e:
         raise CliError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise CliError(f"malformed JSON in {path}: {e}") from e
+    if not isinstance(obj, dict):
+        raise CliError(f"config must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _config_obj(args: argparse.Namespace) -> dict | None:
@@ -144,26 +135,23 @@ def _config_obj(args: argparse.Namespace) -> dict | None:
 def _load_datum(args: argparse.Namespace, obj: dict | None = None) -> WeierstrassData:
     """The --datum catalog entry, else the datum --config describes; obj is
     the --config content when the caller has read it already."""
-    if args.datum:
-        try:
-            return _catalog.get(args.datum)
-        except KeyError as e:
-            raise CliError(e.args[0]) from e
-    if obj is None:
-        obj = _config_obj(args)
-    if obj is None:
-        raise CliError("need --datum or --config")
-    if "datum" in obj:
-        try:
-            return _catalog.get(obj["datum"])
-        except KeyError as e:
-            raise CliError(e.args[0]) from e
-    if "g" in obj:
-        try:
-            return WeierstrassData.from_obj(obj)
-        except _BAD_OBJECT as e:
-            raise CliError(f"bad datum object: {e}") from e
-    raise CliError("config does not describe a datum")
+    name = args.datum
+    if not name:
+        obj = _config_obj(args) if obj is None else obj
+        if obj is None:
+            raise CliError("need --datum or --config")
+        if "datum" not in obj and "g" in obj:
+            try:
+                return WeierstrassData.from_obj(obj)
+            except _BAD_OBJECT as e:
+                raise CliError(f"bad datum object: {e}") from e
+        name = obj.get("datum")
+        if not isinstance(name, str):
+            raise CliError('config needs a datum object or a string "datum" name')
+    try:
+        return _catalog.get(name)
+    except KeyError as e:
+        raise CliError(e.args[0]) from e
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -196,14 +184,14 @@ def _report(args: argparse.Namespace, **fields) -> dict:
 # ---- subcommands ----
 
 
-def _cmd_surface(args: argparse.Namespace, conjugated: bool) -> int:
+def _cmd_surface(args: argparse.Namespace) -> int:
     data = _load_datum(args)
     out = _out_dir(args)
     im = immersion_from_data(data)
-    if conjugated:
+    if args.command == "conjugate":
         im = conjugate_immersion(im)
-    mesh = sample_surface(im, triangulate_disk(im.domain_radius, args.mesh_n), args.tol)
-    name = "conjugate.obj" if conjugated else "surface.obj"
+    mesh = sample_surface(im, triangulate_disk(im.domain_radius, args.mesh_n))
+    name = "conjugate.obj" if args.command == "conjugate" else "surface.obj"
     _write_obj(out / name, mesh)
     report = projection_report(mesh)
     _emit(
@@ -249,8 +237,8 @@ def _cmd_dualize_curve(args: argparse.Namespace) -> int:
 
 def _cmd_dualize_graph(args: argparse.Namespace) -> int:
     obj = _config_obj(args)
-    if obj is None or "csv" not in obj or "header" not in obj:
-        raise CliError('dualize-graph needs --config with {"csv", "header", "direction"}')
+    if obj is None or not all(isinstance(obj.get(k), str) for k in ("csv", "header")):
+        raise CliError('dualize-graph needs --config with string "csv" and "header" paths')
     direction = obj.get("direction", "minimal-to-maximal")
     if direction not in ("minimal-to-maximal", "maximal-to-minimal"):
         raise CliError(f"unknown direction {direction!r}")
@@ -293,7 +281,7 @@ def _catalog_items(args: argparse.Namespace) -> list[tuple[str, WeierstrassData]
 def _cmd_verify_krust(args: argparse.Namespace) -> int:
     reports = {}
     for name, data in _catalog_items(args):
-        reports[name] = krust_pipeline(immersion_from_data(data), args.mesh_n, args.tol).to_obj()
+        reports[name] = krust_pipeline(immersion_from_data(data), args.mesh_n).to_obj()
     verdicts = {name: r["verdict"] for name, r in reports.items()}
     report = _report(args, verdicts=verdicts, reports=reports)
     if args.out:
@@ -306,13 +294,13 @@ def _unit_disk_samples(rng: np.random.Generator, radius: float, n: int) -> np.nd
     return radius * np.sqrt(rng.uniform(0.0, 0.9604, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
 
 
-def _identity_battery(data: WeierstrassData, rng: np.random.Generator, tol: float) -> dict:
+def _identity_battery(data: WeierstrassData, rng: np.random.Generator) -> dict:
     im = immersion_from_data(data)
     curve = im.curve
     r = data.domain_radius
 
     ws = _unit_disk_samples(rng, r, 10)
-    proj = max(projection_identities(data, complex(w), tol).residual for w in ws)
+    proj = max(projection_identities(data, complex(w)).residual for w in ws)
 
     rot = 0.0
     for w in _unit_disk_samples(rng, r, 20):
@@ -324,8 +312,8 @@ def _identity_battery(data: WeierstrassData, rng: np.random.Generator, tol: floa
     )
     invol = 0.0
     for w in _unit_disk_samples(rng, r, 4):
-        got = immerse(twice, complex(w), tol).as_array()
-        want = 2.0 * im.base_value.as_array() - immerse(im, complex(w), tol).as_array()
+        got = immerse(twice, complex(w)).as_array()
+        want = 2.0 * im.base_value.as_array() - immerse(im, complex(w)).as_array()
         invol = max(invol, float(np.max(np.abs(got - want))))
 
     return {
@@ -342,7 +330,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     worst: dict[str, float] = {}
     per_datum = {}
     for name, data in _catalog_items(args):
-        res = _identity_battery(data, rng, args.tol)
+        res = _identity_battery(data, rng)
         per_datum[name] = res
         for key, val in res.items():
             worst[key] = max(worst.get(key, 0.0), val)
@@ -357,38 +345,35 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     data = _load_datum(args)
     out = _out_dir(args)
-    curve = build_isotropic_maximal(data)
     im = immersion_from_data(data)
-    mesh = sample_surface(im, triangulate_disk(data.domain_radius, args.mesh_n), args.tol)
+    mesh = sample_surface(im, triangulate_disk(data.domain_radius, args.mesh_n))
 
-    files = []
-    _write_json(out / "datum.json", data.to_obj())
-    files.append(str(out / "datum.json"))
-    _write_json(out / "curve.json", curve.to_obj())
-    files.append(str(out / "curve.json"))
-    _write_obj(out / "surface.obj", mesh)
-    files.append(str(out / "surface.obj"))
-
+    files = [out / "datum.json", out / "curve.json", out / "surface.obj", out / "boundary.csv"]
+    _write_json(files[0], data.to_obj())
+    _write_json(files[1], im.curve.to_obj())
+    _write_obj(files[2], mesh)
     cycle = mesh.positions[mesh.param.boundary]
     rows = ["x,y"] + [f"{float(x)!r},{float(y)!r}" for x, y in cycle[:, :2]]
-    (out / "boundary.csv").write_text("\n".join(rows) + "\n")
-    files.append(str(out / "boundary.csv"))
-
-    _emit(_report(args, files=files))
+    files[3].write_text("\n".join(rows) + "\n")
+    _emit(_report(args, files=[str(f) for f in files]))
     return 0
 
 
+# Per subcommand: help line, the flags its handler reads (each also takes
+# --json), and the handler.
+_COMMANDS = {
+    "generate": ("sample a surface mesh and write it as OBJ", _SAMPLED, _cmd_surface),
+    "conjugate": ("sample the conjugate surface and write it as OBJ", _SAMPLED, _cmd_surface),
+    "dualize-curve": ("twist the isotropic curve to the other ambient", _INPUT, _cmd_dualize_curve),
+    "dualize-graph": ("dualize a gridded graph function", ("--config", "--out"), _cmd_dualize_graph),
+    "verify-krust": ("certify the graph property of conjugates", _SAMPLED, _cmd_verify_krust),
+    "identities": ("run the randomized identity battery", _INPUT + ("--seed",), _cmd_identities),
+    "export": ("write datum, curve, and boundary artifacts", _SAMPLED, _cmd_export),
+}
+
+
 def run(args: argparse.Namespace) -> int:
-    handlers = {
-        "generate": lambda: _cmd_surface(args, conjugated=False),
-        "conjugate": lambda: _cmd_surface(args, conjugated=True),
-        "dualize-curve": lambda: _cmd_dualize_curve(args),
-        "dualize-graph": lambda: _cmd_dualize_graph(args),
-        "verify-krust": lambda: _cmd_verify_krust(args),
-        "identities": lambda: _cmd_identities(args),
-        "export": lambda: _cmd_export(args),
-    }
-    return handlers[args.command]()
+    return _COMMANDS[args.command][2](args)
 
 
 def _emit_error(message: str, json_errors: bool):
@@ -399,19 +384,18 @@ def _emit_error(message: str, json_errors: bool):
 
 
 def run_argv(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    json_errors = "--json" in argv  # usage errors come before args exist
     try:
         args = _parser().parse_args(argv)
-    except CliError as e:
-        _emit_error(str(e), False)
-        return 1
-    try:
+        json_errors = args.json  # also when abbreviated, e.g. --js
         _check_args(args)
         return run(args)
     except (CliError, MaxsurfError) as e:
-        _emit_error(str(e), args.json)
+        _emit_error(str(e), json_errors)
         return 1
     except OSError as e:
-        _emit_error(f"i/o failure: {e}", args.json)
+        _emit_error(f"i/o failure: {e}", json_errors)
         return 1
 
 

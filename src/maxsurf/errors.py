@@ -18,7 +18,7 @@ class PoleInDomain(MaxsurfError):
 
 
 class ToleranceError(MaxsurfError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A closed-form primitive failed its certificate against its density."""
 
 
 class AmbientMismatch(MaxsurfError):

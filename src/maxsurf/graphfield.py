@@ -335,30 +335,19 @@ def _tree_integrate(mask, inc_x, inc_y, anchor) -> np.ndarray:
     visited[anchor] = True
     exist_x = mask[:-1, :] & mask[1:, :]
     exist_y = mask[:, :-1] & mask[:, 1:]
-    while True:
+    lo_x, hi_x, lo_y, hi_y = np.s_[:-1, :], np.s_[1:, :], np.s_[:, :-1], np.s_[:, 1:]
+    # (from, to, edges, increment) for steps east, west, north and south
+    steps = [(lo_x, hi_x, exist_x, inc_x), (hi_x, lo_x, exist_x, -inc_x),
+             (lo_y, hi_y, exist_y, inc_y), (hi_y, lo_y, exist_y, -inc_y)]
+    new = True
+    while new:
         new = False
-        sel = exist_x & visited[:-1, :] & ~visited[1:, :]  # step east
-        if sel.any():
-            vals[1:, :][sel] = vals[:-1, :][sel] + inc_x[sel]
-            visited[1:, :][sel] = True
-            new = True
-        sel = exist_x & visited[1:, :] & ~visited[:-1, :]  # step west
-        if sel.any():
-            vals[:-1, :][sel] = vals[1:, :][sel] - inc_x[sel]
-            visited[:-1, :][sel] = True
-            new = True
-        sel = exist_y & visited[:, :-1] & ~visited[:, 1:]  # step north
-        if sel.any():
-            vals[:, 1:][sel] = vals[:, :-1][sel] + inc_y[sel]
-            visited[:, 1:][sel] = True
-            new = True
-        sel = exist_y & visited[:, 1:] & ~visited[:, :-1]  # step south
-        if sel.any():
-            vals[:, :-1][sel] = vals[:, 1:][sel] - inc_y[sel]
-            visited[:, :-1][sel] = True
-            new = True
-        if not new:
-            break
+        for src, dst, exist, inc in steps:
+            sel = exist & visited[src] & ~visited[dst]
+            if sel.any():
+                vals[dst][sel] = vals[src][sel] + inc[sel]
+                visited[dst][sel] = True
+                new = True
     if not np.array_equal(visited, mask):
         raise NotSimplyConnected("mask is not 4-connected")
     return vals

@@ -18,7 +18,7 @@ isotropic-curve duality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,9 +51,9 @@ _CONVEXITY_BAND = -1e-9
 _AREA_EPS = 1e-16
 _NEWTON_ITERS = 30
 _MAX_SPLIT = 12
-# Quadrature and Newton tolerance of pullback_segment, krust_inequality_batch
-# and resample_graph; resample_graph's mesh rings and grid erosion; the curl
-# tolerance of lee_equivalence_check's grid dualization.
+# Newton residual tolerance of the projection walker; resample_graph's mesh
+# rings and grid erosion; the curl tolerance of lee_equivalence_check's grid
+# dualization.
 _TOL = 1e-10
 _RESAMPLE_MESH_N = 48
 _RESAMPLE_MARGIN_CELLS = 2
@@ -190,8 +190,8 @@ class SurfaceMesh:
         object.__setattr__(self, "positions", p)
 
 
-def sample_surface(im: Immersion, mesh: ParamMesh, tol: float = 1e-10) -> SurfaceMesh:
-    ints = integrals_at_many(im, mesh.vertices, tol)
+def sample_surface(im: Immersion, mesh: ParamMesh) -> SurfaceMesh:
+    ints = integrals_at_many(im, mesh.vertices)
     pos = im.base_value.as_array()[None, :] + ints.real
     return SurfaceMesh(mesh, pos, im.ambient)
 
@@ -355,13 +355,7 @@ class GraphReport:
     is_convex_domain: bool
 
     def to_obj(self) -> dict:
-        return {
-            "min_projected_triangle_area": self.min_projected_triangle_area,
-            "boundary_simple": self.boundary_simple,
-            "boundary_convexity_defect": self.boundary_convexity_defect,
-            "injective": self.injective,
-            "is_convex_domain": self.is_convex_domain,
-        }
+        return asdict(self)
 
 
 def _report_from_points(pts2: np.ndarray, param: ParamMesh) -> GraphReport:
@@ -406,11 +400,7 @@ class KrustReport:
     verdict: str
 
     def to_obj(self) -> dict:
-        return {
-            "domain_report": self.domain_report.to_obj(),
-            "conjugate_report": self.conjugate_report.to_obj(),
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def _verdict(domain: GraphReport, conjugate: GraphReport) -> str:
@@ -419,7 +409,7 @@ def _verdict(domain: GraphReport, conjugate: GraphReport) -> str:
     return PASS if conjugate.injective else FAIL
 
 
-def krust_pipeline(im: Immersion, n: int = 64, tol: float = 1e-10) -> KrustReport:
+def krust_pipeline(im: Immersion, n: int = 64) -> KrustReport:
     """Certify "graph over a convex domain implies the conjugate is a graph"
     for one immersion, sampled at n rings.
 
@@ -427,7 +417,7 @@ def krust_pipeline(im: Immersion, n: int = 64, tol: float = 1e-10) -> KrustRepor
     imaginary parts), so both certificates refer to the same parameter mesh.
     """
     mesh = triangulate_disk(im.domain_radius, n)
-    ints = integrals_at_many(im, mesh.vertices, tol)
+    ints = integrals_at_many(im, mesh.vertices)
     base = im.base_value.as_array()
     domain = _report_from_points(base[None, :2] + ints[:, :2].real, mesh)
     conjugate = _report_from_points(ints[:, :2].imag, mesh)
@@ -456,36 +446,32 @@ def rotation_identity_check(
 class _ProjectionWalker:
     """Tracks beta with pi(X(beta)) following prescribed plane targets.
 
-    Starts at the parameters w, whose integrals of psi1, psi2 from the base
-    point are the columns 0, 1 of ints.  Keeps those integrals at the last
-    accepted node and extends them along the short segment to each Newton
-    candidate, so each continuation step costs a handful of vectorized
-    evaluations.  forms are im's curve forms, certified on the disk of
-    eval_radius, which Newton iterates may reach beyond the domain disk.
+    Starts at the parameters w and evaluates pi(X) at each Newton candidate
+    from the closed-form primitives of psi1, psi2, integrated from the base
+    point.  forms are im's curve forms, certified on the disk of eval_radius,
+    which Newton iterates may reach beyond the domain disk.
     """
 
-    def __init__(self, im: Immersion, forms, eval_radius: float, w, ints):
+    def __init__(self, im: Immersion, forms, eval_radius: float, w):
         self.f1, self.f2 = forms[0], forms[1]
+        self.base = im.base_point
         self.off = complex(im.base_value.x1, im.base_value.x2)
         self.w = np.array(w, dtype=complex)
-        self.i1 = np.array(ints[:, 0], dtype=complex)
-        self.i2 = np.array(ints[:, 1], dtype=complex)
         self.eval_r = eval_radius * (1.0 + 1e-12)
         self.domain_r = im.domain_radius
 
-    def projection(self) -> np.ndarray:
-        return self.off + self.i1.real + 1j * self.i2.real
+    def projection(self, w) -> np.ndarray:
+        x1 = integrate_to_many(self.f1, self.base, w).real
+        return self.off + x1 + 1j * integrate_to_many(self.f2, self.base, w).real
 
     def solve(self, target: np.ndarray, depth: int = 0):
         w = self.w.copy()
         for _ in range(_NEWTON_ITERS):
-            j1 = self.i1 + integrate_to_many(self.f1, self.w, w, _TOL)
-            j2 = self.i2 + integrate_to_many(self.f2, self.w, w, _TOL)
-            r = (self.off + j1.real + 1j * j2.real) - target
+            r = self.projection(w) - target
             if float(np.max(np.abs(r))) <= _TOL:
                 if float(np.max(np.abs(w))) > self.domain_r * (1.0 + 1e-9):
                     raise NewtonDivergence("pullback path exits the domain disk")
-                self.w, self.i1, self.i2 = w, j1, j2
+                self.w = w
                 return
             v1 = self.f1.density._eval(w)
             v2 = self.f2.density._eval(w)
@@ -499,7 +485,7 @@ class _ProjectionWalker:
                 raise NewtonDivergence("Newton iterate left the evaluation disk")
         if depth >= _MAX_SPLIT:
             raise NewtonDivergence(f"no convergence after {_MAX_SPLIT} step halvings")
-        mid = 0.5 * (self.projection() + target)
+        mid = 0.5 * (self.projection(self.w) + target)
         self.solve(mid, depth + 1)
         self.solve(target, depth + 1)
 
@@ -535,7 +521,7 @@ def pullback_segment(im: Immersion, p1, p2, steps: int = 200) -> np.ndarray:
         raise ValueError("need at least 2 steps")
     p1 = complex(p1) if np.isscalar(p1) or isinstance(p1, complex) else complex(p1[0], p1[1])
     p2 = complex(p2) if np.isscalar(p2) or isinstance(p2, complex) else complex(p2[0], p2[1])
-    walker = _ProjectionWalker(im, im.curve.forms, im.curve.radius, [im.base_point], np.zeros((1, 2)))
+    walker = _ProjectionWalker(im, im.curve.forms, im.curve.radius, [im.base_point])
     off = walker.off
     for t in np.linspace(0.0, 1.0, steps + 1)[1:]:
         walker.solve(np.array([off + t * (p1 - off)]))
@@ -578,9 +564,9 @@ def krust_inequality_batch(data: WeierstrassData, w1, w2, steps: int = 200) -> K
         raise ValueError("pair endpoints must be distinct")
 
     im = immersion_from_data(data)
-    ints1 = integrals_at_many(im, w1, _TOL)
-    ints2 = integrals_at_many(im, w2, _TOL)
-    walker = _ProjectionWalker(im, *_wide_maximal_curve(im, data), w1, ints1)
+    ints1 = integrals_at_many(im, w1)
+    ints2 = integrals_at_many(im, w2)
+    walker = _ProjectionWalker(im, *_wide_maximal_curve(im, data), w1)
     off = walker.off
     p1 = off + ints1[:, 0].real + 1j * ints1[:, 1].real
     p2 = off + ints2[:, 0].real + 1j * ints2[:, 1].real
@@ -702,12 +688,12 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
     domain (eroded by two cells), by Newton inversion of the projection
     seeded from the nearest vertex of a 48-ring sampled mesh.
 
-    Heights are exact up to quadrature tolerance: the grid carries no
+    Heights are exact up to the Newton tolerance: the grid carries no
     interpolation error, only its own later finite-difference error.
     """
     im = immersion_from_data(data)
     mesh = triangulate_disk(data.domain_radius, _RESAMPLE_MESH_N)
-    ints = integrals_at_many(im, mesh.vertices, _TOL)
+    ints = integrals_at_many(im, mesh.vertices)
     base = data.base_value.as_array()
     px = base[0] + ints[:, 0].real
     py = base[1] + ints[:, 1].real
@@ -732,9 +718,9 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
     targets = (gx + 1j * gy)[mask]
     seed = _nearest_vertex(px + 1j * py, mesh.triangles, targets)
     forms, eval_r = _wide_maximal_curve(im, data)
-    walker = _ProjectionWalker(im, forms, eval_r, mesh.vertices[seed], ints[seed])
+    walker = _ProjectionWalker(im, forms, eval_r, mesh.vertices[seed])
     walker.solve(targets)
-    i3 = ints[seed, 2] + integrate_to_many(forms[2], mesh.vertices[seed], walker.w, _TOL)
+    i3 = integrate_to_many(forms[2], im.base_point, walker.w)
 
     f = np.zeros(mask.shape)
     s = np.zeros(mask.shape)

@@ -7,59 +7,32 @@ Construction certifies that the denominator has no zero in the closed disk
 circle of that radius; the certificate must evaluate to 0 within 0.4 or the
 value is rejected.  All arithmetic is exact quotient arithmetic on the
 coefficient level, so algebraic identities between derived quantities hold to
-rounding error rather than to a quadrature tolerance.
+rounding error rather than to an approximation tolerance.
 
-:class:`HolomorphicForm` tags a rational function as the coefficient of dz,
-and :func:`integrate_to_many` integrates such a form along straight segments
-with a composite 7-15 Gauss-Kronrod rule, vectorized over the segments.
+:class:`HolomorphicForm` tags a rational function as the coefficient of dz.
+Its :class:`Primitive`, built once per form and certified on the rim, is a
+closed form of the integral (polynomial part plus principal parts at the
+poles), and :func:`integrate_to_many` evaluates it at segment endpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, PoleError, PoleInDomain, ToleranceError
 
-# 15-point Kronrod abscissae/weights and the embedded 7-point Gauss weights
-# (QUADPACK dqk15 constants, symmetric halves expanded to the full rule).
-_XK_HALF = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-])
-_WK_HALF = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
-_WG_HALF = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
-
-XK15 = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])
-WK15 = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
-# Gauss points sit at the odd Kronrod indices.
-WG7_AT_K = np.zeros(15)
-WG7_AT_K[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
-
 _POLE_EPS = 1e-14
 _WINDING_SAMPLES = 512
 _WINDING_BAND = 0.4
+# Poles closer to each other than _CLUSTER times their distance from the disk
+# share one Laurent expansion, read off _FFT_MIN or more points on a circle
+# around them.  _CERT_DELTA bounds max |F' - f| / max |f| on the rim.
+_CLUSTER = 0.1
+_FFT_MIN = 64
+_CERT_DELTA = 1e-10
 
 
 def _as_coeffs(seq) -> np.ndarray:
@@ -145,9 +118,6 @@ class RationalHolomorphic:
         if zmax > self.radius * (1.0 + 1e-12):
             raise DomainError(f"|z| = {zmax:g} exceeds validity radius {self.radius:g}")
         return self._eval(z)
-
-    def __call__(self, z):
-        return self.eval(z)
 
     # ---- exact coefficient arithmetic ----
 
@@ -262,6 +232,10 @@ class HolomorphicForm:
     def radius(self) -> float:
         return self.density.radius
 
+    @cached_property
+    def primitive(self) -> "Primitive":
+        return Primitive(self.density)
+
     def scaled(self, c) -> "HolomorphicForm":
         return HolomorphicForm(self.density * complex(c))
 
@@ -273,40 +247,108 @@ class HolomorphicForm:
         return cls(RationalHolomorphic.from_obj(obj))
 
 
-def integrate_to_many(form: HolomorphicForm, a, endpoints, tol: float = 1e-10) -> np.ndarray:
+def _shift(coeffs: np.ndarray, c: complex) -> np.ndarray:
+    """Coefficients of p(c + u) in u, exact and then rounded, so a multiple
+    root at c costs no digits near c.  Floats are integers over powers of two
+    s; entry k carries a_k s^(n-k), keeping the synthetic division integral."""
+    n = len(coeffs)
+    ratios = [v.as_integer_ratio() for v in (c.real, c.imag, *coeffs.real, *coeffs.imag)]
+    s = max(d for _, d in ratios)
+    cr, ci, *ab = (m * (s // d) for m, d in ratios)
+    a = [x * s ** (n - 1 - k % n) for k, x in enumerate(ab)]
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            a[j], a[n + j] = (a[j] + cr * a[j + 1] - ci * a[n + j + 1],
+                              a[n + j] + cr * a[n + j + 1] + ci * a[j + 1])
+    try:
+        return np.array([complex(a[k] / s ** (n - k), a[n + k] / s ** (n - k)) for k in range(n)])
+    except OverflowError as e:
+        raise ToleranceError(f"shifted coefficients overflow: {e}") from e
+
+
+class Primitive:
+    """Closed-form F with F' = f and F(0) = 0 on the disk of the density f.
+
+    F integrates the polynomial part of f and, per cluster of poles with
+    centre c, the principal part sum_k b_k (z - c)^-k: b_1 log(1 - z/c)
+    (principal branch, exact because |c| exceeds the radius) and
+    b_k ((z - c)^(1-k) - (-c)^(1-k)) / (1 - k).  The b_k are an FFT of f on
+    a circle round the cluster (round several poles, in coefficients shifted
+    exactly to c).
+
+    Certificate: F' - f has no pole in the closed disk, so its maximum lies on
+    the rim (maximum modulus).  The rim is sampled more densely for higher
+    degree and nearer poles; unless max |F' - f| <= _CERT_DELTA max |f| there,
+    construction raises ToleranceError.  Every segment in the disk then
+    integrates to within 2 radius _CERT_DELTA max_rim |f|, plus rounding.
+    """
+
+    def __init__(self, f: RationalHolomorphic):
+        num, den, radius = f.num, f.den, f.radius
+        quot = np.polydiv(num[::-1], den[::-1])[0][::-1] if num.size >= den.size else np.zeros(1)
+        self.poly = np.concatenate([[0], quot / np.arange(1, quot.size + 1)])
+        self.laurent = []
+        roots = np.roots(den[::-1])
+        gaps = np.abs(roots) - radius
+        near = np.abs(roots[:, None] - roots) < _CLUSTER * np.minimum.outer(gaps, gaps)
+        label, prev = np.arange(roots.size), np.arange(roots.size) - 1
+        while not np.array_equal(label, prev):  # connected components of near
+            label, prev = np.min(np.where(near, label, label[:, None]), axis=1), label
+        for k in np.unique(label):
+            members = roots[label == k]
+            c = complex(members.mean())
+            rho, gap = float(np.max(np.abs(members - c))), abs(c) - radius
+            if not gap > rho:
+                raise ToleranceError(f"poles near {c:.6g} too close to |z| = {radius:g}")
+            far = float(np.min(np.abs(roots[label != k] - c), initial=np.inf))
+            r = min(gap, 0.5 * far)
+            n = _FFT_MIN
+            while max(rho / r, r / far) ** n > 1e-18 and n < 2**14:
+                n *= 2
+            # past the cluster size, terms shrink like (rho / gap)^k on the disk
+            extra = np.log(2.0**-53) / np.log(rho / gap) if rho > 0 else 0.0
+            order = min(members.size + int(np.ceil(extra)), n // 2)
+            u = r * np.exp(2j * np.pi * np.arange(n) / n)
+            if members.size == 1:  # plain evaluation is accurate round a lone pole
+                vals = _horner(num, c + u) / _horner(den, c + u)
+            else:
+                vals = _horner(_shift(num, c), u) / _horner(_shift(den, c), u)
+            b = np.fft.fft(vals)[: -order - 1 : -1] / n * r ** np.arange(1.0, order + 1)
+            self.laurent.append((c, b))
+        # rim samples: more for higher degree and for poles nearer the rim
+        m = max(256, 16 * (num.size + den.size), 16 * np.pi * radius / np.min(gaps, initial=np.inf))
+        m = int(min(m, 2**16))
+        z = radius * np.exp(2j * np.pi * np.arange(m) / m)
+        fz = f._eval(z)
+        dF = _horner(quot, z)
+        for c, b in self.laurent:
+            dF = dF + _horner(np.concatenate([[0], b]), 1.0 / (z - c))
+        self.defect = float(np.max(np.abs(dF - fz)) / np.max(np.abs(fz), initial=1e-300))
+        if not self.defect <= _CERT_DELTA:
+            raise ToleranceError(f"primitive certificate {self.defect:.3g} > {_CERT_DELTA:g}")
+
+    def __call__(self, w):
+        out = _horner(self.poly, w)
+        for c, b in self.laurent:
+            # log(1 - w/c); numpy's complex log1p loses digits for small |w/c|
+            x = -w / c
+            log = 0.5 * np.log1p(2 * x.real + np.abs(x) ** 2) + 1j * np.arctan2(x.imag, 1 + x.real)
+            out = out + b[0] * log
+            for k in range(1, b.size):
+                out = out - b[k] / (k * (-c) ** k) * np.expm1(-k * log)
+        return out
+
+
+def integrate_to_many(form: HolomorphicForm, a, endpoints) -> np.ndarray:
     """Integrals of the form along the segments [a, w] for an array of endpoints w.
 
-    The start a is one point or an array shaped like endpoints.  Composite
-    G7/K15 with a panel count shared by all segments, starting at one panel
-    and doubled until the worst per-segment error estimate is below tol
-    (ToleranceError past 4096 panels).  All start and end points must lie in
-    the validity disk.
+    The start a is one point or an array shaped like endpoints.  Evaluates the
+    form's cached closed-form primitive, F(w) - F(a); see Primitive for its
+    error bound.  All start and end points must lie in the validity disk.
     """
-    shape = np.shape(endpoints)
-    w = np.asarray(endpoints, dtype=complex).ravel()
-    if w.size == 0:
-        return np.zeros(shape, dtype=complex)
-    a = np.broadcast_to(np.asarray(a, dtype=complex), shape).ravel()
+    w = np.asarray(endpoints, dtype=complex)
+    a = np.asarray(a, dtype=complex)
     r = form.radius * (1.0 + 1e-12)
-    if np.max(np.abs(a)) > r or np.max(np.abs(w)) > r:
+    if np.max(np.abs(a), initial=0.0) > r or np.max(np.abs(w), initial=0.0) > r:
         raise DomainError("segment endpoint outside validity disk")
-    f = form.density._eval
-    span = w - a
-    m = 1
-    while True:
-        total = np.zeros(w.size, dtype=complex)
-        err = np.zeros(w.size)
-        for p in range(m):
-            t0, t1 = p / m, (p + 1) / m
-            tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-            tn = tm + th * XK15
-            vals = f(a[:, None] + np.outer(span, tn))
-            k15 = (span * th) * (vals @ WK15)
-            g7 = (span * th) * (vals @ WG7_AT_K)
-            total += k15
-            err += np.abs(k15 - g7)
-        if float(np.max(err)) <= tol:
-            return total.reshape(shape)
-        m *= 2
-        if m > 4096:
-            raise ToleranceError("panel doubling exhausted before reaching tolerance")
+    return form.primitive(w) - form.primitive(a)

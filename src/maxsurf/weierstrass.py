@@ -251,17 +251,17 @@ def immersion_from_data(data: WeierstrassData) -> Immersion:
     )
 
 
-def integrals_at_many(im: Immersion, ws, tol: float = 1e-10) -> np.ndarray:
+def integrals_at_many(im: Immersion, ws) -> np.ndarray:
     """Component integrals int_{w0}^{w} psi for an array of parameters; (N, 3)."""
     ws = np.asarray(ws, dtype=complex).ravel()
     im._check_domain(ws) if ws.size else None
-    cols = [integrate_to_many(f, im.base_point, ws, tol) for f in im.curve.forms]
+    cols = [integrate_to_many(f, im.base_point, ws) for f in im.curve.forms]
     return np.stack(cols, axis=-1)
 
 
-def immerse(im: Immersion, w: complex, tol: float = 1e-10) -> Vec3:
+def immerse(im: Immersion, w: complex) -> Vec3:
     """X(w) = base_value + Re int psi."""
-    vals = im.base_value.as_array() + integrals_at_many(im, [w], tol)[0].real
+    vals = im.base_value.as_array() + integrals_at_many(im, [w])[0].real
     return Vec3(*vals, im.ambient)
 
 
@@ -294,9 +294,9 @@ def _half_forms(data: WeierstrassData) -> tuple[HolomorphicForm, HolomorphicForm
     return HolomorphicForm(-0.5 * (g * hp)), HolomorphicForm(0.5 * (g.reciprocal() * hp))
 
 
-def sigma_tau(data: WeierstrassData, w: complex, tol: float = 1e-10) -> tuple[complex, complex]:
+def sigma_tau(data: WeierstrassData, w: complex) -> tuple[complex, complex]:
     """The primitive pair (sigma, tau) integrated from the base point."""
-    s, t = (complex(integrate_to_many(f, data.base_point, w, tol)) for f in _half_forms(data))
+    s, t = (complex(integrate_to_many(f, data.base_point, w)) for f in _half_forms(data))
     return s, t
 
 
@@ -317,14 +317,12 @@ class ProjectionIdentities:
         )
 
 
-def projection_identities(
-    data: WeierstrassData, w: complex, tol: float = 1e-10
-) -> ProjectionIdentities:
+def projection_identities(data: WeierstrassData, w: complex) -> ProjectionIdentities:
     """Compare pi(X) - pi(X(w0)) with conj(tau) - sigma, and the conjugate
     projection with i(conj(tau) + sigma)."""
     im = immersion_from_data(data)
-    ints = integrals_at_many(im, [w], tol)[0]
+    ints = integrals_at_many(im, [w])[0]
     pi_x = complex(ints[0].real, ints[1].real)
     pi_star = complex(ints[0].imag, ints[1].imag)
-    s, t = sigma_tau(data, complex(w), tol)
+    s, t = sigma_tau(data, complex(w))
     return ProjectionIdentities(pi_x, pi_star, np.conj(t) - s, 1j * (np.conj(t) + s))

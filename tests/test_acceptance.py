@@ -124,7 +124,7 @@ def test_criterion_03_projection(catalog_data, rng):
     for k in range(50):
         data = catalog_data[names[k % len(names)]]
         w = complex(disk_samples(rng, data.domain_radius, 1)[0])
-        worst = max(worst, projection_identities(data, w, 1e-10).residual)
+        worst = max(worst, projection_identities(data, w).residual)
     assert worst < 1e-8, f"projection identity residual {worst:.3e}"
     return f"worst residual {worst:.1e} < 1e-8 over 50 random points"
 
@@ -264,7 +264,7 @@ _VERDICTS: dict[str, str] = {}
 def _headline_verdicts(catalog_data):
     if not _VERDICTS:
         for name in sorted(catalog_data):
-            _VERDICTS[name] = krust_pipeline(immersion_from_data(catalog_data[name]), 64, 1e-10).verdict
+            _VERDICTS[name] = krust_pipeline(immersion_from_data(catalog_data[name]), 64).verdict
     return _VERDICTS
 
 

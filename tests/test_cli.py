@@ -194,7 +194,7 @@ class TestVerifyKrust:
             def to_obj(self):
                 return {"verdict": "FAIL"}
 
-        monkeypatch.setattr(cli, "krust_pipeline", lambda im, n, tol: Stub())
+        monkeypatch.setattr(cli, "krust_pipeline", lambda im, n: Stub())
         code, cap = run_json(capsys, "verify-krust", "--datum", "plane-r05")
         assert code == 2
 
@@ -285,15 +285,41 @@ class TestErrors:
         code, cap = run_json(capsys, "generate", "--datum", "plane-r05", "--mesh-n", "0")
         assert code == 1
 
-    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-10"])
-    def test_meaningless_tol_rejected(self, capsys, tol):
-        # "--tol=-inf": argparse reads a separate "-inf" as an option
-        code, cap = run_json(
-            capsys, "verify-krust", "--datum", "rational-r09", "--mesh-n", "4", f"--tol={tol}"
-        )
+    @pytest.mark.parametrize(
+        "argv", [["identities", "--mesh-n", "4"], ["frobnicate"], ["verify-krust", "--tol", "1e-9"]]
+    )
+    def test_usage_error_honours_json(self, capsys, argv):
+        code, cap = run_json(capsys, *argv, "--json")
         assert code == 1
-        assert "--tol must be finite and positive" in cap.err
         assert cap.out == ""
+        assert "error" in json.loads(cap.err)
+
+    @pytest.mark.parametrize(
+        "command, obj, message",
+        [
+            ("verify-krust", {"datum": [1]}, 'a string "datum" name'),
+            ("dualize-curve", {"datum": {"a": 1}}, 'a string "datum" name'),
+            ("verify-krust", 5, "config must be a JSON object"),
+            ("dualize-graph", 5, "config must be a JSON object"),
+            ("dualize-curve", [1, 2], "config must be a JSON object"),
+        ],
+    )
+    def test_hostile_config_shape(self, tmp_path, capsys, command, obj, message):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(obj))
+        code, cap = run_json(capsys, command, "--config", str(cfgp), "--out", str(tmp_path))
+        assert code == 1
+        assert message in cap.err and "Traceback" not in cap.err
+
+    def test_config_paths_must_be_strings(self, tmp_path):
+        # integer paths would be opened as file descriptors, closing stdio, so
+        # this runs in a child process
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"csv": 1, "header": 2}))
+        argv = ["dualize-graph", "--config", str(cfgp), "--out", str(tmp_path)]
+        proc = _run_module(["-m", "maxsurf.cli", *argv])
+        assert proc.returncode == 1
+        assert 'string "csv" and "header" paths' in proc.stderr
 
     def test_config_read_once(self, tmp_path, capsys, monkeypatch):
         import maxsurf.cli as cli
@@ -311,13 +337,13 @@ class TestErrors:
 
 # The flags each subcommand's handler reads, besides --json.
 READS = {
-    "generate": {"--datum", "--config", "--out", "--tol", "--mesh-n"},
-    "conjugate": {"--datum", "--config", "--out", "--tol", "--mesh-n"},
+    "generate": {"--datum", "--config", "--out", "--mesh-n"},
+    "conjugate": {"--datum", "--config", "--out", "--mesh-n"},
     "dualize-curve": {"--datum", "--config", "--out"},
     "dualize-graph": {"--config", "--out"},
-    "verify-krust": {"--datum", "--config", "--out", "--tol", "--mesh-n"},
-    "identities": {"--datum", "--config", "--out", "--tol", "--seed"},
-    "export": {"--datum", "--config", "--out", "--tol", "--mesh-n"},
+    "verify-krust": {"--datum", "--config", "--out", "--mesh-n"},
+    "identities": {"--datum", "--config", "--out", "--seed"},
+    "export": {"--datum", "--config", "--out", "--mesh-n"},
 }
 FLAG_VALUES = {
     "--datum": "plane-r05",
@@ -356,18 +382,18 @@ class TestFlags:
             "conjugate": ["--datum", "plane-r05", "--mesh-n", "3", "--out", str(tmp_path)],
             "dualize-curve": ["--datum", "plane-r05", "--out", str(tmp_path)],
             "dualize-graph": ["--config", str(field), "--out", str(tmp_path)],
-            "verify-krust": ["--datum", "plane-r05", "--mesh-n", "3", "--tol", "1e-9"],
+            "verify-krust": ["--datum", "plane-r05", "--mesh-n", "3"],
             "identities": ["--datum", "plane-r05", "--seed", "3"],
             "export": ["--datum", "plane-r05", "--mesh-n", "3", "--out", str(tmp_path)],
         }
         want = {
-            "generate": {"tol": 1e-10, "mesh_n": 3},
-            "conjugate": {"tol": 1e-10, "mesh_n": 3},
+            "generate": {"mesh_n": 3},
+            "conjugate": {"mesh_n": 3},
             "dualize-curve": {},
             "dualize-graph": {},
-            "verify-krust": {"tol": 1e-9, "mesh_n": 3},
-            "identities": {"tol": 1e-10, "seed": 3},
-            "export": {"tol": 1e-10, "mesh_n": 3},
+            "verify-krust": {"mesh_n": 3},
+            "identities": {"seed": 3},
+            "export": {"mesh_n": 3},
         }
         for command, argv in runs.items():
             code, cap = run_json(capsys, command, *argv)
@@ -375,10 +401,14 @@ class TestFlags:
             assert json.loads(cap.out)["settings"] == want[command], command
 
 
-def test_cli_import_loads_no_scipy():
+def _run_module(args):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_loads_no_scipy():
     code = "import maxsurf.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = _run_module(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from maxsurf.errors import DomainError, PoleError, PoleInDomain, ToleranceError
@@ -151,9 +152,51 @@ class TestPathIntegration:
         assert many[1, 0] == 0.0
 
     def test_unreachable_tolerance_raises(self):
-        form = HolomorphicForm(rh([1.0], [1.0, -0.99], radius=1.0))
+        # float evaluation of the expanded (z - 1.5)^12 is off by ~1e-8 near
+        # the rim, so no primitive can certify it; it must never return a
+        # silently wrong value
+        form = HolomorphicForm(rh([1.0], P.polyfromroots([1.5] * 12), radius=1.0))
+        ws = 0.95 * np.exp(2j * np.pi * np.arange(12) / 12)
+        try:
+            got = integrate_to_many(form, 0.0, ws)
+        except ToleranceError:
+            return
+        want = np.array([simpson_line(form.density.eval, 0.0, w, 16384) for w in ws])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "num, poles",
+        [
+            ([1.0, 0.3], [1.2, 1.2]),
+            ([1.0], [1.1, 1.1, 1.1, -1.5j]),
+            ([1.0], [1.2, 1.2 + 1e-5]),
+            ([1.0], [1.5, 1.5, 1.5, 1.52]),
+            ([1.0, 2.0], [1.5] * 4 + [-1.5] * 4),
+            ([1.0, 0.5, 0.1], [1.01, 1.0102]),
+            ([1.0], [1.5] * 8),
+        ],
+        ids=["double", "triple-and-simple", "split-1e-5", "triple-near-simple",
+             "two-quadruple", "split-2e-4-at-rim", "eightfold"],
+    )
+    def test_hard_pole_panel(self, num, poles):
+        form = HolomorphicForm(rh(num, P.polyfromroots(poles), radius=1.0))
+        ws = 0.95 * np.exp(2j * np.pi * np.arange(12) / 12)
+        got = integrate_to_many(form, 0.0, ws)
+        want = np.array([simpson_line(form.density.eval, 0.0, w, 16384) for w in ws])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflows on the way
+    def test_huge_shifted_coefficients_raise(self):
+        # 1e300 z^5 expanded about the double pole at 1000 exceeds the float range
+        form = HolomorphicForm(rh([0.0] * 5 + [1e300], P.polyfromroots([1e3, 1e3]), radius=1.0))
         with pytest.raises(ToleranceError):
-            integrate_to_many(form, -0.999, 0.999, tol=1e-300)
+            integrate_to_many(form, 0.0, 0.5)
+
+    def test_primitive_built_once_and_certified(self):
+        form = HolomorphicForm(rh([3.0, 1.0], [1.0, -0.2], radius=1.0))
+        assert form.primitive is form.primitive
+        assert form.primitive.defect < 1e-13
+        assert form.primitive(0.0) == 0.0
 
     def test_form_scaled(self):
         f = rh([1.0, 2.0])
