@@ -54,6 +54,7 @@ from .weierstrass import (
     build_isotropic_maximal,
     conjugate_curve,
     conjugate_immersion,
+    half_forms,
     immerse,
     immersion_from_data,
     projection_identities,
@@ -171,9 +172,11 @@ def _write_json(path: Path, obj: dict):
 
 
 def _write_obj(path: Path, mesh: SurfaceMesh):
-    lines = [f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in mesh.positions]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.param.triangles]
-    path.write_text("\n".join(lines) + "\n")
+    # one %-format over each whole column: repr of every float, as f"{x!r}"
+    pos, tri = mesh.positions, mesh.param.triangles
+    with open(path, "w") as fh:
+        fh.write(("v %r %r %r\n" * len(pos)) % tuple(pos.ravel().tolist()))
+        fh.write(("f %d %d %d\n" * len(tri)) % tuple((tri + 1).ravel().tolist()))
 
 
 def _report(args: argparse.Namespace, **fields) -> dict:
@@ -296,16 +299,19 @@ def _unit_disk_samples(rng: np.random.Generator, radius: float, n: int) -> np.nd
 
 def _identity_battery(data: WeierstrassData, rng: np.random.Generator) -> dict:
     im = immersion_from_data(data)
+    conj = conjugate_immersion(im)
+    halves = half_forms(data)
     curve = im.curve
     r = data.domain_radius
 
     ws = _unit_disk_samples(rng, r, 10)
-    proj = max(projection_identities(data, complex(w)).residual for w in ws)
+    proj = max(projection_identities(im, halves, complex(w)).residual for w in ws)
 
     rot = 0.0
     for w in _unit_disk_samples(rng, r, 20):
         ang = rng.uniform(0, 2 * np.pi)
-        rot = max(rot, rotation_identity_check(im, data, complex(w), (np.cos(ang), np.sin(ang))))
+        direction = (np.cos(ang), np.sin(ang))
+        rot = max(rot, rotation_identity_check(im, conj, data, complex(w), direction))
 
     twice = Immersion(
         conjugate_curve(conjugate_curve(curve)), im.base_point, im.base_value, r
@@ -352,9 +358,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
     _write_json(files[0], data.to_obj())
     _write_json(files[1], im.curve.to_obj())
     _write_obj(files[2], mesh)
-    cycle = mesh.positions[mesh.param.boundary]
-    rows = ["x,y"] + [f"{float(x)!r},{float(y)!r}" for x, y in cycle[:, :2]]
-    files[3].write_text("\n".join(rows) + "\n")
+    cycle = mesh.positions[mesh.param.boundary, :2]
+    files[3].write_text("x,y\n" + ("%r,%r\n" * len(cycle)) % tuple(cycle.ravel().tolist()))
     _emit(_report(args, files=[str(f) for f in files]))
     return 0
 

@@ -17,6 +17,10 @@ class PoleInDomain(MaxsurfError):
     """A denominator zero lies inside the certified disk."""
 
 
+class DegreeError(MaxsurfError):
+    """A numerator or denominator degree exceeds the supported cap."""
+
+
 class ToleranceError(MaxsurfError):
     """A closed-form primitive failed its certificate against its density."""
 

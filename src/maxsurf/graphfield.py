@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -45,6 +46,8 @@ from .errors import (
 )
 
 _SPACELIKE_EPS = 1e-12
+# load_field's limit on the header's nx * ny: a 2048 x 2048 grid.
+_MAX_CELLS = 1 << 22
 
 
 def _validate_mask(mask: np.ndarray):
@@ -399,7 +402,7 @@ def shift_agreement(a: ScalarField, b: ScalarField) -> float:
 
 
 def save_field(f: ScalarField, csv_path, header_path):
-    """CSV rows x,y,value for masked cells plus a JSON grid header."""
+    """CSV rows x,y,value for masked cells, i-major, plus a JSON grid header."""
     with open(header_path, "w") as fh:
         json.dump(
             {
@@ -412,35 +415,86 @@ def save_field(f: ScalarField, csv_path, header_path):
             sort_keys=True,
         )
         fh.write("\n")
-    xs, ys = f.xs(), f.ys()
+    i, j = np.nonzero(f.mask)
+    rows = np.column_stack([f.xs()[i], f.ys()[j], f.values[i, j]])
     with open(csv_path, "w") as fh:
-        fh.write("x,y,value\n")
-        for i in range(f.nx):
-            for j in range(f.ny):
-                if f.mask[i, j]:
-                    fh.write(f"{float(xs[i])!r},{float(ys[j])!r},{float(f.values[i, j])!r}\n")
+        fh.write("x,y,value\n" + ("%r,%r,%r\n" * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+def _read_header(header_path) -> tuple[tuple[float, float], float, int, int]:
+    with open(header_path) as fh:
+        head = json.load(fh)
+    nx, ny, h = head["nx"], head["ny"], float(head["spacing"])
+    origin = (float(head["origin"][0]), float(head["origin"][1]))
+    for key, n in (("nx", nx), ("ny", ny)):
+        if type(n) is not int or n < 1:
+            raise ValueError(f"{header_path}: {key} must be a positive integer, got {n!r}")
+    if nx * ny > _MAX_CELLS:
+        raise ValueError(f"{header_path}: {nx} x {ny} grid exceeds {_MAX_CELLS} cells")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"{header_path}: spacing must be finite and positive, got {h!r}")
+    if not np.all(np.isfinite(origin)):
+        raise ValueError(f"{header_path}: origin must be finite, got {origin!r}")
+    return origin, h, nx, ny
+
+
+def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 3) floats of 'x,y,value' rows, and which rows do not parse (NaN there)."""
+    n = len(rows)
+    if set(map(str.count, rows, repeat(","))) <= {2}:
+        try:
+            flat = np.fromiter(map(float, ",".join(rows).split(",")), float, 3 * n)
+            return flat.reshape(n, 3), np.zeros(n, dtype=bool)
+        except ValueError:
+            pass
+    xyv, bad = np.full((n, 3), np.nan), np.ones(n, dtype=bool)
+    for k, row in enumerate(rows):
+        try:
+            x, y, v = row.split(",")
+            xyv[k] = float(x), float(y), float(v)
+        except ValueError:
+            continue
+        bad[k] = False
+    return xyv, bad
+
+
+_ROW_FAULTS = (
+    "expected 'x,y,value' floats",
+    "non-finite coordinate or value",
+    "point lies off the declared grid",
+    "duplicate grid cell",
+)
 
 
 def load_field(csv_path, header_path) -> ScalarField:
-    with open(header_path) as fh:
-        head = json.load(fh)
-    nx, ny, h = int(head["nx"]), int(head["ny"]), float(head["spacing"])
-    origin = (float(head["origin"][0]), float(head["origin"][1]))
+    """Read a field written by save_field (contract: README, Formats).
+
+    The header is validated before allocating; blank lines are skipped; rows
+    parse as Python's float parses them and snap to the nearest cell.  The
+    first malformed, non-finite, off-grid or repeated row raises ValueError
+    as "path:LINE: reason"."""
+    origin, h, nx, ny = _read_header(header_path)
+    with open(csv_path) as fh:
+        lines = fh.read().split("\n")[1:]
+    nonblank = list(map(str.strip, lines))
+    xyv, malformed = _parse_rows(list(compress(lines, nonblank)))
+    finite = np.all(np.isfinite(xyv), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates land off the grid
+        fi = np.rint((xyv[:, 0] - origin[0]) / h)
+        fj = np.rint((xyv[:, 1] - origin[1]) / h)
+        on_grid = (0 <= fi) & (fi < nx) & (0 <= fj) & (fj < ny)
+        # rows with another fault get distinct negative cells, so only cells collide
+        cell = np.where(finite & on_grid, fi * ny + fj, -1.0 - np.arange(len(xyv)))
+    repeated = np.ones(len(xyv), dtype=bool)
+    repeated[np.unique(cell, return_index=True)[1]] = False
+    fault = np.select([malformed, ~finite, ~on_grid, repeated], [1, 2, 3, 4])
+    if fault.any():
+        row = int(np.flatnonzero(fault)[0])
+        lineno = 2 + list(compress(range(len(lines)), nonblank))[row]
+        raise ValueError(f"{csv_path}:{lineno}: {_ROW_FAULTS[fault[row] - 1]}")
+    i, j = fi.astype(np.intp), fj.astype(np.intp)
     values = np.zeros((nx, ny))
     mask = np.zeros((nx, ny), dtype=bool)
-    with open(csv_path) as fh:
-        next(fh)
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                xs, ys, vs = line.split(",")
-                i = int(round((float(xs) - origin[0]) / h))
-                j = int(round((float(ys) - origin[1]) / h))
-            except ValueError as exc:
-                raise ValueError(f"{csv_path}:{lineno}: expected 'x,y,value' floats") from exc
-            if not (0 <= i < nx and 0 <= j < ny):
-                raise ValueError(f"{csv_path}:{lineno}: point lies off the declared grid")
-            values[i, j] = float(vs)
-            mask[i, j] = True
+    values[i, j] = xyv[:, 2]
+    mask[i, j] = True
     return ScalarField(origin, h, values, mask)

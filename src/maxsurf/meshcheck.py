@@ -36,7 +36,6 @@ from .rational import HolomorphicForm, RationalHolomorphic, integrate_to_many
 from .weierstrass import (
     Immersion,
     WeierstrassData,
-    conjugate_immersion,
     differential,
     gauss_map,
     immersion_from_data,
@@ -428,12 +427,13 @@ def krust_pipeline(im: Immersion, n: int = 64) -> KrustReport:
 
 
 def rotation_identity_check(
-    im: Immersion, data: WeierstrassData, w: complex, direction: tuple[float, float]
+    im: Immersion, conj: Immersion, data: WeierstrassData, w: complex, direction: tuple[float, float]
 ) -> float:
-    """| N(w) x dX(a,b) - dX*(a,b) | for the parameter direction (a, b)."""
+    """| N(w) x dX(a,b) - dX*(a,b) | for the parameter direction (a, b), where
+    conj is conjugate_immersion(im)."""
     a, b = float(direction[0]), float(direction[1])
     xu, xv = differential(im, w)
-    su, sv = differential(conjugate_immersion(im), w)
+    su, sv = differential(conj, w)
     n = gauss_map(data, w)
     got = cross_lorentz(n, xu * a + xv * b)
     want = su * a + sv * b

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, PoleError, PoleInDomain, ToleranceError
+from .errors import DegreeError, DomainError, PoleError, PoleInDomain, ToleranceError
 
 _POLE_EPS = 1e-14
 _WINDING_SAMPLES = 512
@@ -33,6 +33,9 @@ _WINDING_BAND = 0.4
 _CLUSTER = 0.1
 _FFT_MIN = 64
 _CERT_DELTA = 1e-10
+# Primitive roots each denominator with a dense eigenproblem, O(degree^3);
+# the catalog's curve forms reach degree 12.
+_MAX_DEGREE = 256
 
 
 def _as_coeffs(seq) -> np.ndarray:
@@ -91,6 +94,9 @@ class RationalHolomorphic:
             raise ValueError("validity radius must be positive and finite")
         if np.all(den == 0):
             raise ZeroDivisionError("denominator identically zero")
+        degree = max(num.size, den.size) - 1
+        if degree > _MAX_DEGREE:
+            raise DegreeError(f"degree {degree} exceeds the cap of {_MAX_DEGREE}")
         if den.size > 1:
             w = _winding_number(den, self.radius)
             if not w < _WINDING_BAND:

@@ -287,7 +287,8 @@ def gauss_map(data: WeierstrassData, w: complex) -> Vec3:
     return stereo_inv(complex(data.g._eval(complex(w))))
 
 
-def _half_forms(data: WeierstrassData) -> tuple[HolomorphicForm, HolomorphicForm]:
+def half_forms(data: WeierstrassData) -> tuple[HolomorphicForm, HolomorphicForm]:
+    """The forms -(g/2) dh and dh/(2g) whose primitives are sigma and tau."""
     r = data.domain_radius
     g = _restrict(data.g, r)
     hp = _restrict(data.dh.density, r)
@@ -296,7 +297,7 @@ def _half_forms(data: WeierstrassData) -> tuple[HolomorphicForm, HolomorphicForm
 
 def sigma_tau(data: WeierstrassData, w: complex) -> tuple[complex, complex]:
     """The primitive pair (sigma, tau) integrated from the base point."""
-    s, t = (complex(integrate_to_many(f, data.base_point, w)) for f in _half_forms(data))
+    s, t = (complex(integrate_to_many(f, data.base_point, w)) for f in half_forms(data))
     return s, t
 
 
@@ -317,12 +318,17 @@ class ProjectionIdentities:
         )
 
 
-def projection_identities(data: WeierstrassData, w: complex) -> ProjectionIdentities:
+def projection_identities(
+    im: Immersion, halves: tuple[HolomorphicForm, HolomorphicForm], w: complex
+) -> ProjectionIdentities:
     """Compare pi(X) - pi(X(w0)) with conj(tau) - sigma, and the conjugate
-    projection with i(conj(tau) + sigma)."""
-    im = immersion_from_data(data)
+    projection with i(conj(tau) + sigma).
+
+    im is immersion_from_data(data) and halves is half_forms(data); build them
+    once per datum, so their primitives are built once too.
+    """
     ints = integrals_at_many(im, [w])[0]
     pi_x = complex(ints[0].real, ints[1].real)
     pi_star = complex(ints[0].imag, ints[1].imag)
-    s, t = sigma_tau(data, complex(w))
+    s, t = (complex(integrate_to_many(f, im.base_point, complex(w))) for f in halves)
     return ProjectionIdentities(pi_x, pi_star, np.conj(t) - s, 1j * (np.conj(t) + s))

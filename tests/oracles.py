@@ -2,14 +2,16 @@
 
 Everything here is computed by a route disjoint from the package internals:
 closed-form antiderivatives, composite Simpson quadrature on dense nodes,
-loop and all-pairs forms of the mesh build and planar predicates, and
-hand-derived constants for the built-in catalog families.  Tests compare
+loop and all-pairs forms of the mesh build and planar predicates, row-by-row
+forms of the text writers and reader, and hand-derived constants for the
+built-in catalog families.  Tests compare
 package output against these, never against the package itself.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -213,3 +215,72 @@ def in_polygon_ray_cast(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.
     dy = np.where(y1 - y0 == 0, 1.0, y1 - y0)
     xint = x0[None, :] + (py - y0[None, :]) * ((x1 - x0) / dy)[None, :]
     return (np.sum(straddles & (px < xint), axis=1) % 2) == 1
+
+
+# ---- row-by-row text writers and reader ----
+#
+# One f-string per row and one parse per line: the package's columnar
+# writers and reader must match these byte for byte and bit for bit.
+
+
+def write_obj_rows(path, mesh):
+    """OBJ text of a SurfaceMesh: v rows with repr floats, 1-based f rows."""
+    lines = [f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in mesh.positions]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.param.triangles]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def boundary_csv_rows(path, mesh):
+    """The x,y rows of export's boundary.csv."""
+    cycle = mesh.positions[mesh.param.boundary]
+    rows = ["x,y"] + [f"{float(x)!r},{float(y)!r}" for x, y in cycle[:, :2]]
+    path.write_text("\n".join(rows) + "\n")
+
+
+def save_field_rows(f, csv_path, header_path):
+    """A ScalarField as its JSON header and one x,y,value row per masked cell."""
+    with open(header_path, "w") as fh:
+        json.dump(
+            {
+                "origin": [float(f.origin[0]), float(f.origin[1])],
+                "spacing": float(f.spacing),
+                "nx": f.nx,
+                "ny": f.ny,
+            },
+            fh,
+            sort_keys=True,
+        )
+        fh.write("\n")
+    xs, ys = f.xs(), f.ys()
+    with open(csv_path, "w") as fh:
+        fh.write("x,y,value\n")
+        for i in range(f.nx):
+            for j in range(f.ny):
+                if f.mask[i, j]:
+                    fh.write(f"{float(xs[i])!r},{float(ys[j])!r},{float(f.values[i, j])!r}\n")
+
+
+def load_field_rows(csv_path, header_path):
+    """(origin, spacing, values, mask) of a saved field, parsed line by line."""
+    with open(header_path) as fh:
+        head = json.load(fh)
+    nx, ny, h = int(head["nx"]), int(head["ny"]), float(head["spacing"])
+    origin = (float(head["origin"][0]), float(head["origin"][1]))
+    values = np.zeros((nx, ny))
+    mask = np.zeros((nx, ny), dtype=bool)
+    with open(csv_path) as fh:
+        next(fh)
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                xs, ys, vs = line.split(",")
+                i = int(round((float(xs) - origin[0]) / h))
+                j = int(round((float(ys) - origin[1]) / h))
+            except ValueError as exc:
+                raise ValueError(f"{csv_path}:{lineno}: expected 'x,y,value' floats") from exc
+            if not (0 <= i < nx and 0 <= j < ny):
+                raise ValueError(f"{csv_path}:{lineno}: point lies off the declared grid")
+            values[i, j] = float(vs)
+            mask[i, j] = True
+    return origin, h, values, mask

@@ -34,6 +34,8 @@ from maxsurf.weierstrass import (
     build_isotropic_euclidean,
     build_isotropic_maximal,
     conjugate_curve,
+    conjugate_immersion,
+    half_forms,
     immersion_from_data,
     integrals_at_many,
     projection_identities,
@@ -120,11 +122,12 @@ def test_criterion_02_conjugation(catalog_data, rng):
 @_criterion(3, "projection identities", budget=10.0)
 def test_criterion_03_projection(catalog_data, rng):
     names = sorted(catalog_data)
+    forms = {n: (immersion_from_data(d), half_forms(d)) for n, d in catalog_data.items()}
     worst = 0.0
     for k in range(50):
-        data = catalog_data[names[k % len(names)]]
-        w = complex(disk_samples(rng, data.domain_radius, 1)[0])
-        worst = max(worst, projection_identities(data, w).residual)
+        name = names[k % len(names)]
+        w = complex(disk_samples(rng, catalog_data[name].domain_radius, 1)[0])
+        worst = max(worst, projection_identities(*forms[name], w).residual)
     assert worst < 1e-8, f"projection identity residual {worst:.3e}"
     return f"worst residual {worst:.1e} < 1e-8 over 50 random points"
 
@@ -155,12 +158,13 @@ def test_criterion_05_rotation(catalog_data, rng):
         name = names[k % len(names)]
         data = catalog_data[name]
         if name not in cache:
-            cache[name] = immersion_from_data(data)
+            im = immersion_from_data(data)
+            cache[name] = (im, conjugate_immersion(im))
         w = complex(disk_samples(rng, data.domain_radius, 1)[0])
         ang = rng.uniform(0.0, 2.0 * np.pi)
         worst = max(
             worst,
-            rotation_identity_check(cache[name], data, w, (np.cos(ang), np.sin(ang))),
+            rotation_identity_check(*cache[name], data, w, (np.cos(ang), np.sin(ang))),
         )
     assert worst < 1e-8, f"rotation identity residual {worst:.3e}"
     return f"worst |N x dX - dX*| {worst:.1e} < 1e-8 over 100 samples"

@@ -7,15 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxsurf.cli import run_argv
+from maxsurf.catalog import get
+from maxsurf.cli import _write_obj, run_argv
 from maxsurf.graphfield import ScalarField, load_field, save_field, shift_agreement
-from maxsurf.weierstrass import IsotropicCurve, WeierstrassData
+from maxsurf.lorentz import Ambient
+from maxsurf.meshcheck import SurfaceMesh, sample_surface, triangulate_disk
+from maxsurf.weierstrass import IsotropicCurve, WeierstrassData, immersion_from_data
 
 from oracles import (
+    boundary_csv_rows,
     disk_triangle_count,
     disk_vertex_count,
     helicoid_dual_height,
     helicoid_height,
+    write_obj_rows,
 )
 
 
@@ -132,6 +137,29 @@ class TestDualizeGraph:
         exact = ScalarField(dual.origin, dual.spacing, helicoid_dual_height(X, Y), dual.mask)
         assert shift_agreement(dual, exact) < 1e-5
 
+    @pytest.mark.parametrize(
+        "head, rows, message",
+        [
+            ({"spacing": 0}, "0,0,1\n", "spacing must be finite and positive"),
+            ({"nx": 1e8, "ny": 1e8}, "0,0,1\n", "nx must be a positive integer"),
+            ({"nx": 10**8, "ny": 10**8}, "0,0,1\n", "grid exceeds 4194304 cells"),
+            ({}, "0,0,1\ninf,0,1\n", "f.csv:3: non-finite coordinate or value"),
+            ({}, "0,0,1\n0,0,2\n", "f.csv:3: duplicate grid cell"),
+        ],
+    )
+    def test_hostile_field_file(self, tmp_path, capsys, head, rows, message):
+        (tmp_path / "f.json").write_text(
+            json.dumps({"origin": [0, 0], "spacing": 0.1, "nx": 3, "ny": 3, **head})
+        )
+        (tmp_path / "f.csv").write_text("x,y,value\n" + rows)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"csv": str(tmp_path / "f.csv"), "header": str(tmp_path / "f.json")})
+        )
+        code, cap = run_json(capsys, "dualize-graph", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert "malformed field file" in cap.err and message in cap.err
+
     def test_missing_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"csv": "x"}))
@@ -235,6 +263,29 @@ class TestExport:
         obj_lines = (tmp_path / "surface.obj").read_text().splitlines()
         assert sum(1 for ln in obj_lines if ln.startswith("v ")) == disk_vertex_count(4)
 
+    def test_files_match_row_oracle(self, tmp_path, capsys):
+        code, _ = run_json(
+            capsys, "export", "--datum", "rational-r09", "--mesh-n", "12", "--out", str(tmp_path)
+        )
+        assert code == 0
+        data = get("rational-r09")
+        mesh = sample_surface(immersion_from_data(data), triangulate_disk(data.domain_radius, 12))
+        write_obj_rows(tmp_path / "want.obj", mesh)
+        boundary_csv_rows(tmp_path / "want.csv", mesh)
+        assert (tmp_path / "surface.obj").read_bytes() == (tmp_path / "want.obj").read_bytes()
+        assert (tmp_path / "boundary.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_obj_writer_special_floats(self, tmp_path):
+        param = triangulate_disk(1.0, 1)
+        special = [-0.0, 5e-324, 1e-5, 1e16, 0.1, 1 / 3, -2.5e-300]
+        pos = np.resize(special, (param.vertices.size, 3))
+        mesh = SurfaceMesh(param, pos, Ambient.LORENTZIAN)
+        _write_obj(tmp_path / "got.obj", mesh)
+        write_obj_rows(tmp_path / "want.obj", mesh)
+        got = (tmp_path / "got.obj").read_bytes()
+        assert got == (tmp_path / "want.obj").read_bytes()
+        assert b"v -0.0 5e-324 1e-05\n" in got
+
 
 class TestErrors:
     def test_unknown_datum(self, capsys):
@@ -280,6 +331,19 @@ class TestErrors:
         code, cap = run_json(capsys, command, "--config", str(cfgp), "--out", str(tmp_path))
         assert code == 1
         assert f"bad {kind} object" in cap.err
+
+    def test_degree_cap(self, tmp_path):
+        # 1 - (z/1.5)^300: every pole at |z| = 1.5, so only the degree is wrong
+        den = [[1.0, 0.0]] + [[0.0, 0.0]] * 299 + [[-(1 / 1.5) ** 300, 0.0]]
+        one = {"num": [[1.0, 0.0]], "den": [[1.0, 0.0]], "radius": 1.2}
+        obj = {"g": {"num": [[3.0, 0.0]], "den": den, "radius": 1.2}, "dh": one,
+               "radius": 0.9, "base": [0, 0], "base_value": [0, 0, 0], "kind": "maximal-graph"}
+        cfgp = tmp_path / "deg300.json"
+        cfgp.write_text(json.dumps(obj))
+        proc = _run_module(["-m", "maxsurf.cli", "verify-krust", "--config", str(cfgp)])
+        assert proc.returncode == 1
+        assert "degree 300 exceeds the cap of 256" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_bad_mesh_n(self, capsys):
         code, cap = run_json(capsys, "generate", "--datum", "plane-r05", "--mesh-n", "0")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from maxsurf.graphfield import (
     shift_agreement,
 )
 
-from oracles import helicoid_dual_height, helicoid_height
+from oracles import helicoid_dual_height, helicoid_height, load_field_rows, save_field_rows
 
 
 def full(x, y):
@@ -267,3 +268,130 @@ class TestSaveLoad:
         csv.write_text("x,y,value\n5.0,0.0,1.0\n")
         with pytest.raises(ValueError):
             load_field(csv, head)
+
+
+def ragged_field():
+    """A field on a ragged mask whose values include signed zero, the
+    smallest subnormal and long decimal expansions."""
+    rng = np.random.default_rng(7)
+    mask = rng.uniform(size=(9, 13)) < 0.6
+    values = np.where(mask, rng.normal(size=(9, 13)) * 10.0 ** rng.integers(-8, 9, (9, 13)), 0.0)
+    values[mask] = np.concatenate([[-0.0, 5e-324, 1e16, 0.1, 1 / 3], values[mask][5:]])
+    return ScalarField((-0.35, 1 / 3), 0.1, values, mask)
+
+
+def assert_same_field(got: ScalarField, want):
+    origin, h, values, mask = want
+    assert got.origin == origin and got.spacing == h
+    assert got.values.tobytes() == values.tobytes()
+    assert np.array_equal(got.mask, mask)
+
+
+class TestRowOracle:
+    """save_field and load_field against their row-by-row forms."""
+
+    def test_save_byte_identical(self, tmp_path):
+        f = ragged_field()
+        save_field(f, tmp_path / "a.csv", tmp_path / "a.json")
+        save_field_rows(f, tmp_path / "b.csv", tmp_path / "b.json")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text,
+            lambda text: text.replace("\n", "\n\n", 3) + "\n\n",
+            lambda text: text.replace("\n", "\n  \t \n", 5),
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: text.rstrip("\n"),
+            lambda text: text.replace(",", " , ", 4),
+        ],
+        ids=["plain", "blank-lines", "whitespace-lines", "crlf", "no-final-newline", "padded"],
+    )
+    def test_load_bit_identical(self, tmp_path, edit):
+        f = ragged_field()
+        csv, head = tmp_path / "f.csv", tmp_path / "f.json"
+        save_field(f, csv, head)
+        csv.write_bytes(edit(csv.read_text()).encode())
+        got = load_field(csv, head)
+        assert_same_field(got, load_field_rows(csv, head))
+        assert got.values.tobytes() == f.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "0.0,0.0\n",
+            "0.0,0.0,1.0\n0.1,abc,1.0\n",
+            "zz,0.0,1.0\n",
+            "0.0,0.0,1.0,2.0\n",
+            "0.0,0.0,1.0\n\n5.0,0.0,1.0\n",
+            "0.0,-0.3,1.0\n",
+            "0.0,0.0,1.0\n0.1,0.0\n0.1,0.1,1.0,9\n",
+            "0.0,0.0,1.0\n9.0,0.0,1.0\n0.1,x,1.0\n",
+        ],
+    )
+    def test_same_error_message(self, tmp_path, rows):
+        head = tmp_path / "f.json"
+        head.write_text(json.dumps({"origin": [0, 0], "spacing": 0.1, "nx": 3, "ny": 3}))
+        csv = tmp_path / "f.csv"
+        csv.write_text("x,y,value\n" + rows)
+        with pytest.raises(ValueError) as want:
+            load_field_rows(csv, head)
+        with pytest.raises(ValueError) as got:
+            load_field(csv, head)
+        assert str(got.value) == str(want.value)
+
+
+class TestHostileFieldFiles:
+    def write(self, tmp_path, head, rows="0.0,0.0,1.0\n"):
+        hp, csv = tmp_path / "f.json", tmp_path / "f.csv"
+        hp.write_text(json.dumps({"origin": [0, 0], "spacing": 0.1, "nx": 3, "ny": 3, **head}))
+        csv.write_text("x,y,value\n" + rows)
+        return csv, hp
+
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            ({"spacing": 0}, "spacing must be finite and positive"),
+            ({"spacing": -0.1}, "spacing must be finite and positive"),
+            ({"spacing": float("inf")}, "spacing must be finite and positive"),
+            ({"origin": [float("nan"), 0]}, "origin must be finite"),
+            ({"nx": 1e8, "ny": 1e8}, "nx must be a positive integer"),
+            ({"nx": 10**8, "ny": 10**8}, "grid exceeds 4194304 cells"),
+            ({"nx": 2049, "ny": 2048}, "grid exceeds 4194304 cells"),
+            ({"nx": 0}, "nx must be a positive integer"),
+            ({"ny": True}, "ny must be a positive integer"),
+            ({"ny": "3"}, "ny must be a positive integer"),
+        ],
+    )
+    def test_bad_header(self, tmp_path, head, message):
+        with pytest.raises(ValueError, match=message):
+            load_field(*self.write(tmp_path, head))
+
+    def test_largest_grid_accepted(self, tmp_path):
+        f = load_field(*self.write(tmp_path, {"nx": 2048, "ny": 2048}))
+        assert f.values.shape == (2048, 2048) and int(f.mask.sum()) == 1
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0.0,0.0,1.0\ninf,0,1\n", ":3: non-finite coordinate or value"),
+            ("0.0,nan,1\n", ":2: non-finite coordinate or value"),
+            ("0.0,0.0,-inf\n", ":2: non-finite coordinate or value"),
+            ("1e308,0.0,1.0\n", ":2: point lies off the declared grid"),
+            ("0.0,0.0,1.0\n0.0,0.1,1.0\n\n0.0,0.0,2.0\n", ":5: duplicate grid cell"),
+            ("0.0,0.0,1\n0.04,0.0,2\n", ":3: duplicate grid cell"),
+            ("0.0,0.0,1\n0.0,0.0,2\n9,9,9\n", ":3: duplicate grid cell"),
+            ("0.0,0.0,abc\n", ":2: expected 'x,y,value' floats"),
+        ],
+    )
+    def test_bad_row(self, tmp_path, rows, message):
+        csv, hp = self.write(tmp_path, {}, rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(csv) + message)}$"):
+            load_field(csv, hp)
+
+    def test_empty_file_has_no_cells(self, tmp_path):
+        csv, hp = self.write(tmp_path, {}, "")
+        csv.write_text("")
+        assert not load_field(csv, hp).mask.any()

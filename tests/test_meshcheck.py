@@ -25,7 +25,13 @@ from maxsurf.meshcheck import (
     spacelike_mesh_check,
     triangulate_disk,
 )
-from maxsurf.weierstrass import Immersion, immerse, immersion_from_data, integrals_at_many
+from maxsurf.weierstrass import (
+    Immersion,
+    conjugate_immersion,
+    immerse,
+    immersion_from_data,
+    integrals_at_many,
+)
 
 from conftest import disk_samples
 from oracles import (
@@ -343,9 +349,21 @@ class TestRotationIdentity:
     def test_random_directions(self, catalog_data, rng):
         data = catalog_data["shift2.5-r05"]
         im = immersion_from_data(data)
+        conj = conjugate_immersion(im)
         for w in disk_samples(rng, 0.5, 10):
             a, b = rng.normal(size=2)
-            assert rotation_identity_check(im, data, complex(w), (a, b)) < 1e-12
+            assert rotation_identity_check(im, conj, data, complex(w), (a, b)) < 1e-12
+
+    def test_prebuilt_conjugate_bit_identical(self, catalog_data, rng):
+        # a conjugate built once per datum gives the bits of one built per point
+        for data in catalog_data.values():
+            im = immersion_from_data(data)
+            conj = conjugate_immersion(im)
+            for w in disk_samples(rng, data.domain_radius, 3):
+                w, d = complex(w), tuple(rng.normal(size=2))
+                fresh = immersion_from_data(data)
+                want = rotation_identity_check(fresh, conjugate_immersion(fresh), data, w, d)
+                assert repr(rotation_identity_check(im, conj, data, w, d)) == repr(want)
 
 
 class TestPullbackAndInequality:

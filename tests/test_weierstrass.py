@@ -20,6 +20,7 @@ from maxsurf.weierstrass import (
     conjugate_immersion,
     differential,
     gauss_map,
+    half_forms,
     immerse,
     immersion_from_data,
     integrals_at_many,
@@ -221,13 +222,23 @@ class TestSigmaTauAndProjections:
     def test_projection_identities_tight(self, catalog_data, rng):
         for name in ("plane-r09", "shift3-r09", "rational-r09"):
             data = catalog_data[name]
+            im, halves = immersion_from_data(data), half_forms(data)
             for w in disk_samples(rng, data.domain_radius, 5):
-                assert projection_identities(data, complex(w)).residual < 1e-12
+                assert projection_identities(im, halves, complex(w)).residual < 1e-12
+
+    def test_prebuilt_forms_bit_identical(self, catalog_data, rng):
+        # forms built once per datum give the bits of forms built per point
+        for data in catalog_data.values():
+            im, halves = immersion_from_data(data), half_forms(data)
+            for w in disk_samples(rng, data.domain_radius, 3):
+                w = complex(w)
+                fresh = projection_identities(immersion_from_data(data), half_forms(data), w)
+                assert repr(projection_identities(im, halves, w)) == repr(fresh)
 
     def test_projection_matches_immersion(self, catalog_data):
         data = catalog_data["shift3-r05"]
         im = immersion_from_data(data)
         w = 0.3 - 0.2j
-        ids = projection_identities(data, w)
+        ids = projection_identities(im, half_forms(data), w)
         x = immerse(im, w)
         assert abs(ids.pi_x - complex(x.x1, x.x2)) < 1e-12
