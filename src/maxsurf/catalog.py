@@ -9,40 +9,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from .rational import HolomorphicForm, RationalHolomorphic
 from .weierstrass import WeierstrassData
 
 _VALIDITY = 2.0
 
-
-def _dz() -> HolomorphicForm:
-    return HolomorphicForm(RationalHolomorphic.constant(1.0, _VALIDITY))
-
-
-def _datum(g: RationalHolomorphic, radius: float) -> WeierstrassData:
-    return WeierstrassData(g, _dz(), radius)
-
-
-def _g_plane() -> RationalHolomorphic:
-    return RationalHolomorphic.constant(2.0, _VALIDITY)
-
-
-def _g_shift(c: float) -> RationalHolomorphic:
-    return RationalHolomorphic.polynomial([c, 1.0], _VALIDITY)
-
-
-def _g_rational() -> RationalHolomorphic:
-    return RationalHolomorphic(np.array([3.0, 1.0]), np.array([1.0, -0.2]), _VALIDITY)
-
-
-_BUILDERS = {
-    "plane": _g_plane,
-    "shift2.5": lambda: _g_shift(2.5),
-    "shift3": lambda: _g_shift(3.0),
-    "shift4": lambda: _g_shift(4.0),
-    "rational": _g_rational,
+# g = num/den, ascending coefficients: the plane g == 2, the shifts g = z + c
+# and the rational (3 + z)/(1 - z/5).
+_G = {
+    "plane": ([2.0], [1.0]),
+    "shift2.5": ([2.5, 1.0], [1.0]),
+    "shift3": ([3.0, 1.0], [1.0]),
+    "shift4": ([4.0, 1.0], [1.0]),
+    "rational": ([3.0, 1.0], [1.0, -0.2]),
 }
 
 _RADII = {"r05": 0.5, "r09": 0.9}
@@ -52,9 +31,11 @@ _RADII = {"r05": 0.5, "r09": 0.9}
 def catalog() -> dict[str, WeierstrassData]:
     """Name -> datum for all ten built-in graph data."""
     out = {}
-    for gname, build in _BUILDERS.items():
+    for gname, (num, den) in _G.items():
         for rname, radius in _RADII.items():
-            out[f"{gname}-{rname}"] = _datum(build(), radius)
+            g = RationalHolomorphic(num, den, _VALIDITY)
+            dz = HolomorphicForm(RationalHolomorphic([1.0], [1.0], _VALIDITY))
+            out[f"{gname}-{rname}"] = WeierstrassData(g, dz, radius)
     return out
 
 

@@ -7,14 +7,9 @@ complex up front, and connectivity as it integrates along a spanning tree
 (the only topology checks; other fields, such as the plaquette residuals,
 may have any mask).  Derivative estimates are built per grid edge: the
 along-edge derivative is the exact two-point difference at the edge midpoint,
-the cross derivative averages the two endpoint cells' best stencils.  Cells
-use the central difference where both neighbors exist and otherwise a 5-point
-one-sided rule built to share the central error expansion through h^3 (the
-leading term h^2 f'''/6 and a vanishing h^3 moment), so the discretization
-error stays a smooth field and plaquette divergences keep second order up to
-the boundary; shorter one-sided stencils remain as fallbacks where the mask
-is under five cells thick, and the residual/curl certificate is restricted
-to plaquettes free of such fallbacks.
+the cross derivative averages the two endpoint cells' best stencils from the
+rule table _RULES, and the residual/curl certificate is restricted to
+plaquettes free of low-order fallbacks.
 
 The normalized flux V = Df / sqrt(1 + |Df|^2) (minimal) or Df / sqrt(1 -
 |Df|^2) (maximal) is assembled on edges, its conservative divergence lives on
@@ -128,69 +123,53 @@ class VectorField2:
         return np.hypot(self.w1, self.w2)
 
 
-def _axis_derivative(values, mask, h, axis):
-    """Best per-cell derivative along an axis, with a quality grade.
+# Difference rules as (grade, ((offset, weight), ...)): the derivative at cell
+# i is sum(weight * f[i + offset]) / h.  A cell takes the last rule whose
+# cells are all masked, so the central rule is last.  Grade 3 rules share the
+# central rule's derivative moments (0, 1, 0, 1, 0), i.e. the same leading
+# error h^2 f'''/6 and no h^3 term, so their error is a smooth field and
+# divided differences of it stay second order across stencil switches.
+# Grades 2 and 1 are fallbacks for thin mask regions.  A rule whose integer
+# form divides by 2h has its weights halved (1.5 for 3), so each product and
+# partial sum is the integer form's times a power of two and rounds alike.
+_RULES = (
+    (1, ((0, 1.0), (-1, -1.0))),
+    (1, ((1, 1.0), (0, -1.0))),
+    (2, ((0, 1.5), (-1, -2.0), (-2, 0.5))),
+    (2, ((0, -1.5), (1, 2.0), (2, -0.5))),
+    (2, ((0, 2.0), (-1, -3.5), (-2, 2.0), (-3, -0.5))),
+    (2, ((0, -2.0), (1, 3.5), (2, -2.0), (3, 0.5))),
+    (3, ((0, 2.5), (-1, -5.5), (-2, 5.0), (-3, -2.5), (-4, 0.5))),
+    (3, ((0, -2.5), (1, 5.5), (2, -5.0), (3, 2.5), (4, -0.5))),
+    (3, ((1, 0.5), (-1, -0.5))),
+)
+_REACH = 4  # the largest |offset|
 
-    Quality 3 stencils share the central rule's error expansion through h^3:
-    the 5-point one-sided rule with weights -5/2, 11/2, -5, 5/2, -1/2 has
-    derivative moments (0, 1, 0, 1, 0), i.e. the same leading term h^2 f'''/6
-    and no h^3 term, so quality-3 error is a smooth field and divided
-    differences of it stay second-order accurate across stencil switches.
-    Quality 2 (the 4-point rule with the matched h^2 term but an unmatched h^3
-    term, then the plain second-order rule) and quality 1 are fallbacks for
-    thin mask regions.
-    """
+
+def _axis_derivative(values, mask, h, axis):
+    """Best per-cell derivative along an axis by _RULES, with its grade."""
     v = values if axis == 0 else values.T
     m = mask if axis == 0 else mask.T
-    out = np.zeros_like(v)
-    qual = np.zeros(v.shape, dtype=np.int8)
+    n = v.shape[0]
+    vpad, mpad = (np.pad(a, ((_REACH, _REACH), (0, 0))) for a in (v, m))
 
-    def shifted(k):
-        s = np.zeros_like(m)
-        if k > 0:
-            s[:-k, :] = m[k:, :]
-        else:
-            s[-k:, :] = m[:k, :]
-        return s
+    def shifted(a, k):  # a[i + k], zero (unmasked) off the grid
+        return a[_REACH + k:_REACH + k + n]
 
-    up1, up2, up3, up4 = shifted(1), shifted(2), shifted(3), shifted(4)
-    dn1, dn2, dn3, dn4 = shifted(-1), shifted(-2), shifted(-3), shifted(-4)
-    vp1, vp2, vp3, vp4 = (np.roll(v, -k, axis=0) for k in (1, 2, 3, 4))
-    vm1, vm2, vm3, vm4 = (np.roll(v, k, axis=0) for k in (1, 2, 3, 4))
-
-    for sel, grade, expr in [
-        (m & dn1, 1, lambda: (v - vm1) / h),
-        (m & up1, 1, lambda: (vp1 - v) / h),
-        (m & dn1 & dn2, 2, lambda: (3 * v - 4 * vm1 + vm2) / (2 * h)),
-        (m & up1 & up2, 2, lambda: (-3 * v + 4 * vp1 - vp2) / (2 * h)),
-        (
-            m & dn1 & dn2 & dn3,
-            2,
-            lambda: (2 * v - 7 * vm1 / 2 + 2 * vm2 - vm3 / 2) / h,
-        ),
-        (
-            m & up1 & up2 & up3,
-            2,
-            lambda: (-2 * v + 7 * vp1 / 2 - 2 * vp2 + vp3 / 2) / h,
-        ),
-        (
-            m & dn1 & dn2 & dn3 & dn4,
-            3,
-            lambda: (5 * v / 2 - 11 * vm1 / 2 + 5 * vm2 - 5 * vm3 / 2 + vm4 / 2) / h,
-        ),
-        (
-            m & up1 & up2 & up3 & up4,
-            3,
-            lambda: (-5 * v / 2 + 11 * vp1 / 2 - 5 * vp2 + 5 * vp3 / 2 - vp4 / 2) / h,
-        ),
-        (m & up1 & dn1, 3, lambda: (vp1 - vm1) / (2 * h)),
-    ]:
+    out = np.zeros(values.shape)
+    qual = np.zeros(values.shape, dtype=np.int8)
+    out_v, qual_v = (out, qual) if axis == 0 else (out.T, qual.T)
+    for grade, ((k0, w0), *taps) in _RULES:
+        sel = m & shifted(mpad, k0)
+        for k, _ in taps:
+            sel &= shifted(mpad, k)
         if sel.any():
-            out[sel] = expr()[sel]
-            qual[sel] = grade
-
-    if axis == 1:
-        out, qual = out.T, qual.T
+            est = w0 * shifted(vpad, k0)
+            for k, w in taps:
+                est += w * shifted(vpad, k)
+            est /= h
+            np.copyto(out_v, est, where=sel)
+            qual_v[sel] = grade
     return out, qual
 
 
@@ -204,75 +183,49 @@ def gradient(f: ScalarField) -> VectorField2:
 
 
 class _EdgeData:
-    """Per-edge derivative estimates and normalizers for one field."""
+    """Cross derivatives and normalizers on the edges of one field, and the
+    plaquettes its certificates cover."""
 
-    __slots__ = (
-        "exist_x",
-        "exist_y",
-        "dx",
-        "cx",
-        "qx",
-        "dy",
-        "cy",
-        "qy",
-        "nx_edge",
-        "ny_edge",
-        "plaq",
-        "supported",
-    )
+    __slots__ = ("cx", "cy", "nx_edge", "ny_edge", "supported")
 
     def __init__(self, f: ScalarField, sign: float):
-        v, m, h = f.values, f.mask, f.spacing
-        self.exist_x = m[:-1, :] & m[1:, :]
-        self.exist_y = m[:, :-1] & m[:, 1:]
-
-        cy_cell, q_cy = _axis_derivative(v, m, h, 1)
-        cx_cell, q_cx = _axis_derivative(v, m, h, 0)
-
-        self.dx = np.where(self.exist_x, (v[1:, :] - v[:-1, :]) / h, 0.0)
-        self.dy = np.where(self.exist_y, (v[:, 1:] - v[:, :-1]) / h, 0.0)
-
-        self.cx, self.qx = _edge_average(cy_cell, q_cy, self.exist_x, axis=0)
-        self.cy, self.qy = _edge_average(cx_cell, q_cx, self.exist_y, axis=1)
-
-        self.nx_edge = _normalizer(self.dx, self.cx, self.exist_x, sign)
-        self.ny_edge = _normalizer(self.dy, self.cy, self.exist_y, sign)
-
-        self.plaq = (
-            self.exist_y[:-1, :] & self.exist_y[1:, :] & self.exist_x[:, :-1] & self.exist_x[:, 1:]
-        )
+        exist_x, dx, self.cx, qx = _edges(f, 0)
+        exist_y, dy, self.cy, qy = _edges(f, 1)
+        # normalizers after both axes: a mask too thin on either axis is
+        # reported ahead of a non-spacelike edge
+        self.nx_edge = _normalizer(dx, self.cx, exist_x, sign)
+        self.ny_edge = _normalizer(dy, self.cy, exist_y, sign)
         # Plaquettes whose four edge estimates all carry the matched leading
-        # error term (quality 3): residual and curl certificates are reported
-        # here, so low-order fallbacks at ragged corners cannot pollute them.
-        self.supported = (
-            self.plaq
-            & (self.qy[:-1, :] >= 3)
-            & (self.qy[1:, :] >= 3)
-            & (self.qx[:, :-1] >= 3)
-            & (self.qx[:, 1:] >= 3)
-        )
+        # error term (grade 3, so the edges exist): residual and curl
+        # certificates are reported here, so low-order fallbacks at ragged
+        # corners cannot pollute them.
+        self.supported = (qy[:-1, :] >= 3) & (qy[1:, :] >= 3) & (qx[:, :-1] >= 3) & (qx[:, 1:] >= 3)
 
 
-def _edge_average(cell_vals, cell_q, exist, axis):
-    if axis == 0:
-        a, b = cell_vals[:-1, :], cell_vals[1:, :]
-        qa, qb = cell_q[:-1, :], cell_q[1:, :]
-    else:
-        a, b = cell_vals[:, :-1], cell_vals[:, 1:]
-        qa, qb = cell_q[:, :-1], cell_q[:, 1:]
-    ha, hb = qa > 0, qb > 0
+def _edges(f: ScalarField, axis: int):
+    """Edges from cell i to i + 1 along an axis, as C-contiguous arrays:
+    existence, the along-edge difference quotient, and the cross derivative
+    averaged over the end cells, with its grade."""
+
+    def frame(a):
+        return a if axis == 0 else a.T
+
+    v, m, h = frame(f.values), frame(f.mask), f.spacing
+    c, q = map(frame, _axis_derivative(f.values, f.mask, h, 1 - axis))
+    exist = m[:-1] & m[1:]
+    d = np.where(exist, (v[1:] - v[:-1]) / h, 0.0)
+    ha, hb = q[:-1] > 0, q[1:] > 0
     cnt = ha.astype(float) + hb.astype(float)
     if np.any(exist & (cnt == 0)):
         raise DegenerateMask("mask too thin for a cross-derivative estimate at an edge")
-    out = np.zeros_like(a)
-    np.divide(
-        np.where(ha, a, 0.0) + np.where(hb, b, 0.0), cnt, out=out, where=exist & (cnt > 0)
-    )
+    avg = np.zeros_like(c[1:])
+    both = np.where(ha, c[:-1], 0.0) + np.where(hb, c[1:], 0.0)
+    np.divide(both, cnt, out=avg, where=exist & (cnt > 0))
     # A one-cell average sits half a spacing off the edge midpoint, so it is
     # first-order at best whatever the cell stencil was.
-    qual = np.where(cnt == 2, np.minimum(qa, qb), np.minimum(np.maximum(qa, qb), 1))
+    qual = np.where(cnt == 2, np.minimum(q[:-1], q[1:]), np.minimum(np.maximum(q[:-1], q[1:]), 1))
     qual = np.where(exist, qual, 0).astype(np.int8)
-    return out, qual
+    return tuple(np.ascontiguousarray(frame(a)) for a in (exist, d, avg, qual))
 
 
 def _normalizer(d, c, exist, sign):
@@ -292,8 +245,7 @@ def _plaquette_divergence(f: ScalarField, a_on_y, b_on_x, plaq) -> ScalarField:
     return ScalarField(origin, h, resid, plaq)
 
 
-def _residual(f: ScalarField, sign: float) -> ScalarField:
-    e = _EdgeData(f, sign)
+def _residual(f: ScalarField, e: _EdgeData) -> ScalarField:
     return _plaquette_divergence(f, e.cy / e.ny_edge, e.cx / e.nx_edge, e.supported)
 
 
@@ -304,31 +256,27 @@ def minimal_residual(f: ScalarField) -> ScalarField:
     four edge estimates are all at least second order; ragged mask corners
     that only admit an off-center fallback are excluded.
     """
-    return _residual(f, +1.0)
+    return _residual(f, _EdgeData(f, +1.0))
 
 
 def maximal_residual(f: ScalarField) -> ScalarField:
     """div(Df / sqrt(1 - |Df|^2)) on interior plaquette centers; needs |Df| < 1."""
-    return _residual(f, -1.0)
+    return _residual(f, _EdgeData(f, -1.0))
 
 
 def flux_curl(f: ScalarField, kind: str = "minimal") -> ScalarField:
     """Loop circulation per plaquette of the dual edge field W.
 
     Evaluated through the identical array expression as the residual, so it
-    equals minimal_residual(f) (kind="minimal") or -maximal_residual(f)
-    (kind="maximal") exactly.
+    equals minimal_residual(f) bit for bit (kind="minimal"), or
+    -maximal_residual(f) exactly (kind="maximal"; an exact zero keeps the
+    sign of the rotated flux's difference).
     """
     sign = +1.0 if kind == "minimal" else -1.0
     e = _EdgeData(f, sign)
-    w2_on_y = (sign) * e.cy / e.ny_edge
-    w1_on_x = (-sign) * e.cx / e.nx_edge
-    return _plaquette_divergence(f, w2_on_y, -w1_on_x, e.supported)
-
-
-def _anchor_index(mask: np.ndarray) -> tuple[int, int]:
-    flat = int(np.argmax(mask))
-    return flat // mask.shape[1], flat % mask.shape[1]
+    return _plaquette_divergence(
+        f, sign * (e.cy / e.ny_edge), sign * (e.cx / e.nx_edge), e.supported
+    )
 
 
 def _tree_integrate(mask, inc_x, inc_y, anchor) -> np.ndarray:
@@ -359,14 +307,15 @@ def _tree_integrate(mask, inc_x, inc_y, anchor) -> np.ndarray:
 def _dualize(f: ScalarField, sign: float, curl_tol: float) -> ScalarField:
     _validate_mask(f.mask)
     e = _EdgeData(f, sign)
-    resid = _plaquette_divergence(f, e.cy / e.ny_edge, e.cx / e.nx_edge, e.supported)
+    resid = _residual(f, e)
     worst = float(np.max(np.abs(resid.values[resid.mask]))) if resid.mask.any() else 0.0
     if worst > curl_tol:
         raise CurlError(f"curl certificate {worst:.3g} exceeds tolerance {curl_tol:g}")
     w1_on_x = (-sign) * e.cx / e.nx_edge
     w2_on_y = (sign) * e.cy / e.ny_edge
     h = f.spacing
-    vals = _tree_integrate(f.mask, h * w1_on_x, h * w2_on_y, _anchor_index(f.mask))
+    anchor = np.unravel_index(np.argmax(f.mask), f.mask.shape)  # lowest-index masked cell
+    vals = _tree_integrate(f.mask, h * w1_on_x, h * w2_on_y, anchor)
     return ScalarField(f.origin, h, np.where(f.mask, vals, 0.0), f.mask)
 
 

@@ -57,6 +57,9 @@ _TOL = 1e-10
 _RESAMPLE_MESH_N = 48
 _RESAMPLE_MARGIN_CELLS = 2
 _LEE_CURL_TOL = 1e-2
+# Rings of folded_disk_mesh; trapezoid steps of krust_inequality_batch.
+_FOLD_N = 16
+_KRUST_STEPS = 200
 # Shewchuk's bound on the rounding error of the float (b - a) x (c - a),
 # (3 + 16 eps) eps with eps = 2^-53, relative to the sum of the two products'
 # magnitudes; 8 x 2^-52 exceeds it.  The tiny term covers underflow.
@@ -112,15 +115,6 @@ class ParamMesh:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
         object.__setattr__(self, "boundary", b)
-
-
-def _undirected_edges(triangles: np.ndarray) -> np.ndarray:
-    """Distinct edges (i, j), i < j, in lexicographic order."""
-    n = int(triangles.max()) + 1
-    a, b = triangles.ravel(), np.roll(triangles, -1, axis=1).ravel()
-    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
-    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-    return np.column_stack([keys // n, keys % n])
 
 
 def _ring_start(k: int) -> int:
@@ -195,10 +189,10 @@ def sample_surface(im: Immersion, mesh: ParamMesh) -> SurfaceMesh:
     return SurfaceMesh(mesh, pos, im.ambient)
 
 
-def folded_disk_mesh(n: int = 16) -> SurfaceMesh:
+def folded_disk_mesh() -> SurfaceMesh:
     """Negative control: the flat disk (u, v, 0) folded by u -> u^2 for u < 0,
     whose projection is certifiably non-injective."""
-    mesh = triangulate_disk(1.0, n)
+    mesh = triangulate_disk(1.0, _FOLD_N)
     u, v = mesh.vertices.real.copy(), mesh.vertices.imag
     u[u < 0] = u[u < 0] ** 2
     pos = np.column_stack([u, v, np.zeros_like(u)])
@@ -544,7 +538,7 @@ class KrustInequality:
     margin: np.ndarray
 
 
-def krust_inequality_batch(data: WeierstrassData, w1, w2, steps: int = 200) -> KrustInequality:
+def krust_inequality_batch(data: WeierstrassData, w1, w2) -> KrustInequality:
     """lhs = <p2 - p1, i (q2 - q1)>_0 with p = pi(X), q = pi(X*), against the
     path-integral form along the pulled-back plane segment:
 
@@ -552,10 +546,9 @@ def krust_inequality_batch(data: WeierstrassData, w1, w2, steps: int = 200) -> K
 
     Trapezoid quadrature on the continuation nodes, beta' by central
     differences (second-order one-sided at the ends).  Both sides must be
-    positive; they agree to o(1/steps) for smooth data.
+    positive; they agree to o(1/steps) for smooth data (steps = _KRUST_STEPS).
     """
-    if steps < 2:
-        raise ValueError("need at least 2 steps")
+    steps = _KRUST_STEPS
     w1 = np.atleast_1d(np.asarray(w1, dtype=complex))
     w2 = np.atleast_1d(np.asarray(w2, dtype=complex))
     if w1.shape != w2.shape:
@@ -606,11 +599,14 @@ class SpacelikeReport:
 
 def spacelike_mesh_check(mesh: SurfaceMesh) -> SpacelikeReport:
     """min <e,e> over mesh edges (positive iff all edges spacelike) and the
-    projection-expansion margin min(|pi(e)|^2 - <e,e>) = min e3^2 >= 0."""
+    projection-expansion margin min(|pi(e)|^2 - <e,e>) = min e3^2 >= 0.
+
+    Taken over the triangles' half-edges: an interior edge counts twice,
+    which leaves both minima unchanged, and every term is a square."""
     if mesh.ambient is not Ambient.LORENTZIAN:
         raise AmbientMismatch("spacelike check needs a Lorentzian mesh")
-    edges = _undirected_edges(mesh.param.triangles)
-    e = mesh.positions[edges[:, 0]] - mesh.positions[edges[:, 1]]
+    t = mesh.param.triangles
+    e = mesh.positions[t.ravel()] - mesh.positions[np.roll(t, -1, axis=1).ravel()]
     q = e[:, 0] ** 2 + e[:, 1] ** 2 - e[:, 2] ** 2
     return SpacelikeReport(float(np.min(q)), float(np.min(e[:, 2] ** 2)))
 

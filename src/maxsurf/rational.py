@@ -187,16 +187,14 @@ class RationalHolomorphic:
         n[: qd.size] -= qd
         return RationalHolomorphic(n, np.convolve(self.den, self.den), self.radius)
 
-    def equivalent(self, other: "RationalHolomorphic", tol: float = 0.0) -> bool:
-        """Cross-multiplication test P1*Q2 == P2*Q1 at the coefficient level."""
+    def equivalent(self, other: "RationalHolomorphic") -> bool:
+        """Cross-multiplication test P1*Q2 == P2*Q1, exact on the coefficients."""
         a = np.convolve(self.num, other.den)
         b = np.convolve(other.num, self.den)
-        n = max(a.size, b.size)
-        d = np.zeros(n, dtype=complex)
+        d = np.zeros(max(a.size, b.size), dtype=complex)
         d[: a.size] += a
         d[: b.size] -= b
-        scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0)
-        return float(np.max(np.abs(d))) <= tol * scale
+        return not np.any(d)
 
     # ---- serialization ----
 

@@ -44,14 +44,13 @@ _GRAPH_MARGIN = 1e-9
 _COMMON_ZERO_REL = 1e-9
 
 MAXIMAL_GRAPH = "maximal-graph"
-GENERAL = "general"
 
 
-def _sample_circle(radius: float, n: int = _ISOTROPY_SAMPLES) -> np.ndarray:
+def _sample_circle(radius: float) -> np.ndarray:
     # Two interleaved rings; deterministic, stays away from the center.
-    k = np.arange(n)
+    k = np.arange(_ISOTROPY_SAMPLES)
     r = radius * np.where(k % 2 == 0, 0.55, 0.95)
-    return r * np.exp(2j * np.pi * k / n)
+    return r * np.exp(2j * np.pi * k / _ISOTROPY_SAMPLES)
 
 
 def _polar_grid(radius: float) -> np.ndarray:
@@ -74,9 +73,9 @@ class IsotropicCurve:
         if worst > _ISOTROPY_TOL:
             raise IsotropyError(f"sampled isotropy residual {worst:.3g} > {_ISOTROPY_TOL:g}")
 
-    def isotropy_residual(self, n: int = _ISOTROPY_SAMPLES) -> float:
-        """Max relative quadric residual over n sample points in the disk."""
-        z = _sample_circle(self.radius, n)
+    def isotropy_residual(self) -> float:
+        """Max relative quadric residual over _ISOTROPY_SAMPLES points in the disk."""
+        z = _sample_circle(self.radius)
         p1, p2, p3 = (f.density._eval(z) for f in self.forms)
         s = -1.0 if self.ambient is Ambient.LORENTZIAN else 1.0
         quad = p1 * p1 + p2 * p2 + s * (p3 * p3)
@@ -130,11 +129,8 @@ class WeierstrassData:
     domain_radius: float
     base_point: complex = 0j
     base_value: Vec3 = Vec3(0.0, 0.0, 0.0, Ambient.LORENTZIAN)
-    kind: str = MAXIMAL_GRAPH
 
     def __post_init__(self):
-        if self.kind not in (MAXIMAL_GRAPH, GENERAL):
-            raise ValueError(f"unknown kind {self.kind!r}")
         r = float(self.domain_radius)
         if not (0 < r <= min(self.g.radius, self.dh.radius)):
             raise DomainError("domain radius must fit inside both validity disks")
@@ -146,10 +142,9 @@ class WeierstrassData:
         hp = np.abs(self.dh.density._eval(grid))
         if float(np.min(hp)) < _COMMON_ZERO_REL * float(np.max(hp)):
             raise CommonZeroError("dh vanishes in the domain disk (sampled)")
-        if self.kind == MAXIMAL_GRAPH:
-            gmin = float(np.min(np.abs(self.g._eval(grid))))
-            if not gmin > 1.0 + _GRAPH_MARGIN:
-                raise NotSpacelike(f"min |g| = {gmin:.6g} on the domain disk; need > 1")
+        gmin = float(np.min(np.abs(self.g._eval(grid))))
+        if not gmin > 1.0 + _GRAPH_MARGIN:
+            raise NotSpacelike(f"min |g| = {gmin:.6g} on the domain disk; need > 1")
         object.__setattr__(self, "domain_radius", r)
         object.__setattr__(self, "base_point", complex(self.base_point))
 
@@ -160,11 +155,13 @@ class WeierstrassData:
             "radius": float(self.domain_radius),
             "base": [self.base_point.real, self.base_point.imag],
             "base_value": [self.base_value.x1, self.base_value.x2, self.base_value.x3],
-            "kind": self.kind,
+            "kind": MAXIMAL_GRAPH,
         }
 
     @classmethod
     def from_obj(cls, obj: dict) -> "WeierstrassData":
+        if obj["kind"] != MAXIMAL_GRAPH:
+            raise ValueError(f"unknown kind {obj['kind']!r}; the only kind is {MAXIMAL_GRAPH!r}")
         bx, by, bz = obj["base_value"]
         return cls(
             RationalHolomorphic.from_obj(obj["g"]),
@@ -172,7 +169,6 @@ class WeierstrassData:
             float(obj["radius"]),
             complex(obj["base"][0], obj["base"][1]),
             Vec3(bx, by, bz, Ambient.LORENTZIAN),
-            obj["kind"],
         )
 
 

@@ -3,9 +3,9 @@
 Everything here is computed by a route disjoint from the package internals:
 closed-form antiderivatives, composite Simpson quadrature on dense nodes,
 loop and all-pairs forms of the mesh build and planar predicates, row-by-row
-forms of the text writers and reader, and hand-derived constants for the
-built-in catalog families.  Tests compare
-package output against these, never against the package itself.
+forms of the text writers and reader, one expression per finite-difference
+rule, and hand-derived constants for the built-in catalog families.  Tests
+compare package output against these, never against the package itself.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import json
 from fractions import Fraction
 
 import numpy as np
+
+from maxsurf.errors import DegenerateMask, NotSpacelike
 
 
 def simpson_line(func, a: complex, b: complex, n: int = 4096) -> complex:
@@ -284,3 +286,122 @@ def load_field_rows(csv_path, header_path):
             values[i, j] = float(vs)
             mask[i, j] = True
     return origin, h, values, mask
+
+
+# ---- the finite-difference layer with one expression per rule ----
+#
+# Each difference rule written out as its own integer-weight expression, and
+# separate x-edge and y-edge code.  The package's rule table and single axis
+# path must reproduce these arrays bit for bit.
+
+
+def axis_derivative_rules(values, mask, h, axis):
+    """(derivative, grade) per cell along an axis; the last applicable rule wins."""
+    v = values if axis == 0 else values.T
+    m = mask if axis == 0 else mask.T
+    out = np.zeros_like(v)
+    qual = np.zeros(v.shape, dtype=np.int8)
+
+    def shifted(k):
+        s = np.zeros_like(m)
+        if k > 0:
+            s[:-k, :] = m[k:, :]
+        else:
+            s[-k:, :] = m[:k, :]
+        return s
+
+    up1, up2, up3, up4 = shifted(1), shifted(2), shifted(3), shifted(4)
+    dn1, dn2, dn3, dn4 = shifted(-1), shifted(-2), shifted(-3), shifted(-4)
+    vp1, vp2, vp3, vp4 = (np.roll(v, -k, axis=0) for k in (1, 2, 3, 4))
+    vm1, vm2, vm3, vm4 = (np.roll(v, k, axis=0) for k in (1, 2, 3, 4))
+
+    for sel, grade, expr in [
+        (m & dn1, 1, lambda: (v - vm1) / h),
+        (m & up1, 1, lambda: (vp1 - v) / h),
+        (m & dn1 & dn2, 2, lambda: (3 * v - 4 * vm1 + vm2) / (2 * h)),
+        (m & up1 & up2, 2, lambda: (-3 * v + 4 * vp1 - vp2) / (2 * h)),
+        (m & dn1 & dn2 & dn3, 2, lambda: (2 * v - 7 * vm1 / 2 + 2 * vm2 - vm3 / 2) / h),
+        (m & up1 & up2 & up3, 2, lambda: (-2 * v + 7 * vp1 / 2 - 2 * vp2 + vp3 / 2) / h),
+        (
+            m & dn1 & dn2 & dn3 & dn4,
+            3,
+            lambda: (5 * v / 2 - 11 * vm1 / 2 + 5 * vm2 - 5 * vm3 / 2 + vm4 / 2) / h,
+        ),
+        (
+            m & up1 & up2 & up3 & up4,
+            3,
+            lambda: (-5 * v / 2 + 11 * vp1 / 2 - 5 * vp2 + 5 * vp3 / 2 - vp4 / 2) / h,
+        ),
+        (m & up1 & dn1, 3, lambda: (vp1 - vm1) / (2 * h)),
+    ]:
+        if sel.any():
+            out[sel] = expr()[sel]
+            qual[sel] = grade
+
+    if axis == 1:
+        out, qual = out.T, qual.T
+    return out, qual
+
+
+def _edge_average(cell_vals, cell_q, exist, axis):
+    if axis == 0:
+        a, b = cell_vals[:-1, :], cell_vals[1:, :]
+        qa, qb = cell_q[:-1, :], cell_q[1:, :]
+    else:
+        a, b = cell_vals[:, :-1], cell_vals[:, 1:]
+        qa, qb = cell_q[:, :-1], cell_q[:, 1:]
+    ha, hb = qa > 0, qb > 0
+    cnt = ha.astype(float) + hb.astype(float)
+    if np.any(exist & (cnt == 0)):
+        raise DegenerateMask("mask too thin for a cross-derivative estimate at an edge")
+    out = np.zeros_like(a)
+    np.divide(
+        np.where(ha, a, 0.0) + np.where(hb, b, 0.0), cnt, out=out, where=exist & (cnt > 0)
+    )
+    qual = np.where(cnt == 2, np.minimum(qa, qb), np.minimum(np.maximum(qa, qb), 1))
+    return out, np.where(exist, qual, 0).astype(np.int8)
+
+
+def _normalizer(d, c, exist, sign):
+    s = 1.0 + sign * (d * d + c * c)
+    if sign < 0 and np.any(exist & (s <= 1e-12)):
+        raise NotSpacelike("|Df| >= 1 at a grid edge")
+    return np.sqrt(np.where(exist, np.abs(s), 1.0))
+
+
+class EdgeDataPerAxis:
+    """Per-edge estimates and normalizers, x-edges and y-edges coded apart."""
+
+    def __init__(self, f, sign):
+        v, m, h = f.values, f.mask, f.spacing
+        self.exist_x = m[:-1, :] & m[1:, :]
+        self.exist_y = m[:, :-1] & m[:, 1:]
+        cy_cell, q_cy = axis_derivative_rules(v, m, h, 1)
+        cx_cell, q_cx = axis_derivative_rules(v, m, h, 0)
+        self.dx = np.where(self.exist_x, (v[1:, :] - v[:-1, :]) / h, 0.0)
+        self.dy = np.where(self.exist_y, (v[:, 1:] - v[:, :-1]) / h, 0.0)
+        self.cx, self.qx = _edge_average(cy_cell, q_cy, self.exist_x, axis=0)
+        self.cy, self.qy = _edge_average(cx_cell, q_cx, self.exist_y, axis=1)
+        self.nx_edge = _normalizer(self.dx, self.cx, self.exist_x, sign)
+        self.ny_edge = _normalizer(self.dy, self.cy, self.exist_y, sign)
+        ey, ex = self.exist_y, self.exist_x
+        self.plaq = ey[:-1, :] & ey[1:, :] & ex[:, :-1] & ex[:, 1:]
+        qy, qx = self.qy, self.qx
+        self.supported = (
+            self.plaq & (qy[:-1, :] >= 3) & (qy[1:, :] >= 3) & (qx[:, :-1] >= 3) & (qx[:, 1:] >= 3)
+        )
+
+
+def flux_curl_per_axis(f, kind):
+    """(values, mask) of the dual field's plaquette circulation, with W
+    rotated from the edge flux and negated on the x-edges."""
+    sign = +1.0 if kind == "minimal" else -1.0
+    e = EdgeDataPerAxis(f, sign)
+    w2_on_y = (sign) * e.cy / e.ny_edge
+    w1_on_x = (-sign) * e.cx / e.nx_edge
+    a_on_y, b_on_x, h = w2_on_y, -w1_on_x, f.spacing
+    resid = np.zeros_like(e.supported, dtype=float)
+    resid[e.supported] = (
+        (a_on_y[1:, :] - a_on_y[:-1, :]) / h + (b_on_x[:, 1:] - b_on_x[:, :-1]) / h
+    )[e.supported]
+    return resid, e.supported

@@ -82,7 +82,7 @@ def test_criterion_01_isotropy(catalog_data):
             build_isotropic_maximal(data),
             build_isotropic_euclidean(data.g, data.dh),
         ):
-            worst = max(worst, curve.isotropy_residual(32))
+            worst = max(worst, curve.isotropy_residual())
             count += 1
     assert worst < 1e-10, f"worst isotropy residual {worst:.3e}"
     return f"worst residual {worst:.1e} < 1e-10 over {count} curves at 32 points"
@@ -140,7 +140,7 @@ def test_criterion_04_krust_inequality(catalog_data, rng):
         data = catalog_data[name]
         w1 = disk_samples(rng, data.domain_radius, 100)
         w2 = disk_samples(rng, data.domain_radius, 100)
-        out = krust_inequality_batch(data, w1, w2, steps=200)
+        out = krust_inequality_batch(data, w1, w2)
         min_lhs = min(min_lhs, float(out.lhs.min()))
         worst_rel = max(worst_rel, float(np.max(np.abs(out.lhs - out.integral) / out.lhs)))
         pairs += w1.size

@@ -332,6 +332,24 @@ class TestErrors:
         assert code == 1
         assert f"bad {kind} object" in cap.err
 
+    @pytest.mark.parametrize(
+        "g, radius",
+        [([[0.5, 0.0]], 0.5), ([[0.9, 0.0], [1.0, 0.0]], 0.5)],
+        ids=["spacelike-plane-g0.5", "g-crosses-1"],
+    )
+    def test_non_graph_datum_rejected_whatever_its_kind(self, tmp_path, capsys, g, radius):
+        # |g| <= 1 somewhere on the disk: not a maximal graph, so no verdict
+        one = {"num": [[1.0, 0.0]], "den": [[1.0, 0.0]], "radius": 2.0}
+        obj = {"g": {"num": g, "den": [[1.0, 0.0]], "radius": 2.0}, "dh": one,
+               "radius": radius, "base": [0, 0], "base_value": [0, 0, 0]}
+        for kind, message in [("general", "unknown kind 'general'"), ("maximal-graph", "min |g|")]:
+            cfgp = tmp_path / f"{kind}.json"
+            cfgp.write_text(json.dumps({**obj, "kind": kind}))
+            code, cap = run_json(capsys, "verify-krust", "--config", str(cfgp), "--mesh-n", "16")
+            assert code == 1
+            assert cap.out == ""
+            assert "bad datum object" in cap.err and message in cap.err
+
     def test_degree_cap(self, tmp_path):
         # 1 - (z/1.5)^300: every pole at |z| = 1.5, so only the degree is wrong
         den = [[1.0, 0.0]] + [[0.0, 0.0]] * 299 + [[-(1 / 1.5) ** 300, 0.0]]

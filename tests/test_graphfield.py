@@ -7,12 +7,17 @@ import pytest
 from maxsurf.errors import (
     CurlError,
     DegenerateMask,
+    MaxsurfError,
     NotSimplyConnected,
     NotSpacelike,
     OverlapEmpty,
 )
 from maxsurf.graphfield import (
+    _RULES,
     ScalarField,
+    _axis_derivative,
+    _EdgeData,
+    _edges,
     dualize_maximal_to_minimal,
     dualize_minimal_to_maximal,
     flux_curl,
@@ -24,7 +29,17 @@ from maxsurf.graphfield import (
     shift_agreement,
 )
 
-from oracles import helicoid_dual_height, helicoid_height, load_field_rows, save_field_rows
+from maxsurf.meshcheck import resample_graph
+
+from oracles import (
+    EdgeDataPerAxis,
+    axis_derivative_rules,
+    flux_curl_per_axis,
+    helicoid_dual_height,
+    helicoid_height,
+    load_field_rows,
+    save_field_rows,
+)
 
 
 def full(x, y):
@@ -395,3 +410,115 @@ class TestHostileFieldFiles:
         csv, hp = self.write(tmp_path, {}, "")
         csv.write_text("")
         assert not load_field(csv, hp).mask.any()
+
+
+# ---- the derivative layer: rule table, one axis path, one residual ----
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if got.dtype == float:
+        got, want = got.view(np.int64), want.view(np.int64)
+    return np.array_equal(got, want)
+
+
+def random_ragged_field(rng):
+    """Union of random rectangles, some one cell thin, sometimes peppered
+    with holes; values from 1e-8 to 1e8 with signed zeros, spacing 1e-4..10."""
+    nx, ny = rng.integers(2, 40, 2)
+    mask = np.zeros((nx, ny), dtype=bool)
+    for _ in range(rng.integers(1, 6)):
+        i, j = rng.integers(0, nx), rng.integers(0, ny)
+        mask[i:i + rng.integers(1, nx + 1), j:j + rng.integers(1, ny + 1)] = True
+    if rng.uniform() < 0.3:
+        mask &= rng.uniform(size=(nx, ny)) < rng.uniform(0.7, 1.0)
+    h = 10.0 ** rng.uniform(-4, 1)
+    if rng.uniform() < 0.5:  # slopes below 1, so the maximal normalizer passes
+        values = 0.3 * h * rng.uniform(-1, 1, (nx, ny)).cumsum(axis=0)
+    else:
+        values = 10.0 ** rng.uniform(-8, 8) * rng.normal(size=(nx, ny))
+    values[rng.uniform(size=(nx, ny)) < 0.05] = -0.0
+    return ScalarField(tuple(rng.normal(size=2)), h, np.where(mask, values, 0.0), mask)
+
+
+def assert_layer_matches_oracle(f):
+    """_axis_derivative, _edges, _EdgeData and flux_curl against the
+    per-rule, per-axis oracle: equal bits (signed zeros included), or the
+    same error."""
+    for axis in (0, 1):
+        got = _axis_derivative(f.values, f.mask, f.spacing, axis)
+        want = axis_derivative_rules(f.values, f.mask, f.spacing, axis)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    for sign, kind in ((1.0, "minimal"), (-1.0, "maximal")):
+        try:
+            want = EdgeDataPerAxis(f, sign)
+        except MaxsurfError as exc:
+            with pytest.raises(type(exc)):
+                _EdgeData(f, sign)
+            continue
+        for axis, names in ((0, ("exist_x", "dx", "cx", "qx")), (1, ("exist_y", "dy", "cy", "qy"))):
+            for got, name in zip(_edges(f, axis), names):
+                assert same_bits(got, getattr(want, name)), name
+                assert got.flags.c_contiguous, name
+        got = _EdgeData(f, sign)
+        for name in _EdgeData.__slots__:
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        curl = flux_curl(f, kind)
+        want_values, want_mask = flux_curl_per_axis(f, kind)
+        assert same_bits(curl.values, want_values) and same_bits(curl.mask, want_mask)
+
+
+class TestRuleTable:
+    @staticmethod
+    def moments(taps, upto):
+        return [sum(w * k**j for k, w in taps) for j in range(upto + 1)]
+
+    def test_moments(self):
+        # sum_k w k^j for j = 0, 1, ...: the Taylor coefficients of the rule
+        for grade, taps in _RULES:
+            m = self.moments(taps, 4)
+            assert m[:2] == [0, 1]
+            if grade >= 2:
+                assert m[2] == 0
+                if len(taps) == 4:
+                    assert m[3] == 1
+            if grade == 3:
+                assert m == [0, 1, 0, 1, 0]
+
+    def test_order_and_grades(self):
+        assert [grade for grade, _ in _RULES] == [1, 1, 2, 2, 2, 2, 3, 3, 3]
+        assert sorted(_RULES[-1][1]) == [(-1, -0.5), (1, 0.5)]  # central last
+        for (_, backward), (_, forward) in zip(_RULES[:-1:2], _RULES[1:-1:2]):
+            assert max(k for k, _ in backward) == 0
+            assert sorted((-k, -w) for k, w in backward) == sorted(forward)
+
+
+class TestDerivativeOracle:
+    def test_random_ragged_masks(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            assert_layer_matches_oracle(random_ragged_field(rng))
+
+    def test_helicoid(self):
+        assert_layer_matches_oracle(helicoid_rect(0.01))
+
+    def test_resampled_catalog_fields(self, catalog_data):
+        zeros = 0
+        for data in catalog_data.values():
+            out = resample_graph(data, 0.02)
+            for f in (out.field, out.dual_height):
+                assert_layer_matches_oracle(f)
+            curl = flux_curl(out.field, "maximal")
+            zeros += int(np.sum(curl.values[curl.mask] == 0))
+        assert zeros > 0  # so the bit comparison checks the sign of zero on the mask
+
+    def test_thin_axis_reported_before_non_spacelike_axis(self):
+        # x-edges of the block are steep (|Df| = 2); the one-cell column's
+        # y-edges have no x-neighbor for a cross derivative
+        mask = np.zeros((10, 6), dtype=bool)
+        mask[:5, :] = True
+        mask[7, :4] = True
+        f = ScalarField((0.0, 0.0), 0.1, np.where(mask, 2.0 * 0.1 * np.arange(10)[:, None], 0.0), mask)
+        with pytest.raises(DegenerateMask):
+            maximal_residual(f)

@@ -94,10 +94,12 @@ class TestDataValidation:
         with pytest.raises(AmbientMismatch):
             WeierstrassData(g, self.std_form(), 0.5, 0j, Vec3(0, 0, 0, Ambient.EUCLIDEAN))
 
-    def test_unknown_kind_rejected(self):
-        g = RationalHolomorphic.constant(2.0, 2.0)
-        with pytest.raises(ValueError):
-            WeierstrassData(g, self.std_form(), 0.5, kind="nope")
+    def test_unknown_kind_rejected(self, catalog_data):
+        obj = catalog_data["plane-r05"].to_obj()
+        assert obj["kind"] == "maximal-graph"
+        for kind in ("nope", "general"):
+            with pytest.raises(ValueError, match="unknown kind"):
+                WeierstrassData.from_obj({**obj, "kind": kind})
 
     def test_obj_round_trip(self, catalog_data):
         data = catalog_data["rational-r09"]
