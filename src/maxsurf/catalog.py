@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .rational import HolomorphicForm, RationalHolomorphic
+from .rational import RationalHolomorphic
 from .weierstrass import WeierstrassData
 
 _VALIDITY = 2.0
@@ -34,7 +34,7 @@ def catalog() -> dict[str, WeierstrassData]:
     for gname, (num, den) in _G.items():
         for rname, radius in _RADII.items():
             g = RationalHolomorphic(num, den, _VALIDITY)
-            dz = HolomorphicForm(RationalHolomorphic([1.0], [1.0], _VALIDITY))
+            dz = RationalHolomorphic([1.0], [1.0], _VALIDITY)
             out[f"{gname}-{rname}"] = WeierstrassData(g, dz, radius)
     return out
 

@@ -77,6 +77,12 @@ class CliError(Exception):
 _BAD_OBJECT = (KeyError, TypeError, ValueError, ZeroDivisionError, MaxsurfError)
 
 
+def _bad_input(prefix: str, e: Exception) -> CliError:
+    """CliError "prefix: e"; a KeyError's text is the bare key, so name it."""
+    why = f"missing key {e.args[0]!r}" if isinstance(e, KeyError) else e
+    return CliError(f"{prefix}: {why}")
+
+
 _FLAGS = {
     "--datum": {"help": "built-in catalog datum name"},
     "--config": {"help": "path to a JSON input description"},
@@ -145,7 +151,7 @@ def _load_datum(args: argparse.Namespace, obj: dict | None = None) -> Weierstras
             try:
                 return WeierstrassData.from_obj(obj)
             except _BAD_OBJECT as e:
-                raise CliError(f"bad datum object: {e}") from e
+                raise _bad_input("bad datum object", e) from e
         name = obj.get("datum")
         if not isinstance(name, str):
             raise CliError('config needs a datum object or a string "datum" name')
@@ -215,7 +221,7 @@ def _load_curve(args: argparse.Namespace) -> IsotropicCurve:
         try:
             return IsotropicCurve.from_obj(obj)
         except _BAD_OBJECT as e:
-            raise CliError(f"bad curve object: {e}") from e
+            raise _bad_input("bad curve object", e) from e
     return build_isotropic_maximal(_load_datum(args, obj))
 
 
@@ -256,7 +262,7 @@ def _cmd_dualize_graph(args: argparse.Namespace) -> int:
     except OSError as e:
         raise CliError(f"cannot read field: {e}") from e
     except (ValueError, KeyError, TypeError) as e:
-        raise CliError(f"malformed field file: {e}") from e
+        raise _bad_input("malformed field file", e) from e
     out = _out_dir(args)
     op = dualize_minimal_to_maximal if direction == "minimal-to-maximal" else dualize_maximal_to_minimal
     dual = op(field, curl_tol=curl_tol)
@@ -313,9 +319,7 @@ def _identity_battery(data: WeierstrassData, rng: np.random.Generator) -> dict:
         direction = (np.cos(ang), np.sin(ang))
         rot = max(rot, rotation_identity_check(im, conj, data, complex(w), direction))
 
-    twice = Immersion(
-        conjugate_curve(conjugate_curve(curve)), im.base_point, im.base_value, r
-    )
+    twice = Immersion(conjugate_curve(conjugate_curve(curve)), im.base_point, im.base_value)
     invol = 0.0
     for w in _unit_disk_samples(rng, r, 4):
         got = immerse(twice, complex(w)).as_array()

@@ -21,20 +21,20 @@ def flat(curve: IsotropicCurve) -> IsotropicCurve:
     """E3 -> L3: multiply the third component by -i."""
     if curve.ambient is not Ambient.EUCLIDEAN:
         raise AmbientMismatch("flat expects a Euclidean curve")
-    return IsotropicCurve(curve.psi1, curve.psi2, curve.psi3.scaled(-1j), Ambient.LORENTZIAN)
+    return IsotropicCurve(curve.psi1, curve.psi2, curve.psi3 * -1j, Ambient.LORENTZIAN)
 
 
 def sharp(curve: IsotropicCurve) -> IsotropicCurve:
     """L3 -> E3: multiply the third component by i."""
     if curve.ambient is not Ambient.LORENTZIAN:
         raise AmbientMismatch("sharp expects a Lorentzian curve")
-    return IsotropicCurve(curve.psi1, curve.psi2, curve.psi3.scaled(1j), Ambient.EUCLIDEAN)
+    return IsotropicCurve(curve.psi1, curve.psi2, curve.psi3 * 1j, Ambient.EUCLIDEAN)
 
 
 def _coeff_gap(a: IsotropicCurve, b: IsotropicCurve) -> float:
     gap = 0.0
     for fa, fb in zip(a.forms, b.forms):
-        for ca, cb in ((fa.density.num, fb.density.num), (fa.density.den, fb.density.den)):
+        for ca, cb in ((fa.num, fb.num), (fa.den, fb.den)):
             if ca.shape != cb.shape:
                 return np.inf
             if ca.size:

@@ -270,8 +270,10 @@ def flux_curl(f: ScalarField, kind: str = "minimal") -> ScalarField:
     Evaluated through the identical array expression as the residual, so it
     equals minimal_residual(f) bit for bit (kind="minimal"), or
     -maximal_residual(f) exactly (kind="maximal"; an exact zero keeps the
-    sign of the rotated flux's difference).
+    sign of the rotated flux's difference).  Any other kind raises ValueError.
     """
+    if kind not in ("minimal", "maximal"):
+        raise ValueError(f"unknown kind {kind!r}; expected 'minimal' or 'maximal'")
     sign = +1.0 if kind == "minimal" else -1.0
     e = _EdgeData(f, sign)
     return _plaquette_divergence(

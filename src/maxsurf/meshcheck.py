@@ -32,7 +32,7 @@ from .errors import (
 )
 from .graphfield import ScalarField, dualize_maximal_to_minimal, shift_agreement
 from .lorentz import Ambient, cross_lorentz
-from .rational import HolomorphicForm, RationalHolomorphic, integrate_to_many
+from .rational import RationalHolomorphic, integrate_to_many
 from .weierstrass import (
     Immersion,
     WeierstrassData,
@@ -57,7 +57,7 @@ _TOL = 1e-10
 _RESAMPLE_MESH_N = 48
 _RESAMPLE_MARGIN_CELLS = 2
 _LEE_CURL_TOL = 1e-2
-# Rings of folded_disk_mesh; trapezoid steps of krust_inequality_batch.
+# Rings of folded_disk_mesh; continuation (and trapezoid) steps of _walk.
 _FOLD_N = 16
 _KRUST_STEPS = 200
 # Shewchuk's bound on the rounding error of the float (b - a) x (c - a),
@@ -442,16 +442,16 @@ class _ProjectionWalker:
 
     Starts at the parameters w and evaluates pi(X) at each Newton candidate
     from the closed-form primitives of psi1, psi2, integrated from the base
-    point.  forms are im's curve forms, certified on the disk of eval_radius,
-    which Newton iterates may reach beyond the domain disk.
+    point.  forms are im's curve forms, certified on a disk that Newton
+    iterates may reach beyond the domain disk.
     """
 
-    def __init__(self, im: Immersion, forms, eval_radius: float, w):
+    def __init__(self, im: Immersion, forms, w):
         self.f1, self.f2 = forms[0], forms[1]
         self.base = im.base_point
         self.off = complex(im.base_value.x1, im.base_value.x2)
         self.w = np.array(w, dtype=complex)
-        self.eval_r = eval_radius * (1.0 + 1e-12)
+        self.eval_r = min(self.f1.radius, self.f2.radius) * (1.0 + 1e-12)
         self.domain_r = im.domain_radius
 
     def projection(self, w) -> np.ndarray:
@@ -467,8 +467,8 @@ class _ProjectionWalker:
                     raise NewtonDivergence("pullback path exits the domain disk")
                 self.w = w
                 return
-            v1 = self.f1.density._eval(w)
-            v2 = self.f2.density._eval(w)
+            v1 = self.f1._eval(w)
+            v2 = self.f2._eval(w)
             a = 0.5 * (v1 + 1j * v2)
             bc = 0.5 * np.conj(v1 - 1j * v2)
             det = np.abs(a) ** 2 - np.abs(bc) ** 2
@@ -485,8 +485,8 @@ class _ProjectionWalker:
 
 
 def _wide_maximal_curve(im: Immersion, data: WeierstrassData):
-    """The forms of im = immersion_from_data(data) and the disk they are
-    certified on, as wide as possible for Newton overshoot.
+    """The forms of im = immersion_from_data(data), certified on as wide a
+    disk as possible for Newton overshoot.
 
     The coefficients do not depend on the radius, so the forms are re-tagged
     to min(g.radius, dh.radius).  Where g vanishes in that disk the re-tagged
@@ -494,36 +494,33 @@ def _wide_maximal_curve(im: Immersion, data: WeierstrassData):
     """
     r = min(data.g.radius, data.dh.radius)
     try:
-        forms = [
-            HolomorphicForm(RationalHolomorphic(f.density.num, f.density.den, r))
-            for f in im.curve.forms
-        ]
+        return [RationalHolomorphic(f.num, f.den, r) for f in im.curve.forms]
     except PoleInDomain:
-        return im.curve.forms, im.domain_radius
-    return forms, r
+        return im.curve.forms
 
 
-def pullback_segment(im: Immersion, p1, p2, steps: int = 200) -> np.ndarray:
-    """Parameters beta(t_k) with pi(X(beta(t_k))) = (1-t_k) p1 + t_k p2.
+def _walk(walker: _ProjectionWalker, p1, p2) -> np.ndarray:
+    """Walker parameters at t = j / _KRUST_STEPS on p1 -> p2; (_KRUST_STEPS + 1, k)."""
+    betas = np.empty((_KRUST_STEPS + 1, walker.w.size), dtype=complex)
+    betas[0] = walker.w
+    span = p2 - p1
+    for j in range(1, _KRUST_STEPS + 1):
+        walker.solve(p1 + (j / _KRUST_STEPS) * span)
+        betas[j] = walker.w
+    return betas
+
+
+def pullback_segment(im: Immersion, p1: complex, p2: complex) -> np.ndarray:
+    """Parameters beta(t_j) with pi(X(beta(t_j))) = (1-t_j) p1 + t_j p2.
 
     Newton continuation seeded at the base point: a first pass walks the
     projection from pi(X(base)) to p1, the returned path covers p1 -> p2 at
-    steps+1 uniform nodes.  Residual increase is met by step halving;
+    _KRUST_STEPS + 1 uniform nodes.  Residual increase is met by step halving;
     NewtonDivergence signals that the segment leaves the sampled domain.
     """
-    if steps < 2:
-        raise ValueError("need at least 2 steps")
-    p1 = complex(p1) if np.isscalar(p1) or isinstance(p1, complex) else complex(p1[0], p1[1])
-    p2 = complex(p2) if np.isscalar(p2) or isinstance(p2, complex) else complex(p2[0], p2[1])
-    walker = _ProjectionWalker(im, im.curve.forms, im.curve.radius, [im.base_point])
-    off = walker.off
-    for t in np.linspace(0.0, 1.0, steps + 1)[1:]:
-        walker.solve(np.array([off + t * (p1 - off)]))
-    betas = [walker.w.copy()]
-    for t in np.linspace(0.0, 1.0, steps + 1)[1:]:
-        walker.solve(np.array([p1 + t * (p2 - p1)]))
-        betas.append(walker.w.copy())
-    return np.concatenate(betas)
+    walker = _ProjectionWalker(im, im.curve.forms, [im.base_point])
+    _walk(walker, walker.off, complex(p1))
+    return _walk(walker, complex(p1), complex(p2))[:, 0]
 
 
 # ---- positivity of the conjugate width ----
@@ -548,7 +545,6 @@ def krust_inequality_batch(data: WeierstrassData, w1, w2) -> KrustInequality:
     differences (second-order one-sided at the ends).  Both sides must be
     positive; they agree to o(1/steps) for smooth data (steps = _KRUST_STEPS).
     """
-    steps = _KRUST_STEPS
     w1 = np.atleast_1d(np.asarray(w1, dtype=complex))
     w2 = np.atleast_1d(np.asarray(w2, dtype=complex))
     if w1.shape != w2.shape:
@@ -559,7 +555,7 @@ def krust_inequality_batch(data: WeierstrassData, w1, w2) -> KrustInequality:
     im = immersion_from_data(data)
     ints1 = integrals_at_many(im, w1)
     ints2 = integrals_at_many(im, w2)
-    walker = _ProjectionWalker(im, *_wide_maximal_curve(im, data), w1)
+    walker = _ProjectionWalker(im, _wide_maximal_curve(im, data), w1)
     off = walker.off
     p1 = off + ints1[:, 0].real + 1j * ints1[:, 1].real
     p2 = off + ints2[:, 0].real + 1j * ints2[:, 1].real
@@ -567,21 +563,16 @@ def krust_inequality_batch(data: WeierstrassData, w1, w2) -> KrustInequality:
     q2 = ints2[:, 0].imag + 1j * ints2[:, 1].imag
     lhs = np.real(np.conj(p2 - p1) * (1j * (q2 - q1)))
 
-    betas = np.empty((steps + 1, w1.size), dtype=complex)
-    betas[0] = w1
-    span = p2 - p1
-    for k in range(1, steps + 1):
-        walker.solve(p1 + (k / steps) * span)
-        betas[k] = walker.w
+    betas = _walk(walker, p1, p2)
 
-    dt = 1.0 / steps
+    dt = 1.0 / _KRUST_STEPS
     bp = np.empty_like(betas)
     bp[1:-1] = (betas[2:] - betas[:-2]) / (2 * dt)
     bp[0] = (-3 * betas[0] + 4 * betas[1] - betas[2]) / (2 * dt)
     bp[-1] = (3 * betas[-1] - 4 * betas[-2] + betas[-3]) / (2 * dt)
 
     gv = np.abs(data.g._eval(betas))
-    hp = np.abs(data.dh.density._eval(betas))
+    hp = np.abs(data.dh._eval(betas))
     f = (np.abs(bp) ** 2) * (hp ** 2) / 4.0 * (gv ** 2 - 1.0 / gv ** 2)
     integral = dt * (0.5 * f[0] + f[1:-1].sum(axis=0) + 0.5 * f[-1])
 
@@ -713,8 +704,8 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
 
     targets = (gx + 1j * gy)[mask]
     seed = _nearest_vertex(px + 1j * py, mesh.triangles, targets)
-    forms, eval_r = _wide_maximal_curve(im, data)
-    walker = _ProjectionWalker(im, forms, eval_r, mesh.vertices[seed])
+    forms = _wide_maximal_curve(im, data)
+    walker = _ProjectionWalker(im, forms, mesh.vertices[seed])
     walker.solve(targets)
     i3 = integrate_to_many(forms[2], im.base_point, walker.w)
 

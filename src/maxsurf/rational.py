@@ -9,10 +9,9 @@ value is rejected.  All arithmetic is exact quotient arithmetic on the
 coefficient level, so algebraic identities between derived quantities hold to
 rounding error rather than to an approximation tolerance.
 
-:class:`HolomorphicForm` tags a rational function as the coefficient of dz.
-Its :class:`Primitive`, built once per form and certified on the rim, is a
-closed form of the integral (polynomial part plus principal parts at the
-poles), and :func:`integrate_to_many` evaluates it at segment endpoints.
+:func:`integrate_to_many` integrates f as the form f dz by its :class:`Primitive`
+(polynomial part plus principal parts at the poles), built on first use,
+cached on f and certified on the rim.
 """
 
 from __future__ import annotations
@@ -67,6 +66,14 @@ def _deriv_coeffs(a: np.ndarray) -> np.ndarray:
     if a.size == 1:
         return np.zeros(1, dtype=complex)
     return a[1:] * np.arange(1, a.size)
+
+
+def _padd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b on ascending coefficients, the shorter one padded with zeros."""
+    out = np.zeros(max(a.size, b.size), dtype=complex)
+    out[: a.size] += a
+    out[: b.size] += b
+    return out
 
 
 def _winding_number(den: np.ndarray, radius: float) -> float:
@@ -131,16 +138,10 @@ class RationalHolomorphic:
         other = _coerce(other, self.radius)
         r = min(self.radius, other.radius)
         if np.array_equal(self.den, other.den):
-            n = np.zeros(max(self.num.size, other.num.size), dtype=complex)
-            n[: self.num.size] += self.num
-            n[: other.num.size] += other.num
-            return RationalHolomorphic(n, self.den, r)
+            return RationalHolomorphic(_padd(self.num, other.num), self.den, r)
         a = np.convolve(self.num, other.den)
         b = np.convolve(other.num, self.den)
-        n = np.zeros(max(a.size, b.size), dtype=complex)
-        n[: a.size] += a
-        n[: b.size] += b
-        return RationalHolomorphic(n, np.convolve(self.den, other.den), r)
+        return RationalHolomorphic(_padd(a, b), np.convolve(self.den, other.den), r)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -182,19 +183,17 @@ class RationalHolomorphic:
             return RationalHolomorphic(_deriv_coeffs(self.num) / self.den[0], np.ones(1), self.radius)
         pd = np.convolve(_deriv_coeffs(self.num), self.den)
         qd = np.convolve(self.num, _deriv_coeffs(self.den))
-        n = np.zeros(max(pd.size, qd.size), dtype=complex)
-        n[: pd.size] += pd
-        n[: qd.size] -= qd
-        return RationalHolomorphic(n, np.convolve(self.den, self.den), self.radius)
+        return RationalHolomorphic(_padd(pd, -qd), np.convolve(self.den, self.den), self.radius)
 
     def equivalent(self, other: "RationalHolomorphic") -> bool:
         """Cross-multiplication test P1*Q2 == P2*Q1, exact on the coefficients."""
         a = np.convolve(self.num, other.den)
         b = np.convolve(other.num, self.den)
-        d = np.zeros(max(a.size, b.size), dtype=complex)
-        d[: a.size] += a
-        d[: b.size] -= b
-        return not np.any(d)
+        return not np.any(_padd(a, -b))
+
+    @cached_property
+    def primitive(self) -> "Primitive":
+        return Primitive(self)
 
     # ---- serialization ----
 
@@ -224,31 +223,6 @@ def _coerce(value, radius: float) -> RationalHolomorphic:
     if isinstance(value, RationalHolomorphic):
         return value
     return RationalHolomorphic.constant(value, radius)
-
-
-@dataclass(frozen=True)
-class HolomorphicForm:
-    """A holomorphic 1-form f(z) dz given by its rational density f."""
-
-    density: RationalHolomorphic
-
-    @property
-    def radius(self) -> float:
-        return self.density.radius
-
-    @cached_property
-    def primitive(self) -> "Primitive":
-        return Primitive(self.density)
-
-    def scaled(self, c) -> "HolomorphicForm":
-        return HolomorphicForm(self.density * complex(c))
-
-    def to_obj(self) -> dict:
-        return self.density.to_obj()
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "HolomorphicForm":
-        return cls(RationalHolomorphic.from_obj(obj))
 
 
 def _shift(coeffs: np.ndarray, c: complex) -> np.ndarray:
@@ -343,16 +317,16 @@ class Primitive:
         return out
 
 
-def integrate_to_many(form: HolomorphicForm, a, endpoints) -> np.ndarray:
-    """Integrals of the form along the segments [a, w] for an array of endpoints w.
+def integrate_to_many(f: RationalHolomorphic, a, endpoints) -> np.ndarray:
+    """Integrals of f dz along the segments [a, w] for an array of endpoints w.
 
-    The start a is one point or an array shaped like endpoints.  Evaluates the
-    form's cached closed-form primitive, F(w) - F(a); see Primitive for its
-    error bound.  All start and end points must lie in the validity disk.
+    The start a is one point or an array shaped like endpoints.  Evaluates f's
+    cached closed-form primitive, F(w) - F(a); see Primitive for its error
+    bound.  All start and end points must lie in the validity disk.
     """
     w = np.asarray(endpoints, dtype=complex)
     a = np.asarray(a, dtype=complex)
-    r = form.radius * (1.0 + 1e-12)
+    r = f.radius * (1.0 + 1e-12)
     if np.max(np.abs(a), initial=0.0) > r or np.max(np.abs(w), initial=0.0) > r:
         raise DomainError("segment endpoint outside validity disk")
-    return form.primitive(w) - form.primitive(a)
+    return f.primitive(w) - f.primitive(a)

@@ -34,7 +34,7 @@ from .errors import (
     NotSpacelike,
 )
 from .lorentz import Ambient, Vec3, stereo_inv
-from .rational import HolomorphicForm, RationalHolomorphic, integrate_to_many
+from .rational import RationalHolomorphic, integrate_to_many
 
 _ISOTROPY_SAMPLES = 32
 _ISOTROPY_TOL = 1e-10
@@ -63,9 +63,9 @@ def _polar_grid(radius: float) -> np.ndarray:
 class IsotropicCurve:
     """Holomorphic triple whose ambient quadric vanishes identically."""
 
-    psi1: HolomorphicForm
-    psi2: HolomorphicForm
-    psi3: HolomorphicForm
+    psi1: RationalHolomorphic
+    psi2: RationalHolomorphic
+    psi3: RationalHolomorphic
     ambient: Ambient
 
     def __post_init__(self):
@@ -76,7 +76,7 @@ class IsotropicCurve:
     def isotropy_residual(self) -> float:
         """Max relative quadric residual over _ISOTROPY_SAMPLES points in the disk."""
         z = _sample_circle(self.radius)
-        p1, p2, p3 = (f.density._eval(z) for f in self.forms)
+        p1, p2, p3 = (f._eval(z) for f in self.forms)
         s = -1.0 if self.ambient is Ambient.LORENTZIAN else 1.0
         quad = p1 * p1 + p2 * p2 + s * (p3 * p3)
         scale = np.maximum(
@@ -93,8 +93,8 @@ class IsotropicCurve:
         return min(f.radius for f in self.forms)
 
     def densities_at(self, z) -> np.ndarray:
-        """Stacked psi values; shape (3,) for scalar z, (3, ...) for arrays."""
-        return np.stack([f.density._eval(z) for f in self.forms])
+        """Stacked psi values, z checked in the disk; shape (3,) or (3, ...)."""
+        return np.stack([f.eval(z) for f in self.forms])
 
     def to_obj(self) -> dict:
         return {
@@ -107,16 +107,16 @@ class IsotropicCurve:
     @classmethod
     def from_obj(cls, obj: dict) -> "IsotropicCurve":
         return cls(
-            HolomorphicForm.from_obj(obj["psi1"]),
-            HolomorphicForm.from_obj(obj["psi2"]),
-            HolomorphicForm.from_obj(obj["psi3"]),
+            RationalHolomorphic.from_obj(obj["psi1"]),
+            RationalHolomorphic.from_obj(obj["psi2"]),
+            RationalHolomorphic.from_obj(obj["psi3"]),
             Ambient(obj["ambient"]),
         )
 
 
 def conjugate_curve(curve: IsotropicCurve) -> IsotropicCurve:
     """Densities of the conjugate surface: psi* = -i psi, coefficient exact."""
-    a, b, c = (f.scaled(-1j) for f in curve.forms)
+    a, b, c = (f * -1j for f in curve.forms)
     return IsotropicCurve(a, b, c, curve.ambient)
 
 
@@ -125,7 +125,7 @@ class WeierstrassData:
     """(g, dh) on a disk, with the base point and value of the immersion."""
 
     g: RationalHolomorphic
-    dh: HolomorphicForm
+    dh: RationalHolomorphic
     domain_radius: float
     base_point: complex = 0j
     base_value: Vec3 = Vec3(0.0, 0.0, 0.0, Ambient.LORENTZIAN)
@@ -139,7 +139,7 @@ class WeierstrassData:
         if self.base_value.ambient is not Ambient.LORENTZIAN:
             raise AmbientMismatch("base value must be a Lorentzian point")
         grid = _polar_grid(r)
-        hp = np.abs(self.dh.density._eval(grid))
+        hp = np.abs(self.dh._eval(grid))
         if float(np.min(hp)) < _COMMON_ZERO_REL * float(np.max(hp)):
             raise CommonZeroError("dh vanishes in the domain disk (sampled)")
         gmin = float(np.min(np.abs(self.g._eval(grid))))
@@ -165,7 +165,7 @@ class WeierstrassData:
         bx, by, bz = obj["base_value"]
         return cls(
             RationalHolomorphic.from_obj(obj["g"]),
-            HolomorphicForm.from_obj(obj["dh"]),
+            RationalHolomorphic.from_obj(obj["dh"]),
             float(obj["radius"]),
             complex(obj["base"][0], obj["base"][1]),
             Vec3(bx, by, bz, Ambient.LORENTZIAN),
@@ -180,18 +180,16 @@ def build_isotropic_maximal(data: WeierstrassData) -> IsotropicCurve:
     """Isotropic triple of the Lorentzian immersion induced by (g, dh)."""
     r = data.domain_radius
     g = _restrict(data.g, r)
-    hp = _restrict(data.dh.density, r)
+    hp = _restrict(data.dh, r)
     inv = g.reciprocal()  # PoleInDomain when g has a zero in the disk
     psi1 = 0.5 * (inv + g) * hp
     psi2 = 0.5j * (inv - g) * hp
     psi3 = -1.0 * hp
-    return IsotropicCurve(
-        HolomorphicForm(psi1), HolomorphicForm(psi2), HolomorphicForm(psi3), Ambient.LORENTZIAN
-    )
+    return IsotropicCurve(psi1, psi2, psi3, Ambient.LORENTZIAN)
 
 
 def build_isotropic_euclidean(
-    g: RationalHolomorphic, dh: HolomorphicForm, graph: bool = False
+    g: RationalHolomorphic, dh: RationalHolomorphic, graph: bool = False
 ) -> IsotropicCurve:
     """Isotropic triple of the minimal immersion in E3 induced by (g, dh).
 
@@ -200,7 +198,7 @@ def build_isotropic_euclidean(
     """
     r = min(g.radius, dh.radius)
     gr = _restrict(g, r)
-    hp = _restrict(dh.density, r)
+    hp = _restrict(dh, r)
     if graph:
         vals = np.abs(gr._eval(_polar_grid(r)))
         if float(np.min(np.abs(vals - 1.0))) < _GRAPH_MARGIN:
@@ -209,9 +207,7 @@ def build_isotropic_euclidean(
     phi1 = 0.5 * (inv - gr) * hp
     phi2 = 0.5j * (inv + gr) * hp
     phi3 = 1.0 * hp
-    return IsotropicCurve(
-        HolomorphicForm(phi1), HolomorphicForm(phi2), HolomorphicForm(phi3), Ambient.EUCLIDEAN
-    )
+    return IsotropicCurve(phi1, phi2, phi3, Ambient.EUCLIDEAN)
 
 
 @dataclass(frozen=True)
@@ -221,11 +217,8 @@ class Immersion:
     curve: IsotropicCurve
     base_point: complex
     base_value: Vec3
-    domain_radius: float
 
     def __post_init__(self):
-        if not (0 < self.domain_radius <= self.curve.radius):
-            raise DomainError("domain radius exceeds curve validity radius")
         if abs(self.base_point) > self.domain_radius:
             raise DomainError("base point outside domain disk")
         if self.base_value.ambient is not self.curve.ambient:
@@ -236,21 +229,18 @@ class Immersion:
     def ambient(self) -> Ambient:
         return self.curve.ambient
 
-    def _check_domain(self, w):
-        if np.max(np.abs(w)) > self.domain_radius * (1.0 + 1e-12):
-            raise DomainError("parameter outside domain disk")
+    @property
+    def domain_radius(self) -> float:
+        return self.curve.radius
 
 
 def immersion_from_data(data: WeierstrassData) -> Immersion:
-    return Immersion(
-        build_isotropic_maximal(data), data.base_point, data.base_value, data.domain_radius
-    )
+    return Immersion(build_isotropic_maximal(data), data.base_point, data.base_value)
 
 
 def integrals_at_many(im: Immersion, ws) -> np.ndarray:
     """Component integrals int_{w0}^{w} psi for an array of parameters; (N, 3)."""
     ws = np.asarray(ws, dtype=complex).ravel()
-    im._check_domain(ws) if ws.size else None
     cols = [integrate_to_many(f, im.base_point, ws) for f in im.curve.forms]
     return np.stack(cols, axis=-1)
 
@@ -264,12 +254,11 @@ def immerse(im: Immersion, w: complex) -> Vec3:
 def conjugate_immersion(im: Immersion) -> Immersion:
     """The conjugate as an immersion in its own right (base value 0)."""
     zero = Vec3(0.0, 0.0, 0.0, im.ambient)
-    return Immersion(conjugate_curve(im.curve), im.base_point, zero, im.domain_radius)
+    return Immersion(conjugate_curve(im.curve), im.base_point, zero)
 
 
 def differential(im: Immersion, w: complex) -> tuple[Vec3, Vec3]:
     """(X_u, X_v) at w, from the densities: X_u = Re psi, X_v = -Im psi."""
-    im._check_domain(w)
     psi = im.curve.densities_at(complex(w))
     xu = Vec3(*psi.real, im.ambient)
     xv = Vec3(*(-psi.imag), im.ambient)
@@ -283,12 +272,12 @@ def gauss_map(data: WeierstrassData, w: complex) -> Vec3:
     return stereo_inv(complex(data.g._eval(complex(w))))
 
 
-def half_forms(data: WeierstrassData) -> tuple[HolomorphicForm, HolomorphicForm]:
+def half_forms(data: WeierstrassData) -> tuple[RationalHolomorphic, RationalHolomorphic]:
     """The forms -(g/2) dh and dh/(2g) whose primitives are sigma and tau."""
     r = data.domain_radius
     g = _restrict(data.g, r)
-    hp = _restrict(data.dh.density, r)
-    return HolomorphicForm(-0.5 * (g * hp)), HolomorphicForm(0.5 * (g.reciprocal() * hp))
+    hp = _restrict(data.dh, r)
+    return -0.5 * (g * hp), 0.5 * (g.reciprocal() * hp)
 
 
 def sigma_tau(data: WeierstrassData, w: complex) -> tuple[complex, complex]:
@@ -315,7 +304,7 @@ class ProjectionIdentities:
 
 
 def projection_identities(
-    im: Immersion, halves: tuple[HolomorphicForm, HolomorphicForm], w: complex
+    im: Immersion, halves: tuple[RationalHolomorphic, RationalHolomorphic], w: complex
 ) -> ProjectionIdentities:
     """Compare pi(X) - pi(X(w0)) with conj(tau) - sigma, and the conjugate
     projection with i(conj(tau) + sigma).

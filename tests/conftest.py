@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maxsurf.catalog import catalog
-from maxsurf.rational import HolomorphicForm, RationalHolomorphic
+from maxsurf.rational import RationalHolomorphic
 from maxsurf.weierstrass import WeierstrassData
 
 
@@ -15,7 +15,7 @@ def catalog_data():
 def plane15():
     """Plane datum wide enough to reach w = 1 (catalog radii stop at 0.9)."""
     g = RationalHolomorphic.constant(2.0, 1.5)
-    dh = HolomorphicForm(RationalHolomorphic.constant(1.0, 1.5))
+    dh = RationalHolomorphic.constant(1.0, 1.5)
     return WeierstrassData(g, dh, 1.5)
 
 

@@ -98,17 +98,15 @@ def test_criterion_02_conjugation(catalog_data, rng):
 
         # psi* = -i psi must hold at the coefficient level, not just pointwise
         for f, fs in zip(curve.forms, star.forms):
-            assert np.array_equal(fs.density.num, -1j * np.asarray(f.density.num))
-            assert np.array_equal(fs.density.den, f.density.den)
+            assert np.array_equal(fs.num, -1j * np.asarray(f.num))
+            assert np.array_equal(fs.den, f.den)
 
         # pointwise the same identity up to division rounding (1-2 ulp)
         ws = disk_samples(rng, data.domain_radius, 8)
         lhs, rhs = star.densities_at(ws), -1j * curve.densities_at(ws)
         assert np.max(np.abs(lhs - rhs)) <= 1e-15 * np.max(np.abs(rhs))
 
-        twice = Immersion(
-            conjugate_curve(star), im.base_point, im.base_value, im.domain_radius
-        )
+        twice = Immersion(conjugate_curve(star), im.base_point, im.base_value)
         pts = disk_samples(rng, data.domain_radius, 4)
         got = im.base_value.as_array() + integrals_at_many(twice, pts).real
         want = 2.0 * im.base_value.as_array() - (
@@ -179,12 +177,12 @@ def test_criterion_06_duality(catalog_data):
         back = flat(eucl)
         for orig, rt in ((curve, back), (eucl, sharp(back))):
             for f, g in zip(orig.forms, rt.forms):
-                assert np.array_equal(f.density.num, g.density.num)
-                assert np.array_equal(f.density.den, g.density.den)
+                assert np.array_equal(f.num, g.num)
+                assert np.array_equal(f.den, g.den)
         worst_comm = max(worst_comm, check_commutation(curve))
 
         im = immersion_from_data(data)
-        again = Immersion(back, im.base_point, im.base_value, im.domain_radius)
+        again = Immersion(back, im.base_point, im.base_value)
         ws = 0.7 * data.domain_radius * np.exp(2j * np.pi * np.arange(16) / 16)
         diff = integrals_at_many(again, ws).real - integrals_at_many(im, ws).real
         diff -= diff.mean(axis=0)  # the identity only holds up to translation
@@ -295,7 +293,6 @@ def test_criterion_10_euclidean_krust(catalog_data):
             sharp(build_isotropic_maximal(data)),
             data.base_point,
             Vec3(0.0, 0.0, 0.0, Ambient.EUCLIDEAN),
-            data.domain_radius,
         )
         rep = krust_pipeline(dual, n=64)
         assert rep.conjugate_report.injective, f"{name}: dual conjugate not injective"

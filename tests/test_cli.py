@@ -12,7 +12,12 @@ from maxsurf.cli import _write_obj, run_argv
 from maxsurf.graphfield import ScalarField, load_field, save_field, shift_agreement
 from maxsurf.lorentz import Ambient
 from maxsurf.meshcheck import SurfaceMesh, sample_surface, triangulate_disk
-from maxsurf.weierstrass import IsotropicCurve, WeierstrassData, immersion_from_data
+from maxsurf.weierstrass import (
+    IsotropicCurve,
+    WeierstrassData,
+    build_isotropic_maximal,
+    immersion_from_data,
+)
 
 from oracles import (
     boundary_csv_rows,
@@ -331,6 +336,33 @@ class TestErrors:
         code, cap = run_json(capsys, command, "--config", str(cfgp), "--out", str(tmp_path))
         assert code == 1
         assert f"bad {kind} object" in cap.err
+
+    @pytest.mark.parametrize(
+        "command, prefix, key",
+        [
+            ("verify-krust", "bad datum object", "kind"),
+            ("dualize-curve", "bad curve object", "psi3"),
+            ("dualize-graph", "malformed field file", "nx"),
+        ],
+    )
+    def test_missing_key_named(self, tmp_path, capsys, command, prefix, key):
+        data = get("plane-r05")
+        if command == "verify-krust":
+            obj = data.to_obj()
+        elif command == "dualize-curve":
+            obj = build_isotropic_maximal(data).to_obj()
+        else:
+            obj = {"origin": [0, 0], "spacing": 0.1, "nx": 3, "ny": 3}
+            (tmp_path / "f.csv").write_text("x,y,value\n0,0,1\n")
+        del obj[key]
+        cfgp = tmp_path / "cfg.json"
+        if command == "dualize-graph":
+            (tmp_path / "f.json").write_text(json.dumps(obj))
+            obj = {"csv": str(tmp_path / "f.csv"), "header": str(tmp_path / "f.json")}
+        cfgp.write_text(json.dumps(obj))
+        code, cap = run_json(capsys, command, "--config", str(cfgp), "--out", str(tmp_path))
+        assert code == 1
+        assert cap.err == f"error: {prefix}: missing key '{key}'\n"
 
     @pytest.mark.parametrize(
         "g, radius",

@@ -27,7 +27,7 @@ class TestFlatSharp:
             curve = build_isotropic_maximal(catalog_data[name])
             back = flat(sharp(curve))
             for orig, rt in zip(curve.forms, back.forms):
-                assert orig.density.equivalent(rt.density)
+                assert orig.equivalent(rt)
                 assert orig.radius == rt.radius
 
     def test_only_third_component_changes(self, catalog_data, rng):

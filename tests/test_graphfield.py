@@ -142,6 +142,10 @@ class TestResiduals:
         assert np.array_equal(curl.values, -res.values)
         assert np.array_equal(curl.mask, res.mask)
 
+    def test_curl_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="'minmal'"):
+            flux_curl(helicoid_rect(0.02), "minmal")
+
     def test_residual_lives_on_plaquette_centers(self):
         f = rect(affine, h=0.1, origin=(2.0, 3.0))
         res = minimal_residual(f)

@@ -322,7 +322,6 @@ class TestKrustPipeline:
             sharp(im.curve),
             data.base_point,
             Vec3(0.0, 0.0, 0.0, Ambient.EUCLIDEAN),
-            data.domain_radius,
         )
         rep = krust_pipeline(dual, n=24)
         assert rep.verdict == "PASS"
@@ -369,8 +368,8 @@ class TestRotationIdentity:
 class TestPullbackAndInequality:
     def test_plane_pullback_is_linear(self, plane15):
         im = immersion_from_data(plane15)
-        beta = pullback_segment(im, 0j, complex(1.25), steps=16)
-        assert np.max(np.abs(beta - np.linspace(0, 1, 17))) < 1e-12
+        beta = pullback_segment(im, 0j, complex(1.25))
+        assert np.max(np.abs(beta - np.linspace(0, 1, 201))) < 1e-12
 
     def test_plane_inequality_closed_form(self, plane15):
         out = krust_inequality_batch(plane15, [0j], [1.0 + 0j])
@@ -444,8 +443,8 @@ def _invert_projection(im, target, iters=60):
     """Newton inversion of pi(X) independent of the package walker."""
     w = 0j
     for _ in range(iters):
-        i1 = simpson_line(im.curve.psi1.density.eval, 0j, w)
-        i2 = simpson_line(im.curve.psi2.density.eval, 0j, w)
+        i1 = simpson_line(im.curve.psi1.eval, 0j, w)
+        i2 = simpson_line(im.curve.psi2.eval, 0j, w)
         r = target - complex(i1.real, i2.real)
         if abs(r) < 1e-13:
             return w

@@ -9,7 +9,7 @@ from maxsurf.errors import (
     NotSpacelike,
 )
 from maxsurf.lorentz import Ambient, CausalCharacter, Vec3, causal_character, cross_lorentz, inner
-from maxsurf.rational import HolomorphicForm, RationalHolomorphic
+from maxsurf.rational import RationalHolomorphic
 from maxsurf.weierstrass import (
     Immersion,
     IsotropicCurve,
@@ -45,7 +45,7 @@ class TestCurveConstruction:
             assert build_isotropic_maximal(data).isotropy_residual() < 1e-12
 
     def test_non_isotropic_triple_rejected(self):
-        one = HolomorphicForm(RationalHolomorphic.constant(1.0, 1.0))
+        one = RationalHolomorphic.constant(1.0, 1.0)
         with pytest.raises(IsotropyError):
             IsotropicCurve(one, one, one, Ambient.LORENTZIAN)
 
@@ -53,8 +53,8 @@ class TestCurveConstruction:
         curve = build_isotropic_maximal(plane15)
         conj = conjugate_curve(curve)
         for orig, twisted in zip(curve.forms, conj.forms):
-            a = np.asarray(orig.density.num, dtype=complex)
-            b = np.asarray(twisted.density.num, dtype=complex)
+            a = np.asarray(orig.num, dtype=complex)
+            b = np.asarray(twisted.num, dtype=complex)
             assert np.array_equal(-1j * a, b)
 
     def test_euclidean_builder_ambient_and_isotropy(self, plane15):
@@ -64,14 +64,14 @@ class TestCurveConstruction:
 
     def test_euclidean_graph_flag_rejects_unit_modulus(self):
         g = RationalHolomorphic.polynomial([0.0, 1.0], 2.0)  # |g| = 1 met inside
-        dh = HolomorphicForm(RationalHolomorphic.constant(1.0, 2.0))
+        dh = RationalHolomorphic.constant(1.0, 2.0)
         with pytest.raises(NotSpacelike):
             build_isotropic_euclidean(g, dh, graph=True)
 
 
 class TestDataValidation:
     def std_form(self, r=2.0):
-        return HolomorphicForm(RationalHolomorphic.constant(1.0, r))
+        return RationalHolomorphic.constant(1.0, r)
 
     def test_radius_must_fit_validity_disks(self):
         g = RationalHolomorphic.constant(2.0, 1.0)
@@ -85,7 +85,7 @@ class TestDataValidation:
 
     def test_dh_zero_in_domain_rejected(self):
         g = RationalHolomorphic.constant(2.0, 2.0)
-        dh = HolomorphicForm(RationalHolomorphic.polynomial([0.0, 1.0], 2.0))
+        dh = RationalHolomorphic.polynomial([0.0, 1.0], 2.0)
         with pytest.raises(CommonZeroError):
             WeierstrassData(g, dh, 0.5)
 
@@ -177,7 +177,7 @@ class TestImmersion:
         data = WeierstrassData(plane15.g, plane15.dh, 1.5, 0j, base_value)
         im = immersion_from_data(data)
         curve2 = conjugate_curve(conjugate_curve(im.curve))
-        im2 = Immersion(curve2, data.base_point, base_value, data.domain_radius)
+        im2 = Immersion(curve2, data.base_point, base_value)
         for w in disk_samples(rng, 1.5, 6):
             lhs = immerse(im2, complex(w)).as_array()
             rhs = 2.0 * base_value.as_array() - immerse(im, complex(w)).as_array()
@@ -189,7 +189,7 @@ class TestImmersion:
         many = integrals_at_many(im, ws)
         for k, w in enumerate(ws):
             single = np.array(
-                [simpson_line(f.density.eval, im.base_point, complex(w)) for f in im.curve.forms]
+                [simpson_line(f.eval, im.base_point, complex(w)) for f in im.curve.forms]
             )
             assert np.max(np.abs(many[k] - single)) < 1e-11
 
@@ -199,6 +199,8 @@ class TestImmersion:
             immerse(im, 0.6)
         with pytest.raises(DomainError):
             integrals_at_many(im, [0.1, 0.9])
+        with pytest.raises(DomainError):
+            differential(im, 0.6j)
 
 
 class TestSigmaTauAndProjections:
