@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 input error, 2 a theorem-level check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -103,6 +104,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="maxsurf",

@@ -59,7 +59,7 @@ def _validate_mask(mask: np.ndarray):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """Scalar samples on a masked uniform grid."""
 
@@ -109,7 +109,7 @@ class ScalarField:
         return cls(origin, spacing, values, mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorField2:
     """Two scalar component grids sharing one mask and grid geometry."""
 

@@ -18,6 +18,7 @@ isotropic-curve duality).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -70,9 +71,9 @@ _ORIENT_ABS = np.finfo(float).tiny
 # ---- parameter-disk triangulation ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamMesh:
-    """Disk-type triangulation of the parameter domain."""
+    """Disk-type triangulation of the parameter domain, validated on construction."""
 
     vertices: np.ndarray  # complex (N,)
     triangles: np.ndarray  # int (m, 3)
@@ -80,41 +81,52 @@ class ParamMesh:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=complex).ravel()
-        t = np.asarray(self.triangles, dtype=int)
-        b = np.asarray(self.boundary, dtype=int).ravel()
+        t, b = self.triangles, self.boundary
+        # the k-ring disk's cached arrays passed _check_disk once; int32 only
+        k, n = np.size(b) // 6, v.size
+        shared = getattr(t, "dtype", None) == np.int32 and k >= 1 and n == _ring_start(k + 1)
+        shared = shared and _disk_topology(k)[0] is t and _disk_topology(k)[1] is b
+        if not shared:
+            t, b = np.asarray(t, dtype=int), np.asarray(b, dtype=int).ravel()
         if t.ndim != 2 or t.shape[1] != 3 or t.shape[0] == 0:
             raise ValueError("mesh must contain at least one triangle")
-        n = v.size
         if min(t.min(), b.min(initial=0)) < 0 or max(t.max(), b.max(initial=0)) >= n:
             raise ValueError("vertex index out of range")
         if np.unique(b).size != b.size:
             raise ValueError("boundary cycle repeats a vertex")
-        areas = _signed_areas(np.column_stack([v.real, v.imag]), t)
-        if np.min(areas) <= 0:
+        if np.min(_signed_areas(v, t)) <= 0:
             raise ValueError("parameter triangles must be positively oriented")
-        # Directed half-edge a -> b as the key a*n + b, sorted once.  In an
-        # oriented disk each half-edge occurs once; a repeat means two
-        # triangles lie on the same side of one edge, i.e. they overlap.
-        head, tail = t.ravel(), np.roll(t, -1, axis=1).ravel()
-        half = np.sort(head * n + tail)
-        if np.any(half[1:] == half[:-1]):
-            raise ValueError("two triangles share a directed edge (they overlap)")
-        rev = (half % n) * n + half // n
-        paired = half[np.minimum(np.searchsorted(half, rev), half.size - 1)] == rev
-        # an interior edge carries both of its half-edges, a rim edge one
-        if n - (half.size - np.count_nonzero(paired) // 2) + t.shape[0] != 1:
-            raise ValueError("mesh is not disk-type (Euler count != 1)")
-        # Euler count 1 alone admits e.g. two triangles glued at a vertex; a
-        # disk additionally has its rim half-edges forming the one given
-        # cycle, traversed in the mesh's (counterclockwise) orientation.
-        rim = half[~paired]
-        if not np.array_equal(np.sort(b * n + np.roll(b, -1)), rim):
-            raise ValueError("boundary must be the rim cycle of the triangulation")
-        for arr in (v, t, b):
+        if not shared:
+            _check_disk(n, t, b)
+        for name, arr in (("vertices", v), ("triangles", t), ("boundary", b)):
             arr.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "triangles", t)
-        object.__setattr__(self, "boundary", b)
+            object.__setattr__(self, name, arr)
+
+
+def _check_disk(n: int, t: np.ndarray, b: np.ndarray):
+    # Directed half-edge a -> b as the int64 key a*n + b, sorted once, in
+    # place.  In an oriented disk each half-edge occurs once; a repeat means
+    # two triangles lie on the same side of one edge, i.e. they overlap.
+    half = np.multiply(t, n, dtype=np.int64)
+    half[:, :2] += t[:, 1:]
+    half[:, 2] += t[:, 0]
+    half = half.ravel()
+    half.sort()
+    if np.any(half[1:] == half[:-1]):
+        raise ValueError("two triangles share a directed edge (they overlap)")
+    rev = half % n
+    rev *= n
+    rev += half // n
+    paired = np.take(half, np.searchsorted(half, rev), mode="clip") == rev
+    # an interior edge carries both of its half-edges, a rim edge one
+    if n - (half.size - np.count_nonzero(paired) // 2) + t.shape[0] != 1:
+        raise ValueError("mesh is not disk-type (Euler count != 1)")
+    # Euler count 1 alone admits e.g. two triangles glued at a vertex; a
+    # disk additionally has its rim half-edges forming the one given
+    # cycle, traversed in the mesh's (counterclockwise) orientation.
+    rim = half[~paired]
+    if not np.array_equal(np.sort(b * n + np.roll(b, -1)), rim):
+        raise ValueError("boundary must be the rim cycle of the triangulation")
 
 
 def _ring_start(k: int) -> int:
@@ -144,9 +156,25 @@ def _ring_triangles(k: int) -> np.ndarray:
     ])
 
 
+@functools.lru_cache(maxsize=4)
+def _disk_topology(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int32 triangles and rim cycle of the n-ring disk, through
+    the half-edge checks of ParamMesh once per n."""
+    first = np.arange(6)
+    t = np.concatenate(
+        [np.column_stack([1 + first, 1 + (first + 1) % 6, np.zeros(6, dtype=int)])]
+        + [_ring_triangles(k) for k in range(2, n + 1)], dtype=np.int32, casting="same_kind")
+    b = np.arange(_ring_start(n), _ring_start(n) + 6 * n)
+    _check_disk(_ring_start(n + 1), t, b)
+    t.setflags(write=False)
+    b.setflags(write=False)
+    return t, b
+
+
 def triangulate_disk(radius: float, n: int) -> ParamMesh:
     """Concentric-ring triangulation: ring k holds 6k vertices at radius
-    k/n * radius, so the mesh has 1 + 3n(n+1) vertices and 6n^2 triangles."""
+    k/n * radius, so the mesh has 1 + 3n(n+1) vertices and 6n^2 triangles;
+    meshes of n rings share their read-only int32 triangles and boundary."""
     if n < 1:
         raise ValueError("need at least one ring")
     if not radius > 0:
@@ -155,17 +183,13 @@ def triangulate_disk(radius: float, n: int) -> ParamMesh:
     for k in range(1, n + 1):
         ang = 2.0 * np.pi * np.arange(6 * k) / (6 * k)
         verts.append((radius * k / n) * np.exp(1j * ang))
-    first = np.arange(6)
-    tris = [np.column_stack([1 + first, 1 + (first + 1) % 6, np.zeros(6, dtype=int)])]
-    tris += [_ring_triangles(k) for k in range(2, n + 1)]
-    boundary = np.arange(_ring_start(n), _ring_start(n) + 6 * n)
-    return ParamMesh(np.concatenate(verts), np.concatenate(tris), boundary)
+    return ParamMesh(np.concatenate(verts), *_disk_topology(n))
 
 
 # ---- sampled surfaces ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceMesh:
     """Positions of an immersion at the vertices of a ParamMesh."""
 
@@ -202,9 +226,14 @@ def folded_disk_mesh() -> SurfaceMesh:
 # ---- planar predicates ----
 
 
-def _signed_areas(pts2: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a, b, c = pts2[triangles[:, 0]], pts2[triangles[:, 1]], pts2[triangles[:, 2]]
-    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+def _signed_areas(z: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    a = z[triangles[:, 0]]
+    u, w = z[triangles[:, 1]], z[triangles[:, 2]]
+    u -= a
+    w -= a
+    area = u.real * w.imag
+    area -= u.imag * w.real
+    return 0.5 * area
 
 
 def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -352,7 +381,7 @@ class GraphReport:
 
 
 def _report_from_points(pts2: np.ndarray, param: ParamMesh) -> GraphReport:
-    areas = _signed_areas(pts2, param.triangles)
+    areas = _signed_areas(np.ascontiguousarray(pts2).view(complex)[:, 0], param.triangles)
     span = pts2.max(axis=0) - pts2.min(axis=0)
     scale = max(float(span[0]), float(span[1]), 1e-300)
     if float(np.min(np.abs(areas))) <= _AREA_EPS * scale * scale:
@@ -526,7 +555,7 @@ def pullback_segment(im: Immersion, p1: complex, p2: complex) -> np.ndarray:
 # ---- positivity of the conjugate width ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrustInequality:
     """Both sides of the positivity statement behind the graph certification."""
 

@@ -86,7 +86,7 @@ def _winding_number(den: np.ndarray, radius: float) -> float:
     return abs(np.mean(qp / q * z))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalHolomorphic:
     """P(z)/Q(z) with Q certified zero-free on the closed disk |z| <= radius."""
 

@@ -59,7 +59,7 @@ def _polar_grid(radius: float) -> np.ndarray:
     return np.concatenate([[0.0 + 0j], np.outer(rr, th).ravel()])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsotropicCurve:
     """Holomorphic triple whose ambient quadric vanishes identically."""
 
@@ -120,7 +120,7 @@ def conjugate_curve(curve: IsotropicCurve) -> IsotropicCurve:
     return IsotropicCurve(a, b, c, curve.ambient)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeierstrassData:
     """(g, dh) on a disk, with the base point and value of the immersion."""
 
@@ -278,12 +278,6 @@ def half_forms(data: WeierstrassData) -> tuple[RationalHolomorphic, RationalHolo
     g = _restrict(data.g, r)
     hp = _restrict(data.dh, r)
     return -0.5 * (g * hp), 0.5 * (g.reciprocal() * hp)
-
-
-def sigma_tau(data: WeierstrassData, w: complex) -> tuple[complex, complex]:
-    """The primitive pair (sigma, tau) integrated from the base point."""
-    s, t = (complex(integrate_to_many(f, data.base_point, w)) for f in half_forms(data))
-    return s, t
 
 
 @dataclass(frozen=True)

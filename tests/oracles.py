@@ -154,6 +154,38 @@ def merge_walk_disk(radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return vertices, np.array(tris, dtype=int)
 
 
+def triangulate_disk_uncached(radius: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertices, triangles and boundary of the n-ring disk, built in full on
+    every call by the vectorized merge walk (the mesh build as it stood
+    before meshes shared one topology per n), unvalidated."""
+
+    def ring_start(k):
+        return 1 + 3 * k * (k - 1)
+
+    def ring_triangles(k):
+        inner, m = ring_start(k - 1), 6 * (k - 1)
+        outer, mm = ring_start(k), 6 * k
+        keys = np.concatenate([np.arange(1, mm + 1) * m, np.arange(1, m + 1) * mm])
+        is_outer = np.argsort(keys, kind="stable") < mm
+        o = np.cumsum(is_outer) - is_outer
+        i = np.cumsum(~is_outer) - ~is_outer
+        return np.column_stack([
+            np.where(is_outer, outer + o % mm, inner + (i + 1) % m),
+            np.where(is_outer, outer + (o + 1) % mm, inner + i % m),
+            np.where(is_outer, inner + i % m, outer + o % mm),
+        ])
+
+    verts = [np.zeros(1, dtype=complex)]
+    for k in range(1, n + 1):
+        ang = 2.0 * np.pi * np.arange(6 * k) / (6 * k)
+        verts.append((radius * k / n) * np.exp(1j * ang))
+    first = np.arange(6)
+    tris = [np.column_stack([1 + first, 1 + (first + 1) % 6, np.zeros(6, dtype=int)])]
+    tris += [ring_triangles(k) for k in range(2, n + 1)]
+    boundary = np.arange(ring_start(n), ring_start(n) + 6 * n)
+    return np.concatenate(verts), np.concatenate(tris), boundary
+
+
 def _cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 

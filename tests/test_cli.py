@@ -218,6 +218,20 @@ class TestVerifyKrust:
         assert len(verdicts) == 10
         assert set(verdicts.values()) == {"PASS"}
 
+    def test_reruns_in_one_process_match_fresh_runs(self, capsys):
+        # r05 and r09 meshes come from the shared per-n topology; every run in
+        # this process must print what a fresh process prints
+        argv = {name: ["verify-krust", "--datum", name, "--mesh-n", "24"] for name in ("rational-r05", "rational-r09")}
+        fresh = {}
+        for name, args in argv.items():
+            proc = _run_module(["-m", "maxsurf.cli", *args])
+            assert proc.returncode == 0, proc.stderr
+            fresh[name] = proc.stdout
+        for name in ("rational-r05", "rational-r09", "rational-r05"):
+            code, cap = run_json(capsys, *argv[name])
+            assert code == 0
+            assert cap.out == fresh[name], name
+
     def test_fail_verdict_exits_two(self, capsys, monkeypatch):
         import maxsurf.cli as cli
 
@@ -488,6 +502,17 @@ class TestFlags:
         for command, parser in sub.choices.items():
             flags = {s for a in parser._actions for s in a.option_strings}
             assert flags - {"-h", "--help", "--json"} == READS[command]
+
+    def test_parser_built_once_and_reusable(self, capsys):
+        from maxsurf.cli import _parser
+
+        assert _parser() is _parser()
+        for _ in range(2):
+            code, cap = run_json(capsys, "identities", "--mesh-n", "4", "--json")
+            assert code == 1
+            assert json.loads(cap.err) == {"error": "unrecognized arguments: --mesh-n 4"}
+            code, cap = run_json(capsys, "verify-krust", "--datum", "plane-r05", "--mesh-n", "3")
+            assert code == 0 and cap.err == ""
 
     def test_settings_echo_the_read_flags(self, tmp_path, capsys):
         field = TestDualizeGraph().make_field(tmp_path, h=0.1)[1]

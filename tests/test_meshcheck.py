@@ -5,9 +5,10 @@ import pytest
 
 from maxsurf.duality import sharp
 from maxsurf.errors import AmbientMismatch, DegenerateTriangle, DomainError
-from maxsurf.graphfield import maximal_residual
+from maxsurf.graphfield import ScalarField, VectorField2, maximal_residual
 from maxsurf.lorentz import Ambient, Vec3
 from maxsurf.meshcheck import (
+    KrustInequality,
     ParamMesh,
     SurfaceMesh,
     _boundary_simple,
@@ -25,8 +26,11 @@ from maxsurf.meshcheck import (
     spacelike_mesh_check,
     triangulate_disk,
 )
+from maxsurf.rational import RationalHolomorphic
 from maxsurf.weierstrass import (
     Immersion,
+    WeierstrassData,
+    build_isotropic_maximal,
     conjugate_immersion,
     immerse,
     immersion_from_data,
@@ -44,6 +48,7 @@ from oracles import (
     merge_walk_disk,
     plane_immersion_point,
     simpson_line,
+    triangulate_disk_uncached,
 )
 
 
@@ -112,6 +117,37 @@ class TestTriangulation:
         verts = np.array([0.0, 1.0, 1j], dtype=complex)
         with pytest.raises(ValueError, match="out of range"):
             ParamMesh(verts, np.array([[0, 1, index]]), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("radius", [0.5, 0.9, 1e-3, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_matches_uncached_build_bit_for_bit(self, radius, n):
+        mesh = triangulate_disk(radius, n)
+        verts, tris, boundary = triangulate_disk_uncached(radius, n)
+        assert np.array_equal(mesh.vertices.view(np.int64), verts.view(np.int64))
+        assert np.array_equal(mesh.triangles, tris)
+        assert np.array_equal(mesh.boundary, boundary)
+
+    def test_arrays_read_only_and_triangles_int32(self):
+        mesh = triangulate_disk(0.9, 5)
+        assert mesh.triangles.dtype == np.int32
+        for arr in (mesh.vertices, mesh.triangles, mesh.boundary):
+            assert not arr.flags.writeable
+
+    def test_radii_share_one_topology_per_n(self):
+        a, b = triangulate_disk(0.5, 9), triangulate_disk(0.9, 9)
+        assert a.triangles is b.triangles and a.boundary is b.boundary
+        assert not np.array_equal(a.vertices, b.vertices)
+
+    def test_orientation_checked_for_each_radius(self):
+        triangulate_disk(1.0, 4)  # the n = 4 topology is cached and valid
+        with pytest.raises(ValueError, match="parameter triangles must be positively oriented"):
+            triangulate_disk(1e-300, 4)
+
+    def test_shared_topology_with_other_vertex_count_fully_checked(self):
+        # the shared arrays with one vertex more are not the n = 3 disk
+        mesh = triangulate_disk(1.0, 3)
+        with pytest.raises(ValueError, match="Euler"):
+            ParamMesh(np.concatenate([mesh.vertices, [5.0]]), mesh.triangles, mesh.boundary)
 
     @pytest.mark.parametrize("cycle", ["reversed rim", "inner ring"])
     def test_boundary_cycle_other_than_rim_rejected(self, cycle):
@@ -454,3 +490,26 @@ def _invert_projection(im, target, iters=60):
         det = abs(a) ** 2 - abs(b) ** 2
         w = w + (np.conj(a) * r - b * np.conj(r)) / det
     raise AssertionError("projection inversion did not converge")
+
+
+def test_array_dataclasses_compare_by_identity(catalog_data):
+    # frozen dataclasses holding ndarrays: == is identity and hash works
+    data = catalog_data["rational-r05"]
+    g = data.g
+
+    def twice(make):
+        return make(), make()
+
+    pairs = [
+        (g, RationalHolomorphic(g.num.copy(), g.den.copy(), g.radius)),
+        twice(lambda: build_isotropic_maximal(data)),
+        (data, WeierstrassData(data.g, data.dh, data.domain_radius, data.base_point, data.base_value)),
+        twice(lambda: triangulate_disk(0.5, 3)),
+        twice(lambda: sample_surface(immersion_from_data(data), triangulate_disk(0.5, 3))),
+        twice(lambda: ScalarField((0.0, 0.0), 1.0, np.zeros((2, 2)), np.ones((2, 2), bool))),
+        twice(lambda: VectorField2((0.0, 0.0), 1.0, np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2), bool))),
+        twice(lambda: KrustInequality(np.ones(2), np.ones(2), np.zeros(2))),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b, type(a).__name__
+        assert len({a, b, a}) == 2

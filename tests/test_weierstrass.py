@@ -9,7 +9,7 @@ from maxsurf.errors import (
     NotSpacelike,
 )
 from maxsurf.lorentz import Ambient, CausalCharacter, Vec3, causal_character, cross_lorentz, inner
-from maxsurf.rational import RationalHolomorphic
+from maxsurf.rational import RationalHolomorphic, integrate_to_many
 from maxsurf.weierstrass import (
     Immersion,
     IsotropicCurve,
@@ -25,7 +25,6 @@ from maxsurf.weierstrass import (
     immersion_from_data,
     integrals_at_many,
     projection_identities,
-    sigma_tau,
 )
 
 from conftest import disk_samples
@@ -203,23 +202,30 @@ class TestImmersion:
             differential(im, 0.6j)
 
 
+def sigma_tau_at(data: WeierstrassData, ws) -> list[tuple[complex, complex]]:
+    """(sigma, tau) at each of ws, from half forms built once for the datum."""
+    ws = np.asarray(ws, dtype=complex)
+    s, t = (integrate_to_many(f, data.base_point, ws) for f in half_forms(data))
+    return list(zip(s, t))
+
+
 class TestSigmaTauAndProjections:
     def test_plane_closed_form(self, plane15):
-        for w in (1.0, 0.3 + 0.4j, -1.2j):
-            s, t = sigma_tau(plane15, w)
+        ws = (1.0, 0.3 + 0.4j, -1.2j)
+        for w, (s, t) in zip(ws, sigma_tau_at(plane15, ws)):
             s0, t0 = sigma_tau_plane(w)
             assert abs(s - s0) < 1e-12 and abs(t - t0) < 1e-12
 
     def test_shift_closed_form(self, catalog_data):
+        ws = (0.9, -0.9, 0.5 + 0.6j)
         for c, name in ((2.5, "shift2.5-r09"), (3.0, "shift3-r09"), (4.0, "shift4-r09")):
-            for w in (0.9, -0.9, 0.5 + 0.6j):
-                s, t = sigma_tau(catalog_data[name], w)
+            for w, (s, t) in zip(ws, sigma_tau_at(catalog_data[name], ws)):
                 s0, t0 = sigma_tau_shift(w, c)
                 assert abs(s - s0) < 1e-12 and abs(t - t0) < 1e-12
 
     def test_rational_closed_form(self, catalog_data):
-        for w in (0.9, 0.2 - 0.85j):
-            s, t = sigma_tau(catalog_data["rational-r09"], w)
+        ws = (0.9, 0.2 - 0.85j)
+        for w, (s, t) in zip(ws, sigma_tau_at(catalog_data["rational-r09"], ws)):
             s0, t0 = sigma_tau_rational(w)
             assert abs(s - s0) < 1e-11 and abs(t - t0) < 1e-11
 
