@@ -27,8 +27,9 @@ vanishing of all plaquette circulations is exactly path independence.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, cycle, repeat
 
 import numpy as np
 
@@ -47,7 +48,7 @@ _MAX_CELLS = 1 << 22
 
 def _validate_mask(mask: np.ndarray):
     # components minus holes; a second component with a hole passes here and
-    # is caught by _tree_integrate's visited check
+    # is caught by _tree_integrate, which must reach every masked cell
     if not mask.any():
         raise NotSimplyConnected("mask is empty")
     v = int(mask.sum())
@@ -282,28 +283,36 @@ def flux_curl(f: ScalarField, kind: str = "minimal") -> ScalarField:
 
 
 def _tree_integrate(mask, inc_x, inc_y, anchor) -> np.ndarray:
-    """Propagate values from the anchor across grid edges (deterministic wavefront)."""
-    vals = np.zeros(mask.shape)
-    visited = np.zeros(mask.shape, dtype=bool)
-    visited[anchor] = True
-    exist_x = mask[:-1, :] & mask[1:, :]
-    exist_y = mask[:, :-1] & mask[:, 1:]
-    lo_x, hi_x, lo_y, hi_y = np.s_[:-1, :], np.s_[1:, :], np.s_[:, :-1], np.s_[:, 1:]
-    # (from, to, edges, increment) for steps east, west, north and south
-    steps = [(lo_x, hi_x, exist_x, inc_x), (hi_x, lo_x, exist_x, -inc_x),
-             (lo_y, hi_y, exist_y, inc_y), (hi_y, lo_y, exist_y, -inc_y)]
-    new = True
-    while new:
-        new = False
-        for src, dst, exist, inc in steps:
-            sel = exist & visited[src] & ~visited[dst]
-            if sel.any():
-                vals[dst][sel] = vals[src][sel] + inc[sel]
-                visited[dst][sel] = True
-                new = True
-    if not np.array_equal(visited, mask):
+    """Propagate values from the masked anchor across grid edges by a
+    wavefront of steps east, west, north, south, repeated.  A cell reached
+    before the last four steps was offered the current direction one sweep
+    ago, so each step moves only the cells of the last four (the frontier):
+    the work is linear in the cells.  Indices are flat in the grid padded
+    by one unmasked cell.
+    """
+    nx, ny = mask.shape
+    todo = np.pad(mask, 1).ravel()
+    gx = np.pad(inc_x, ((1, 2), (1, 1))).ravel()  # edge data at its lower cell
+    gy = np.pad(inc_y, ((1, 1), (1, 2))).ravel()
+    vals = np.zeros(todo.size)
+    start = (anchor[0] + 1) * (ny + 2) + anchor[1] + 1
+    todo[start] = False
+    # (offset, increment, edge index taken at the destination)
+    steps = [(ny + 2, gx, False), (-(ny + 2), -gx, True), (1, gy, False), (-1, -gy, True)]
+    recent = deque([np.array([start])], maxlen=4)
+    for off, inc, at_dst in cycle(steps):
+        src = np.concatenate(recent)
+        if not src.size:
+            break
+        dst = src + off
+        keep = todo[dst]
+        src, dst = src[keep], dst[keep]
+        vals[dst] = vals[src] + inc[dst if at_dst else src]
+        todo[dst] = False
+        recent.append(dst)
+    if todo.any():
         raise NotSimplyConnected("mask is not 4-connected")
-    return vals
+    return vals.reshape(nx + 2, ny + 2)[1:-1, 1:-1]
 
 
 def _dualize(f: ScalarField, sign: float, curl_tol: float) -> ScalarField:
@@ -343,7 +352,7 @@ def dualize_maximal_to_minimal(f: ScalarField, curl_tol: float = 1e-3) -> Scalar
 
 def shift_agreement(a: ScalarField, b: ScalarField) -> float:
     """min over constants c of max |a - b - c| on the shared mask."""
-    if a.values.shape != b.values.shape or a.spacing != b.spacing:
+    if a.values.shape != b.values.shape or a.spacing != b.spacing or a.origin != b.origin:
         raise ValueError("fields live on different grids")
     overlap = a.mask & b.mask
     if not overlap.any():

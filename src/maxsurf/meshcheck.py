@@ -666,6 +666,13 @@ def _nearest_vertex(points: np.ndarray, triangles: np.ndarray, targets: np.ndarr
     lies in some projected triangle, and a point of a triangle lies within
     (longest edge)/sqrt(3) of one of its vertices, so the nearest vertex is
     closer than reach and sits in a neighbouring bucket.
+
+    first[k] counts the vertices with bucket key x * width + y below k, so the
+    buckets (x + dx, y - 1 .. y + 1) are the run first[key - 1] : first[key + 2]
+    of the key-sorted vertices.  The three runs (dx = -1, 0, 1) are searched
+    one at a time; each run's best distance and lowest index at it merge into
+    the running pair.  The table is indexed without a search, so a target
+    outside the mesh's buckets raises ValueError.
     """
     edges = points[triangles] - points[np.roll(triangles, 1, axis=1)]
     reach = float(np.max(np.abs(edges))) / np.sqrt(3.0) * (1.0 + 1e-9)
@@ -679,23 +686,27 @@ def _nearest_vertex(points: np.ndarray, triangles: np.ndarray, targets: np.ndarr
     width = int(by.max()) + 3
     keys = bx * width + by
     order = np.argsort(keys)
-    keys = keys[order]
+    first = np.cumsum(np.bincount(keys + 1, minlength=(int(bx.max()) + 2) * width))
     tx, ty = bucket(targets)
-    owner, cand = [], []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            key = (tx + dx) * width + (ty + dy)
-            start = np.searchsorted(keys, key, "left")
-            count = np.searchsorted(keys, key, "right") - start
-            owner.append(np.repeat(np.arange(targets.size), count))
-            cand.append(order[np.repeat(start, count) + _offsets(count)])
-    owner, cand = np.concatenate(owner), np.concatenate(cand)
-    dist = np.abs(points[cand] - targets[owner])
+    if np.any((tx < 1) | (tx > bx.max()) | (ty < 1) | (ty > by.max())):
+        raise ValueError("targets lie outside the projected mesh")
     best = np.full(targets.size, np.inf)
-    np.minimum.at(best, owner, dist)
-    hit = dist == best[owner]
     nearest = np.full(targets.size, points.size)
-    np.minimum.at(nearest, owner[hit], cand[hit])
+    for dx in (-1, 0, 1):
+        key = (tx + dx) * width + ty
+        start = first[key - 1]
+        count = first[key + 2] - start
+        owner = np.repeat(np.arange(targets.size), count)
+        cand = order[np.repeat(start, count) + _offsets(count)]
+        dist = np.abs(points[cand] - targets[owner])
+        run_best = np.full(targets.size, np.inf)
+        np.minimum.at(run_best, owner, dist)
+        hit = dist == run_best[owner]
+        run_nearest = np.full(targets.size, points.size)
+        np.minimum.at(run_nearest, owner[hit], cand[hit])
+        take = (run_best < best) | ((run_best == best) & (run_nearest < nearest))
+        best = np.where(take, run_best, best)
+        nearest = np.where(take, run_nearest, nearest)
     return nearest
 
 

@@ -4,7 +4,8 @@ Everything here is computed by a route disjoint from the package internals:
 closed-form antiderivatives, composite Simpson quadrature on dense nodes,
 loop and all-pairs forms of the mesh build and planar predicates, row-by-row
 forms of the text writers and reader, one expression per finite-difference
-rule, and hand-derived constants for the built-in catalog families.  Tests
+rule, the full-grid sweeps of the tree integration, and hand-derived
+constants for the built-in catalog families.  Tests
 compare package output against these, never against the package itself.
 """
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from maxsurf.errors import DegenerateMask, NotSpacelike
+from maxsurf.errors import DegenerateMask, NotSimplyConnected, NotSpacelike
 
 
 def simpson_line(func, a: complex, b: complex, n: int = 4096) -> complex:
@@ -437,3 +438,35 @@ def flux_curl_per_axis(f, kind):
         (a_on_y[1:, :] - a_on_y[:-1, :]) / h + (b_on_x[:, 1:] - b_on_x[:, :-1]) / h
     )[e.supported]
     return resid, e.supported
+
+
+# ---- the full-grid wavefront ----
+
+# Four masked full-grid updates per sweep, repeated until nothing changes
+# (cells x grid diameter).  The package's frontier form must reproduce its
+# values bit for bit.
+
+
+def tree_integrate_sweeps(mask, inc_x, inc_y, anchor) -> np.ndarray:
+    """Propagate values from the anchor across grid edges (deterministic wavefront)."""
+    vals = np.zeros(mask.shape)
+    visited = np.zeros(mask.shape, dtype=bool)
+    visited[anchor] = True
+    exist_x = mask[:-1, :] & mask[1:, :]
+    exist_y = mask[:, :-1] & mask[:, 1:]
+    lo_x, hi_x, lo_y, hi_y = np.s_[:-1, :], np.s_[1:, :], np.s_[:, :-1], np.s_[:, 1:]
+    # (from, to, edges, increment) for steps east, west, north and south
+    steps = [(lo_x, hi_x, exist_x, inc_x), (hi_x, lo_x, exist_x, -inc_x),
+             (lo_y, hi_y, exist_y, inc_y), (hi_y, lo_y, exist_y, -inc_y)]
+    new = True
+    while new:
+        new = False
+        for src, dst, exist, inc in steps:
+            sel = exist & visited[src] & ~visited[dst]
+            if sel.any():
+                vals[dst][sel] = vals[src][sel] + inc[sel]
+                visited[dst][sel] = True
+                new = True
+    if not np.array_equal(visited, mask):
+        raise NotSimplyConnected("mask is not 4-connected")
+    return vals

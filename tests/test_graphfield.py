@@ -18,6 +18,7 @@ from maxsurf.graphfield import (
     _axis_derivative,
     _EdgeData,
     _edges,
+    _tree_integrate,
     dualize_maximal_to_minimal,
     dualize_minimal_to_maximal,
     flux_curl,
@@ -39,6 +40,7 @@ from oracles import (
     helicoid_height,
     load_field_rows,
     save_field_rows,
+    tree_integrate_sweeps,
 )
 
 
@@ -232,6 +234,88 @@ class TestDualize:
             dualize_minimal_to_maximal(f)
 
 
+def _snake(nx, ny):
+    # rows joined alternately at the right and left ends: one path through
+    # about nx * ny / 2 cells, far longer than the grid's diameter
+    mask = np.zeros((nx, ny), dtype=bool)
+    mask[::2, :] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+def _disk(n):
+    i, j = np.indices((n, n)) - (n - 1) / 2
+    return i * i + j * j <= (n / 2) ** 2
+
+
+def _ell(n):
+    mask = np.zeros((n, n), dtype=bool)
+    mask[:, :3] = mask[:3, :] = True
+    return mask
+
+
+def _blob(n, seed):
+    # the 4-connected component of (0, 0) in a random mask: holes and
+    # branches, so cells are often reachable from two sides in one sweep
+    rng = np.random.default_rng(seed)
+    cells = rng.random((n, n)) < 0.65
+    cells[0, 0] = True
+    comp = np.zeros_like(cells)
+    comp[0, 0] = True
+    while True:
+        grown = comp.copy()
+        grown[1:, :] |= comp[:-1, :]
+        grown[:-1, :] |= comp[1:, :]
+        grown[:, 1:] |= comp[:, :-1]
+        grown[:, :-1] |= comp[:, 1:]
+        grown &= cells
+        if np.array_equal(grown, comp):
+            return comp
+        comp = grown
+
+
+class TestTreeIntegrate:
+    """The frontier wavefront against the full-grid sweeps of tests/oracles.py."""
+
+    @pytest.mark.parametrize(
+        "mask, anchor",
+        [
+            (np.ones((13, 8), dtype=bool), (0, 0)),
+            (_disk(21), (0, 8)),
+            (_ell(17), (0, 0)),
+            (_snake(23, 19), (0, 0)),
+            (_snake(23, 19), (12, 7)),
+            (np.ones((1, 30), dtype=bool), (0, 0)),
+            (np.ones((30, 1), dtype=bool), (0, 0)),
+            (np.ones((1, 1), dtype=bool), (0, 0)),
+            (np.ones((9, 11), dtype=bool), (5, 6)),
+            (_disk(21), (10, 10)),
+            (_blob(40, 0), (0, 0)),
+            (_blob(40, 2), (0, 0)),
+        ],
+        ids=["rectangle", "disk", "ell", "snake", "snake-mid", "strip-1xN", "strip-Nx1",
+             "one-cell", "rectangle-mid", "disk-center", "blob-0", "blob-2"],
+    )
+    def test_bit_identical_to_sweeps(self, mask, anchor):
+        rng = np.random.default_rng(sum(mask.shape) + anchor[0])
+        nx, ny = mask.shape
+        inc_x = rng.standard_normal((nx - 1, ny))
+        inc_y = rng.standard_normal((nx, ny - 1))
+        got = _tree_integrate(mask, inc_x, inc_y, anchor)
+        want = tree_integrate_sweeps(mask, inc_x, inc_y, anchor)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_disconnected_mask_raises_like_sweeps(self):
+        mask = _snake(9, 9)
+        mask[4, 4] = False
+        inc_x, inc_y = np.ones((8, 9)), np.ones((9, 8))
+        for integrate in (_tree_integrate, tree_integrate_sweeps):
+            with pytest.raises(NotSimplyConnected, match="4-connected"):
+                integrate(mask, inc_x, inc_y, (0, 0))
+
+
 class TestShiftAgreement:
     def test_constant_shift_invisible(self):
         f = rect(affine)
@@ -242,6 +326,12 @@ class TestShiftAgreement:
         f = rect(affine)
         g = rect(affine, h=0.2)
         with pytest.raises(ValueError):
+            shift_agreement(f, g)
+
+    def test_origin_mismatch_rejected(self):
+        f = rect(affine, nx=4, ny=4)
+        g = rect(affine, origin=(5.0, -3.0), nx=4, ny=4)
+        with pytest.raises(ValueError, match="different grids"):
             shift_agreement(f, g)
 
     def test_empty_overlap_rejected(self):

@@ -471,6 +471,41 @@ class TestResampling:
         )
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nearest_vertex_ties_and_edge_buckets(self, seed):
+        # a 4 x 4 lattice of unit squares in shuffled vertex order, with three
+        # vertices repeated; half-integer targets sit on vertices (ties with
+        # the repeats), mid-edges (two-way ties, across bucket columns) and
+        # square centres (four-way ties), and reach every edge bucket row
+        rng = np.random.default_rng(seed)
+        n = 4
+        i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
+        lattice = (i + 1j * j).astype(complex)
+        v00 = (i * (n + 1) + j)[(i < n) & (j < n)]
+        tris = np.concatenate([np.column_stack([v00, v00 + n + 1, v00 + n + 2]),
+                               np.column_stack([v00, v00 + n + 2, v00 + 1])])
+        pts = np.concatenate([lattice, lattice[[0, 12, 24]]])
+        order = rng.permutation(pts.size)
+        points, triangles = pts[order], np.argsort(order)[tris]
+        half = np.arange(0.0, n + 0.25, 0.5)
+        targets = np.concatenate([(half[:, None] + 1j * half[None, :]).ravel(),
+                                  rng.uniform(0, n, 200) + 1j * rng.uniform(0, n, 200)])
+        got = _nearest_vertex(points, triangles, targets)
+        want = np.argmin(np.abs(points[None, :] - targets[:, None]), axis=1)
+        assert np.array_equal(got, want)
+
+    def test_nearest_vertex_repeated_point_lower_index(self):
+        points = np.array([0, 1, 1 + 1j, 1j, 1 + 1j], dtype=complex)
+        triangles = np.array([[0, 1, 2], [0, 2, 3]])
+        got = _nearest_vertex(points, triangles, np.array([1 + 1j, 0.9 + 0.9j, 0.5 + 0.5j]))
+        assert got.tolist() == [2, 2, 0]
+
+    def test_nearest_vertex_rejects_targets_outside_buckets(self):
+        points = np.array([0, 1, 1 + 1j, 1j], dtype=complex)
+        triangles = np.array([[0, 1, 2], [0, 2, 3]])
+        with pytest.raises(ValueError, match="outside the projected mesh"):
+            _nearest_vertex(points, triangles, np.array([0.5 + 0.5j, 5.0 + 0.5j]))
+
     def test_lee_equivalence_small_discrepancy(self, catalog_data):
         assert lee_equivalence_check(catalog_data["shift3-r05"], 0.02) < 1e-4
 
