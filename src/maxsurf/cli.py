@@ -48,6 +48,7 @@ from .meshcheck import (
     sample_surface,
     triangulate_disk,
 )
+from .textio import write_rows
 from .weierstrass import (
     Immersion,
     IsotropicCurve,
@@ -180,11 +181,9 @@ def _write_json(path: Path, obj: dict):
 
 
 def _write_obj(path: Path, mesh: SurfaceMesh):
-    # one %-format over each whole column: repr of every float, as f"{x!r}"
-    pos, tri = mesh.positions, mesh.param.triangles
-    with open(path, "w") as fh:
-        fh.write(("v %r %r %r\n" * len(pos)) % tuple(pos.ravel().tolist()))
-        fh.write(("f %d %d %d\n" * len(tri)) % tuple((tri + 1).ravel().tolist()))
+    with open(path, "wb") as fh:
+        write_rows(fh, "v %r %r %r\n", mesh.positions)
+        write_rows(fh, "f %d %d %d\n", mesh.param.triangles + 1)
 
 
 def _report(args: argparse.Namespace, **fields) -> dict:
@@ -364,8 +363,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     _write_json(files[0], data.to_obj())
     _write_json(files[1], im.curve.to_obj())
     _write_obj(files[2], mesh)
-    cycle = mesh.positions[mesh.param.boundary, :2]
-    files[3].write_text("x,y\n" + ("%r,%r\n" * len(cycle)) % tuple(cycle.ravel().tolist()))
+    with open(files[3], "wb") as fh:
+        fh.write(b"x,y\n")
+        write_rows(fh, "%r,%r\n", mesh.positions[mesh.param.boundary, :2])
     _emit(_report(args, files=[str(f) for f in files]))
     return 0
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, cycle, repeat
+from itertools import compress, cycle
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .errors import (
     NotSpacelike,
     OverlapEmpty,
 )
+from .textio import parse_rows, write_rows
 
 _SPACELIKE_EPS = 1e-12
 # load_field's limit on the header's nx * ny: a 2048 x 2048 grid.
@@ -376,9 +377,14 @@ def save_field(f: ScalarField, csv_path, header_path):
         )
         fh.write("\n")
     i, j = np.nonzero(f.mask)
-    rows = np.column_stack([f.xs()[i], f.ys()[j], f.values[i, j]])
-    with open(csv_path, "w") as fh:
-        fh.write("x,y,value\n" + ("%r,%r,%r\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    table = np.empty((i.size, 3), dtype=object)
+    # each distinct grid coordinate is formatted once
+    table[:, 0] = np.array(list(map(repr, f.xs().tolist())), dtype=object)[i]
+    table[:, 1] = np.array(list(map(repr, f.ys().tolist())), dtype=object)[j]
+    table[:, 2] = f.values[i, j]
+    with open(csv_path, "wb") as fh:
+        fh.write(b"x,y,value\n")
+        write_rows(fh, "%s,%s,%r\n", table)
 
 
 def _read_header(header_path) -> tuple[tuple[float, float], float, int, int]:
@@ -396,26 +402,6 @@ def _read_header(header_path) -> tuple[tuple[float, float], float, int, int]:
     if not np.all(np.isfinite(origin)):
         raise ValueError(f"{header_path}: origin must be finite, got {origin!r}")
     return origin, h, nx, ny
-
-
-def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 3) floats of 'x,y,value' rows, and which rows do not parse (NaN there)."""
-    n = len(rows)
-    if set(map(str.count, rows, repeat(","))) <= {2}:
-        try:
-            flat = np.fromiter(map(float, ",".join(rows).split(",")), float, 3 * n)
-            return flat.reshape(n, 3), np.zeros(n, dtype=bool)
-        except ValueError:
-            pass
-    xyv, bad = np.full((n, 3), np.nan), np.ones(n, dtype=bool)
-    for k, row in enumerate(rows):
-        try:
-            x, y, v = row.split(",")
-            xyv[k] = float(x), float(y), float(v)
-        except ValueError:
-            continue
-        bad[k] = False
-    return xyv, bad
 
 
 _ROW_FAULTS = (
@@ -437,7 +423,7 @@ def load_field(csv_path, header_path) -> ScalarField:
     with open(csv_path) as fh:
         lines = fh.read().split("\n")[1:]
     nonblank = list(map(str.strip, lines))
-    xyv, malformed = _parse_rows(list(compress(lines, nonblank)))
+    xyv, malformed = parse_rows(list(compress(lines, nonblank)), 3, memo=(0, 1))
     finite = np.all(np.isfinite(xyv), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates land off the grid
         fi = np.rint((xyv[:, 0] - origin[0]) / h)

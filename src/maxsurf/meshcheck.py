@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (
-    AmbientMismatch,
     DegenerateTriangle,
     NewtonDivergence,
     NotAGraph,
@@ -391,14 +390,19 @@ def _report_from_points(pts2: np.ndarray, param: ParamMesh) -> GraphReport:
     cycle = pts2[param.boundary]
     simple = _boundary_simple(cycle)
     e = np.roll(cycle, -1, axis=0) - cycle
-    defect = float(np.min(_cross2(e, np.roll(e, -1, axis=0))))
+    e_next = np.roll(e, -1, axis=0)
+    turn = _cross2(e, e_next)
+    defect = float(np.min(turn))
+    # a convex rim turns left at every vertex and once around in all: a rim
+    # that winds twice also turns left everywhere
+    winding = round(float(np.sum(np.arctan2(turn, np.sum(e * e_next, axis=1)))) / (2 * np.pi))
 
     return GraphReport(
         min_projected_triangle_area=min_area,
         boundary_simple=simple,
         boundary_convexity_defect=defect,
         injective=bool(min_area > 0 and simple),
-        is_convex_domain=bool(defect >= _CONVEXITY_BAND),
+        is_convex_domain=bool(defect >= _CONVEXITY_BAND and winding == 1),
     )
 
 
@@ -539,19 +543,6 @@ def _walk(walker: _ProjectionWalker, p1, p2) -> np.ndarray:
     return betas
 
 
-def pullback_segment(im: Immersion, p1: complex, p2: complex) -> np.ndarray:
-    """Parameters beta(t_j) with pi(X(beta(t_j))) = (1-t_j) p1 + t_j p2.
-
-    Newton continuation seeded at the base point: a first pass walks the
-    projection from pi(X(base)) to p1, the returned path covers p1 -> p2 at
-    _KRUST_STEPS + 1 uniform nodes.  Residual increase is met by step halving;
-    NewtonDivergence signals that the segment leaves the sampled domain.
-    """
-    walker = _ProjectionWalker(im, im.curve.forms, [im.base_point])
-    _walk(walker, walker.off, complex(p1))
-    return _walk(walker, complex(p1), complex(p2))[:, 0]
-
-
 # ---- positivity of the conjugate width ----
 
 
@@ -606,29 +597,6 @@ def krust_inequality_batch(data: WeierstrassData, w1, w2) -> KrustInequality:
     integral = dt * (0.5 * f[0] + f[1:-1].sum(axis=0) + 0.5 * f[-1])
 
     return KrustInequality(lhs, integral, np.minimum(lhs, integral))
-
-
-# ---- edgewise spacelike check ----
-
-
-@dataclass(frozen=True)
-class SpacelikeReport:
-    min_edge_quadratic_form: float
-    pr_margin: float
-
-
-def spacelike_mesh_check(mesh: SurfaceMesh) -> SpacelikeReport:
-    """min <e,e> over mesh edges (positive iff all edges spacelike) and the
-    projection-expansion margin min(|pi(e)|^2 - <e,e>) = min e3^2 >= 0.
-
-    Taken over the triangles' half-edges: an interior edge counts twice,
-    which leaves both minima unchanged, and every term is a square."""
-    if mesh.ambient is not Ambient.LORENTZIAN:
-        raise AmbientMismatch("spacelike check needs a Lorentzian mesh")
-    t = mesh.param.triangles
-    e = mesh.positions[t.ravel()] - mesh.positions[np.roll(t, -1, axis=1).ravel()]
-    q = e[:, 0] ** 2 + e[:, 1] ** 2 - e[:, 2] ** 2
-    return SpacelikeReport(float(np.min(q)), float(np.min(e[:, 2] ** 2)))
 
 
 # ---- grid resampling and the graph-duality comparison ----

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,19 @@ def plane15():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture(params=[1, 3], ids=["one-part", "three-parts"])
+def cores(request, monkeypatch):
+    """Run with this many cores available, so large text tables split into
+    that many parts whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False)
+    return request.param
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def disk_samples(rng, radius, n):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maxsurf import textio
 from maxsurf.catalog import get
 from maxsurf.cli import _write_obj, run_argv
 from maxsurf.graphfield import ScalarField, load_field, save_field, shift_agreement
@@ -19,6 +20,7 @@ from maxsurf.weierstrass import (
     immersion_from_data,
 )
 
+from conftest import assert_no_children
 from oracles import (
     boundary_csv_rows,
     disk_triangle_count,
@@ -293,6 +295,48 @@ class TestExport:
         boundary_csv_rows(tmp_path / "want.csv", mesh)
         assert (tmp_path / "surface.obj").read_bytes() == (tmp_path / "want.obj").read_bytes()
         assert (tmp_path / "boundary.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_forked_files_match_row_oracle(self, tmp_path, capsys, cores):
+        # n = 64: 12,481 vertices and 24,576 faces, above the part threshold
+        code, _ = run_json(
+            capsys, "export", "--datum", "rational-r09", "--mesh-n", "64", "--out", str(tmp_path)
+        )
+        assert code == 0
+        assert_no_children()
+        data = get("rational-r09")
+        mesh = sample_surface(immersion_from_data(data), triangulate_disk(data.domain_radius, 64))
+        write_obj_rows(tmp_path / "want.obj", mesh)
+        boundary_csv_rows(tmp_path / "want.csv", mesh)
+        assert (tmp_path / "surface.obj").read_bytes() == (tmp_path / "want.obj").read_bytes()
+        assert (tmp_path / "boundary.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @staticmethod
+    def fail_text_part(monkeypatch, in_child):
+        """Three parts per large table; the children's (or the parent's) part raises."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        parent, format_rows = os.getpid(), textio._format
+
+        def format_part(row, rows):
+            if (os.getpid() != parent) == in_child:
+                raise RuntimeError("text part fault")
+            return format_rows(row, rows)
+
+        monkeypatch.setattr(textio, "_format", format_part)
+
+    def test_failing_text_worker_is_io_failure(self, tmp_path, capsys, monkeypatch):
+        self.fail_text_part(monkeypatch, in_child=True)
+        code, cap = run_json(
+            capsys, "export", "--datum", "rational-r09", "--mesh-n", "64", "--out", str(tmp_path)
+        )
+        assert code == 1
+        assert cap.err == "error: i/o failure: text worker exited with status 1\n"
+        assert_no_children()
+
+    def test_failing_parent_part_reaps_workers(self, tmp_path, monkeypatch):
+        self.fail_text_part(monkeypatch, in_child=False)
+        with pytest.raises(RuntimeError, match="text part fault"):
+            run_argv(["export", "--datum", "rational-r09", "--mesh-n", "64", "--out", str(tmp_path)])
+        assert_no_children()
 
     def test_obj_writer_special_floats(self, tmp_path):
         param = triangulate_disk(1.0, 1)

@@ -32,6 +32,7 @@ from maxsurf.graphfield import (
 
 from maxsurf.meshcheck import resample_graph
 
+from conftest import assert_no_children
 from oracles import (
     EdgeDataPerAxis,
     axis_derivative_rules,
@@ -389,6 +390,16 @@ def ragged_field():
     return ScalarField((-0.35, 1 / 3), 0.1, values, mask)
 
 
+def big_ragged_field():
+    """ragged_field's kinds of values on a 150 x 170 grid: over 20k masked
+    cells, so save_field and load_field split their rows into parts."""
+    rng = np.random.default_rng(11)
+    mask = rng.uniform(size=(150, 170)) < 0.85
+    values = np.where(mask, rng.normal(size=mask.shape) * 10.0 ** rng.integers(-8, 9, mask.shape), 0.0)
+    values[mask] = np.concatenate([[-0.0, 5e-324, 1e16, 0.1, 1 / 3], values[mask][5:]])
+    return ScalarField((-0.35, 1 / 3), 0.1, values, mask)
+
+
 def assert_same_field(got: ScalarField, want):
     origin, h, values, mask = want
     assert got.origin == origin and got.spacing == h
@@ -450,6 +461,33 @@ class TestRowOracle:
         with pytest.raises(ValueError) as got:
             load_field(csv, head)
         assert str(got.value) == str(want.value)
+
+    def test_large_field_matches_row_oracle(self, tmp_path, cores):
+        f = big_ragged_field()
+        assert f.mask.sum() >= 20_000
+        csv, head = tmp_path / "a.csv", tmp_path / "a.json"
+        save_field(f, csv, head)
+        save_field_rows(f, tmp_path / "b.csv", tmp_path / "b.json")
+        assert csv.read_bytes() == (tmp_path / "b.csv").read_bytes()
+        got = load_field(csv, head)
+        assert_same_field(got, load_field_rows(csv, head))
+        assert got.values.tobytes() == f.values.tobytes()
+        assert_no_children()
+
+    @pytest.mark.parametrize("bad_row", ["0.1,abc,1.0", "0.1,0.2", "0.1,0.2,1.0,9"])
+    def test_large_field_malformed_last_row(self, tmp_path, cores, bad_row):
+        csv, head = tmp_path / "f.csv", tmp_path / "f.json"
+        save_field(big_ragged_field(), csv, head)
+        lines = csv.read_text().splitlines()
+        lines[-1] = bad_row  # in the last part
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as want:
+            load_field_rows(csv, head)
+        with pytest.raises(ValueError) as got:
+            load_field(csv, head)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f":{len(lines)}: expected 'x,y,value' floats")
+        assert_no_children()
 
 
 class TestHostileFieldFiles:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maxsurf.duality import sharp
-from maxsurf.errors import AmbientMismatch, DegenerateTriangle, DomainError
+from maxsurf.errors import DegenerateTriangle
 from maxsurf.graphfield import ScalarField, VectorField2, maximal_residual
 from maxsurf.lorentz import Ambient, Vec3
 from maxsurf.meshcheck import (
@@ -19,11 +19,9 @@ from maxsurf.meshcheck import (
     krust_pipeline,
     lee_equivalence_check,
     projection_report,
-    pullback_segment,
     resample_graph,
     rotation_identity_check,
     sample_surface,
-    spacelike_mesh_check,
     triangulate_disk,
 )
 from maxsurf.rational import RationalHolomorphic
@@ -181,6 +179,17 @@ class TestProjectionReport:
         assert rep.injective and rep.boundary_simple
         assert not rep.is_convex_domain
         assert rep.boundary_convexity_defect < 0
+
+    def test_rim_winding_twice_not_convex(self):
+        # w -> w^2 wraps the rim twice around the origin: every local turn is
+        # to the left, but the total turning is 4 pi
+        param = triangulate_disk(1.0, 8)
+        w = param.vertices**2
+        pos = np.stack([w.real, w.imag, np.zeros(w.size)], axis=1)
+        rep = projection_report(SurfaceMesh(param, pos, Ambient.EUCLIDEAN))
+        assert rep.boundary_convexity_defect > 0
+        assert not rep.boundary_simple
+        assert not rep.is_convex_domain
 
     def test_degenerate_projection_rejected(self):
         param = triangulate_disk(1.0, 2)
@@ -364,22 +373,6 @@ class TestKrustPipeline:
         assert rep.conjugate_report.injective
 
 
-class TestSpacelike:
-    def test_catalog_mesh_spacelike(self, catalog_data):
-        im = immersion_from_data(catalog_data["rational-r05"])
-        rep = spacelike_mesh_check(sample_surface(im, triangulate_disk(0.5, 10)))
-        assert rep.min_edge_quadratic_form > 0
-        assert rep.pr_margin >= 0
-
-    def test_euclidean_mesh_rejected(self):
-        param = triangulate_disk(1.0, 2)
-        pos = np.stack(
-            [param.vertices.real, param.vertices.imag, np.zeros(len(param.vertices))], axis=1
-        )
-        with pytest.raises(AmbientMismatch):
-            spacelike_mesh_check(SurfaceMesh(param, pos, Ambient.EUCLIDEAN))
-
-
 class TestRotationIdentity:
     def test_random_directions(self, catalog_data, rng):
         data = catalog_data["shift2.5-r05"]
@@ -402,11 +395,6 @@ class TestRotationIdentity:
 
 
 class TestPullbackAndInequality:
-    def test_plane_pullback_is_linear(self, plane15):
-        im = immersion_from_data(plane15)
-        beta = pullback_segment(im, 0j, complex(1.25))
-        assert np.max(np.abs(beta - np.linspace(0, 1, 201))) < 1e-12
-
     def test_plane_inequality_closed_form(self, plane15):
         out = krust_inequality_batch(plane15, [0j], [1.0 + 0j])
         assert abs(out.lhs[0] - PLANE_KRUST_BOTH_SIDES) < 1e-12
