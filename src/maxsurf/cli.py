@@ -89,7 +89,7 @@ _FLAGS = {
     "--datum": {"help": "built-in catalog datum name"},
     "--config": {"help": "path to a JSON input description"},
     "--out": {"help": "output directory"},
-    "--mesh-n": {"type": int, "default": 64},
+    "--mesh-n": {"type": int, "default": 64, "help": "rings of the parameter disk, 1 to 1024"},
     "--seed": {"type": int, "default": 0},
 }
 # Flag sets of the subcommands (_COMMANDS); the numeric flags a subcommand
@@ -97,6 +97,7 @@ _FLAGS = {
 _INPUT = ("--datum", "--config", "--out")
 _SAMPLED = _INPUT + ("--mesh-n",)
 _SETTINGS = ("mesh_n", "seed")
+_MAX_MESH_N = 1024  # a disk of n rings has 6n^2 triangles: 850 MB to certify n = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,8 +122,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace):
-    if "mesh_n" in args and args.mesh_n < 1:
-        raise CliError("--mesh-n must be at least 1")
+    if "mesh_n" in args and not 1 <= args.mesh_n <= _MAX_MESH_N:
+        raise CliError(f"--mesh-n must be between 1 and {_MAX_MESH_N}, got {args.mesh_n}")
 
 
 def _read_json(path: str) -> dict:
@@ -401,7 +402,9 @@ def run_argv(argv=None) -> int:
         args = _parser().parse_args(argv)
         json_errors = args.json  # also when abbreviated, e.g. --js
         _check_args(args)
-        return run(args)
+        # overflow ends in FloatRangeError from explicit finiteness checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(args)
     except (CliError, MaxsurfError) as e:
         _emit_error(str(e), json_errors)
         return 1

@@ -5,6 +5,10 @@ class MaxsurfError(Exception):
     """Base class for all maxsurf errors."""
 
 
+class FloatRangeError(MaxsurfError, ValueError):
+    """A coefficient, position or projected area overflowed, or a mesh radius is out of float range."""
+
+
 class DomainError(MaxsurfError):
     """Evaluation requested outside a certified validity disk."""
 

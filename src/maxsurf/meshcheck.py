@@ -19,20 +19,20 @@ isotropic-curve duality).
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import (
     DegenerateTriangle,
+    FloatRangeError,
     NewtonDivergence,
     NotAGraph,
     OverlapEmpty,
-    PoleInDomain,
 )
 from .graphfield import ScalarField, dualize_maximal_to_minimal, shift_agreement
 from .lorentz import Ambient, cross_lorentz
-from .rational import RationalHolomorphic, integrate_to_many
+from .rational import integrate_to_many
 from .weierstrass import (
     Immersion,
     WeierstrassData,
@@ -65,6 +65,10 @@ _KRUST_STEPS = 200
 # magnitudes; 8 x 2^-52 exceeds it.  The tiny term covers underflow.
 _ORIENT_REL = 8 * np.finfo(float).eps
 _ORIENT_ABS = np.finfo(float).tiny
+# ParamMesh radii, and its shape bound: area >= _SHAPE (longest edge)^2, where
+# the least ratio is sqrt(3)/12 = 0.1443 for every n >= 2 measured (to 1024).
+_MESH_RADIUS = (2.0**-500, 2.0**500)
+_SHAPE = 0.14
 
 
 # ---- parameter-disk triangulation ----
@@ -72,37 +76,45 @@ _ORIENT_ABS = np.finfo(float).tiny
 
 @dataclass(frozen=True, eq=False)
 class ParamMesh:
-    """Disk-type triangulation of the parameter domain, validated on construction."""
+    """The n-ring disk of the given radius: ring k holds 6k vertices at
+    radius k/n * radius (1 + 3n(n+1) vertices, 6n^2 triangles).
 
-    vertices: np.ndarray  # complex (N,)
-    triangles: np.ndarray  # int (m, 3)
-    boundary: np.ndarray  # int (k,), ordered cycle
+    All meshes of n rings share the read-only int32 triangles and rim cycle
+    of _disk_topology(n), certified once at unit radius: a positively oriented
+    disk, each triangle of area >= _SHAPE L^2 (L its longest edge, >= radius/n).
+    A radius in _MESH_RADIUS keeps rim coordinates and their products normal
+    floats, and each vertex within d = 8 eps radius of radius times its
+    unit-disk vertex; moving vertices by d changes an area by at most
+    2 L d + 2 d^2, so no triangle flips for n < 10^13.
+    """
+
+    radius: float
+    n: int
+    vertices: np.ndarray = field(init=False, repr=False)  # complex (N,)
+    triangles: np.ndarray = field(init=False, repr=False)  # int32 (6n^2, 3)
+    boundary: np.ndarray = field(init=False, repr=False)  # (6n,), the rim cycle
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=complex).ravel()
-        t, b = self.triangles, self.boundary
-        # the k-ring disk's cached arrays passed _check_disk once; int32 only
-        k, n = np.size(b) // 6, v.size
-        shared = getattr(t, "dtype", None) == np.int32 and k >= 1 and n == _ring_start(k + 1)
-        shared = shared and _disk_topology(k)[0] is t and _disk_topology(k)[1] is b
-        if not shared:
-            t, b = np.asarray(t, dtype=int), np.asarray(b, dtype=int).ravel()
-        if t.ndim != 2 or t.shape[1] != 3 or t.shape[0] == 0:
-            raise ValueError("mesh must contain at least one triangle")
-        if min(t.min(), b.min(initial=0)) < 0 or max(t.max(), b.max(initial=0)) >= n:
-            raise ValueError("vertex index out of range")
-        if np.unique(b).size != b.size:
-            raise ValueError("boundary cycle repeats a vertex")
-        if np.min(_signed_areas(v, t)) <= 0:
-            raise ValueError("parameter triangles must be positively oriented")
-        if not shared:
-            _check_disk(n, t, b)
-        for name, arr in (("vertices", v), ("triangles", t), ("boundary", b)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        if self.n < 1:
+            raise ValueError("need at least one ring")
+        radius = float(self.radius)
+        if not _MESH_RADIUS[0] <= radius <= _MESH_RADIUS[1]:
+            raise FloatRangeError(f"disk radius {radius!r} outside [2**-500, 2**500]")
+        t, b = _disk_topology(self.n)
+        v = _ring_vertices(radius, self.n)
+        v.setflags(write=False)
+        for name, value in (("radius", radius), ("vertices", v), ("triangles", t), ("boundary", b)):
+            object.__setattr__(self, name, value)
 
 
-def _check_disk(n: int, t: np.ndarray, b: np.ndarray):
+def _check_disk(z: np.ndarray, t: np.ndarray, b: np.ndarray):
+    """Raise ValueError unless the triangles t over the vertices z form a positively
+    oriented disk with rim cycle b, each of area >= _SHAPE (longest edge)^2."""
+    n = z.size
+    if min(t.min(), b.min()) < 0 or max(t.max(), b.max()) >= n:
+        raise ValueError("vertex index out of range")
+    if np.unique(b).size != b.size:
+        raise ValueError("boundary cycle repeats a vertex")
     # Directed half-edge a -> b as the int64 key a*n + b, sorted once, in
     # place.  In an oriented disk each half-edge occurs once; a repeat means
     # two triangles lie on the same side of one edge, i.e. they overlap.
@@ -123,66 +135,71 @@ def _check_disk(n: int, t: np.ndarray, b: np.ndarray):
     # Euler count 1 alone admits e.g. two triangles glued at a vertex; a
     # disk additionally has its rim half-edges forming the one given
     # cycle, traversed in the mesh's (counterclockwise) orientation.
-    rim = half[~paired]
-    if not np.array_equal(np.sort(b * n + np.roll(b, -1)), rim):
+    if not np.array_equal(np.sort(b * n + np.roll(b, -1)), half[~paired]):
         raise ValueError("boundary must be the rim cycle of the triangulation")
+    del half, rev, paired  # 150 MB each at n = 1024
+    area = _signed_areas(z, t)
+    if not area.min() > 0:
+        raise ValueError("parameter triangles must be positively oriented")
+    longest = np.zeros(area.size)
+    for i in range(3):
+        np.maximum(longest, np.abs(z[t[:, i]] - z[t[:, i - 1]]), out=longest)
+    if np.any(area < _SHAPE * longest**2):
+        raise ValueError(f"a triangle's area is below {_SHAPE} (longest edge)^2")
 
 
 def _ring_start(k: int) -> int:
     return 1 + 3 * k * (k - 1)
 
 
-def _ring_triangles(k: int) -> np.ndarray:
-    """Triangles between rings k - 1 and k (k >= 2), in the order of a merge
-    walk by angle over the m = 6(k-1) inner and mm = 6k outer edges.
+def _disk_triangles(n: int) -> np.ndarray:
+    """Triangles of the n-ring disk: the fan of ring 1, then from 6 (k-1)^2 on
+    the merge walk by angle over ring k's m = 6(k-1) inner and mm = 6k outer
+    edges.  It takes outer step o before inner step i iff (o+1) m <= (i+1) mm,
+    so step o follows ((o+1) m - 1) // mm inner steps, step i follows
+    (i+1) mm // m outer ones, and either is triangle o + i of its ring.
+    Inner-edge triangles are reversed so that all areas are positive."""
+    t = np.empty((6 * n * n, 3), dtype=np.int32)
+    j = np.arange(6)
+    t[:6] = np.column_stack([1 + j, 1 + (j + 1) % 6, 0 * j])
+    rings = np.arange(2, n + 1)
+    k = np.repeat(rings, 6 * rings)  # outer step o of ring k
+    o = _offsets(6 * rings)
+    m, mm = 6 * k - 6, 6 * k
+    i = ((o + 1) * m - 1) // mm
+    t[6 * (k - 1) ** 2 + o + i] = np.column_stack(
+        [_ring_start(k) + o, _ring_start(k) + (o + 1) % mm, _ring_start(k - 1) + i])
+    k = np.repeat(rings, 6 * rings - 6)  # inner step i of ring k
+    i = _offsets(6 * rings - 6)
+    m, mm = 6 * k - 6, 6 * k
+    o = (i + 1) * mm // m
+    t[6 * (k - 1) ** 2 + o + i] = np.column_stack(
+        [_ring_start(k - 1) + (i + 1) % m, _ring_start(k - 1) + i, _ring_start(k) + o % mm])
+    return t
 
-    The walk takes outer step o before inner step i iff (o+1) m <= (i+1) mm,
-    so a stable sort of these keys, outer steps first, is the walk; running
-    counts give the inner (outer) position at each outer (inner) step.
-    Outer-edge triangles keep the outer circle CCW, inner-edge triangles are
-    reversed so all areas stay positive.
-    """
-    inner, m = _ring_start(k - 1), 6 * (k - 1)
-    outer, mm = _ring_start(k), 6 * k
-    keys = np.concatenate([np.arange(1, mm + 1) * m, np.arange(1, m + 1) * mm])
-    is_outer = np.argsort(keys, kind="stable") < mm
-    o = np.cumsum(is_outer) - is_outer
-    i = np.cumsum(~is_outer) - ~is_outer
-    return np.column_stack([
-        np.where(is_outer, outer + o % mm, inner + (i + 1) % m),
-        np.where(is_outer, outer + (o + 1) % mm, inner + i % m),
-        np.where(is_outer, inner + i % m, outer + o % mm),
-    ])
+
+def _ring_vertices(radius: float, n: int) -> np.ndarray:
+    """Vertex j of ring k at (radius k / n) exp(2 pi i j / 6k); ring 0 is the centre."""
+    count = np.maximum(6 * np.arange(n + 1), 1)
+    ring = np.repeat(np.arange(n + 1), count)
+    return (radius * ring / n) * np.exp(1j * (2.0 * np.pi * _offsets(count) / count[ring]))
 
 
 @functools.lru_cache(maxsize=4)
 def _disk_topology(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only int32 triangles and rim cycle of the n-ring disk, through
-    the half-edge checks of ParamMesh once per n."""
-    first = np.arange(6)
-    t = np.concatenate(
-        [np.column_stack([1 + first, 1 + (first + 1) % 6, np.zeros(6, dtype=int)])]
-        + [_ring_triangles(k) for k in range(2, n + 1)], dtype=np.int32, casting="same_kind")
+    _check_disk at unit radius once per n."""
+    t = _disk_triangles(n)
     b = np.arange(_ring_start(n), _ring_start(n) + 6 * n)
-    _check_disk(_ring_start(n + 1), t, b)
+    _check_disk(_ring_vertices(1.0, n), t, b)
     t.setflags(write=False)
     b.setflags(write=False)
     return t, b
 
 
 def triangulate_disk(radius: float, n: int) -> ParamMesh:
-    """Concentric-ring triangulation: ring k holds 6k vertices at radius
-    k/n * radius, so the mesh has 1 + 3n(n+1) vertices and 6n^2 triangles;
-    meshes of n rings share their read-only int32 triangles and boundary."""
-    if n < 1:
-        raise ValueError("need at least one ring")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    verts = [np.zeros(1, dtype=complex)]
-    for k in range(1, n + 1):
-        ang = 2.0 * np.pi * np.arange(6 * k) / (6 * k)
-        verts.append((radius * k / n) * np.exp(1j * ang))
-    return ParamMesh(np.concatenate(verts), *_disk_topology(n))
+    """The n-ring disk of the given radius (see ParamMesh)."""
+    return ParamMesh(radius, n)
 
 
 # ---- sampled surfaces ----
@@ -201,7 +218,7 @@ class SurfaceMesh:
         if p.shape != (self.param.vertices.size, 3):
             raise ValueError("positions shape does not match vertex count")
         if not np.all(np.isfinite(p)):
-            raise ValueError("non-finite position")
+            raise FloatRangeError("non-finite position")
         p.setflags(write=False)
         object.__setattr__(self, "positions", p)
 
@@ -233,10 +250,6 @@ def _signed_areas(z: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     area = u.real * w.imag
     area -= u.imag * w.real
     return 0.5 * area
-
-
-def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def _orientation(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -381,6 +394,8 @@ class GraphReport:
 
 def _report_from_points(pts2: np.ndarray, param: ParamMesh) -> GraphReport:
     areas = _signed_areas(np.ascontiguousarray(pts2).view(complex)[:, 0], param.triangles)
+    if not (np.all(np.isfinite(pts2)) and np.all(np.isfinite(areas))):
+        raise FloatRangeError("projected points or triangle areas are not finite floats")
     span = pts2.max(axis=0) - pts2.min(axis=0)
     scale = max(float(span[0]), float(span[1]), 1e-300)
     if float(np.min(np.abs(areas))) <= _AREA_EPS * scale * scale:
@@ -391,7 +406,7 @@ def _report_from_points(pts2: np.ndarray, param: ParamMesh) -> GraphReport:
     simple = _boundary_simple(cycle)
     e = np.roll(cycle, -1, axis=0) - cycle
     e_next = np.roll(e, -1, axis=0)
-    turn = _cross2(e, e_next)
+    turn = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
     defect = float(np.min(turn))
     # a convex rim turns left at every vertex and once around in all: a rim
     # that winds twice also turns left everywhere
@@ -439,14 +454,13 @@ def krust_pipeline(im: Immersion, n: int = 64) -> KrustReport:
     """Certify "graph over a convex domain implies the conjugate is a graph"
     for one immersion, sampled at n rings.
 
-    The surface and its conjugate come from one pass of integrals (real and
-    imaginary parts), so both certificates refer to the same parameter mesh.
+    Both certificates read one pass of the psi1, psi2 integrals on one mesh:
+    the surface their real parts, the conjugate their imaginary parts.
     """
     mesh = triangulate_disk(im.domain_radius, n)
-    ints = integrals_at_many(im, mesh.vertices)
-    base = im.base_value.as_array()
-    domain = _report_from_points(base[None, :2] + ints[:, :2].real, mesh)
-    conjugate = _report_from_points(ints[:, :2].imag, mesh)
+    ints = integrals_at_many(im, mesh.vertices, 2)
+    domain = _report_from_points(im.base_value.as_array()[:2] + ints.real, mesh)
+    conjugate = _report_from_points(ints.imag, mesh)
     return KrustReport(domain, conjugate, _verdict(domain, conjugate))
 
 
@@ -474,18 +488,17 @@ class _ProjectionWalker:
     """Tracks beta with pi(X(beta)) following prescribed plane targets.
 
     Starts at the parameters w and evaluates pi(X) at each Newton candidate
-    from the closed-form primitives of psi1, psi2, integrated from the base
-    point.  forms are im's curve forms, certified on a disk that Newton
-    iterates may reach beyond the domain disk.
+    from the closed-form primitives of im's psi1, psi2, integrated from the
+    base point.  An iterate that leaves the domain disk (integrate_to_many's
+    bound) ends the Newton loop, and the step to the target is halved.
     """
 
-    def __init__(self, im: Immersion, forms, w):
-        self.f1, self.f2 = forms[0], forms[1]
+    def __init__(self, im: Immersion, w):
+        self.f1, self.f2 = im.curve.psi1, im.curve.psi2
         self.base = im.base_point
         self.off = complex(im.base_value.x1, im.base_value.x2)
         self.w = np.array(w, dtype=complex)
-        self.eval_r = min(self.f1.radius, self.f2.radius) * (1.0 + 1e-12)
-        self.domain_r = im.domain_radius
+        self.radius = im.domain_radius * (1.0 + 1e-12)
 
     def projection(self, w) -> np.ndarray:
         x1 = integrate_to_many(self.f1, self.base, w).real
@@ -496,8 +509,6 @@ class _ProjectionWalker:
         for _ in range(_NEWTON_ITERS):
             r = self.projection(w) - target
             if float(np.max(np.abs(r))) <= _TOL:
-                if float(np.max(np.abs(w))) > self.domain_r * (1.0 + 1e-9):
-                    raise NewtonDivergence("pullback path exits the domain disk")
                 self.w = w
                 return
             v1 = self.f1._eval(w)
@@ -508,28 +519,14 @@ class _ProjectionWalker:
             if float(np.min(np.abs(det))) < 1e-300:
                 raise NewtonDivergence("projected differential is singular")
             w = w + (-np.conj(a) * r + bc * np.conj(r)) / det
-            if float(np.max(np.abs(w))) > self.eval_r:
-                raise NewtonDivergence("Newton iterate left the evaluation disk")
+            if float(np.max(np.abs(w))) > self.radius:
+                break
         if depth >= _MAX_SPLIT:
-            raise NewtonDivergence(f"no convergence after {_MAX_SPLIT} step halvings")
+            raise NewtonDivergence(f"no convergence after {_MAX_SPLIT} step halvings "
+                                   "(or the pullback path leaves the domain disk)")
         mid = 0.5 * (self.projection(self.w) + target)
         self.solve(mid, depth + 1)
         self.solve(target, depth + 1)
-
-
-def _wide_maximal_curve(im: Immersion, data: WeierstrassData):
-    """The forms of im = immersion_from_data(data), certified on as wide a
-    disk as possible for Newton overshoot.
-
-    The coefficients do not depend on the radius, so the forms are re-tagged
-    to min(g.radius, dh.radius).  Where g vanishes in that disk the re-tagged
-    denominators fail their certificate and the domain disk is kept.
-    """
-    r = min(data.g.radius, data.dh.radius)
-    try:
-        return [RationalHolomorphic(f.num, f.den, r) for f in im.curve.forms]
-    except PoleInDomain:
-        return im.curve.forms
 
 
 def _walk(walker: _ProjectionWalker, p1, p2) -> np.ndarray:
@@ -573,12 +570,11 @@ def krust_inequality_batch(data: WeierstrassData, w1, w2) -> KrustInequality:
         raise ValueError("pair endpoints must be distinct")
 
     im = immersion_from_data(data)
-    ints1 = integrals_at_many(im, w1)
-    ints2 = integrals_at_many(im, w2)
-    walker = _ProjectionWalker(im, _wide_maximal_curve(im, data), w1)
-    off = walker.off
-    p1 = off + ints1[:, 0].real + 1j * ints1[:, 1].real
-    p2 = off + ints2[:, 0].real + 1j * ints2[:, 1].real
+    ints1 = integrals_at_many(im, w1, 2)
+    ints2 = integrals_at_many(im, w2, 2)
+    walker = _ProjectionWalker(im, w1)
+    p1 = walker.off + ints1[:, 0].real + 1j * ints1[:, 1].real
+    p2 = walker.off + ints2[:, 0].real + 1j * ints2[:, 1].real
     q1 = ints1[:, 0].imag + 1j * ints1[:, 1].imag
     q2 = ints2[:, 0].imag + 1j * ints2[:, 1].imag
     lhs = np.real(np.conj(p2 - p1) * (1j * (q2 - q1)))
@@ -688,15 +684,12 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
     """
     im = immersion_from_data(data)
     mesh = triangulate_disk(data.domain_radius, _RESAMPLE_MESH_N)
-    ints = integrals_at_many(im, mesh.vertices)
     base = data.base_value.as_array()
-    px = base[0] + ints[:, 0].real
-    py = base[1] + ints[:, 1].real
-    report = _report_from_points(np.column_stack([px, py]), mesh)
-    if not report.injective:
+    pts = base[:2] + integrals_at_many(im, mesh.vertices, 2).real
+    if not _report_from_points(pts, mesh).injective:
         raise NotAGraph("projection of the sampled surface is not injective")
 
-    poly = np.column_stack([px, py])[mesh.boundary]
+    poly = pts[mesh.boundary]
     h = float(grid_h)
     i0 = int(np.floor(poly[:, 0].min() / h)) - 1
     i1 = int(np.ceil(poly[:, 0].max() / h)) + 1
@@ -711,11 +704,10 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
         raise OverlapEmpty("no grid cells inside the projected domain at this spacing")
 
     targets = (gx + 1j * gy)[mask]
-    seed = _nearest_vertex(px + 1j * py, mesh.triangles, targets)
-    forms = _wide_maximal_curve(im, data)
-    walker = _ProjectionWalker(im, forms, mesh.vertices[seed])
+    seed = _nearest_vertex(pts[:, 0] + 1j * pts[:, 1], mesh.triangles, targets)
+    walker = _ProjectionWalker(im, mesh.vertices[seed])
     walker.solve(targets)
-    i3 = integrate_to_many(forms[2], im.base_point, walker.w)
+    i3 = integrate_to_many(im.curve.psi3, im.base_point, walker.w)
 
     f = np.zeros(mask.shape)
     s = np.zeros(mask.shape)

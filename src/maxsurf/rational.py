@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegreeError, DomainError, PoleError, PoleInDomain, ToleranceError
+from .errors import DegreeError, DomainError, FloatRangeError, PoleError, PoleInDomain, ToleranceError
 
 _POLE_EPS = 1e-14
 _WINDING_SAMPLES = 512
@@ -42,7 +42,7 @@ def _as_coeffs(seq) -> np.ndarray:
     if arr.size == 0:
         arr = np.zeros(1, dtype=complex)
     if not np.all(np.isfinite(arr.view(float))):
-        raise ValueError("non-finite coefficient")
+        raise FloatRangeError("non-finite coefficient")
     return arr
 
 

@@ -238,10 +238,10 @@ def immersion_from_data(data: WeierstrassData) -> Immersion:
     return Immersion(build_isotropic_maximal(data), data.base_point, data.base_value)
 
 
-def integrals_at_many(im: Immersion, ws) -> np.ndarray:
-    """Component integrals int_{w0}^{w} psi for an array of parameters; (N, 3)."""
+def integrals_at_many(im: Immersion, ws, components: int = 3) -> np.ndarray:
+    """int_{w0}^{w} psi_k, k < components (2: the projection), for an array of w; (N, components)."""
     ws = np.asarray(ws, dtype=complex).ravel()
-    cols = [integrate_to_many(f, im.base_point, ws) for f in im.curve.forms]
+    cols = [integrate_to_many(f, im.base_point, ws) for f in im.curve.forms[:components]]
     return np.stack(cols, axis=-1)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxsurf import textio
+from maxsurf import meshcheck, textio
 from maxsurf.catalog import get
 from maxsurf.cli import _write_obj, run_argv
 from maxsurf.graphfield import ScalarField, load_field, save_field, shift_agreement
@@ -456,6 +456,40 @@ class TestErrors:
     def test_bad_mesh_n(self, capsys):
         code, cap = run_json(capsys, "generate", "--datum", "plane-r05", "--mesh-n", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("mesh_n", ["1025", "1000000000"])
+    def test_mesh_n_cap(self, tmp_path, capsys, monkeypatch, mesh_n):
+        # rejected before the disk of 6 n^2 triangles is allocated
+        monkeypatch.setattr(meshcheck, "_disk_topology", None)
+        for command in ("generate", "export", "verify-krust"):
+            code, cap = run_json(capsys, command, "--datum", "plane-r05", "--mesh-n", mesh_n,
+                                 "--out", str(tmp_path))
+            assert code == 1
+            assert cap.err == f"error: --mesh-n must be between 1 and 1024, got {mesh_n}\n"
+
+    @pytest.mark.parametrize(
+        "g, dh, validity, radius, message",
+        [
+            (3.0, 1.0, 1e-200, 1e-200, "disk radius 1e-200 outside [2**-500, 2**500]"),
+            (3.0, 1.0, 1e200, 1e200, "disk radius 1e+200 outside [2**-500, 2**500]"),
+            (3.0, 1e300, 2.0, 0.5, "projected points or triangle areas are not finite floats"),
+            (1e300, 1.0, 2.0, 0.5, "non-finite coefficient"),
+        ],
+        ids=["radius-1e-200", "radius-1e200", "dh-1e300", "g-1e300"],
+    )
+    def test_hostile_numbers_named_error(self, tmp_path, g, dh, validity, radius, message):
+        # each of these once ended in a ValueError traceback
+        def const(c):
+            return {"num": [[c, 0.0]], "den": [[1.0, 0.0]], "radius": validity}
+
+        obj = {"g": const(g), "dh": const(dh), "radius": radius, "base": [0, 0],
+               "base_value": [0, 0, 0], "kind": "maximal-graph"}
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(obj))
+        proc = _run_module(["-m", "maxsurf.cli", "verify-krust", "--config", str(cfgp), "--mesh-n", "8"])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "argv", [["identities", "--mesh-n", "4"], ["frobnicate"], ["verify-krust", "--tol", "1e-9"]]

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from maxsurf.duality import sharp
-from maxsurf.errors import DegenerateTriangle
+from maxsurf import meshcheck
+from maxsurf.errors import DegenerateTriangle, FloatRangeError, NewtonDivergence
 from maxsurf.graphfield import ScalarField, VectorField2, maximal_residual
 from maxsurf.lorentz import Ambient, Vec3
 from maxsurf.meshcheck import (
     KrustInequality,
     ParamMesh,
     SurfaceMesh,
+    _ProjectionWalker,
     _boundary_simple,
+    _check_disk,
+    _disk_topology,
     _in_polygon,
     _nearest_vertex,
     folded_disk_mesh,
@@ -69,25 +73,28 @@ class TestTriangulation:
         with pytest.raises(ValueError):
             triangulate_disk(-1.0, 2)
 
+    # The per-n certifier (_check_disk) on hand-made meshes: each way of not
+    # being a positively oriented disk with the given rim is rejected.
+
     def test_negatively_oriented_triangle_rejected(self):
         verts = np.array([0.0, 1.0, 1j], dtype=complex)
-        tris = np.array([[0, 2, 1]])  # clockwise
-        with pytest.raises(ValueError):
-            ParamMesh(verts, tris, np.array([0, 1, 2]))
+        tris = np.array([[0, 2, 1]])  # clockwise, with its own rim
+        with pytest.raises(ValueError, match="positively oriented"):
+            _check_disk(verts, tris, np.array([0, 2, 1]))
 
     def test_repeated_boundary_vertex_rejected(self):
         verts = np.array([0.0, 1.0, 1j], dtype=complex)
         tris = np.array([[0, 1, 2]])
-        with pytest.raises(ValueError):
-            ParamMesh(verts, tris, np.array([0, 1, 1]))
+        with pytest.raises(ValueError, match="repeats a vertex"):
+            _check_disk(verts, tris, np.array([0, 1, 1]))
 
     def test_non_disk_topology_rejected(self):
         # two triangles glued at one vertex: Euler count is still 1, but the
         # six rim edges cannot form a single cycle of distinct vertices
         verts = np.array([0.0, 1.0, 1j, -1.0, -1j], dtype=complex)
         tris = np.array([[0, 1, 2], [0, 3, 4]])
-        with pytest.raises(ValueError):
-            ParamMesh(verts, tris, np.array([1, 2, 3, 4]))
+        with pytest.raises(ValueError, match="rim cycle"):
+            _check_disk(verts, tris, np.array([1, 2, 3, 4]))
 
     @pytest.mark.parametrize("radius", [0.9, 1.3])
     def test_matches_merge_walk_oracle(self, radius):
@@ -102,19 +109,36 @@ class TestTriangulation:
         # and the undirected rim alone accept this mesh
         verts = np.array([0, 1, 0.5 + 1j, 0.5 + 0.3j], dtype=complex)
         with pytest.raises(ValueError, match="directed edge"):
-            ParamMesh(verts, np.array([[0, 1, 2], [0, 1, 3]]), np.array([0, 3, 1, 2]))
+            _check_disk(verts, np.array([[0, 1, 2], [0, 1, 3]]), np.array([0, 3, 1, 2]))
 
     def test_three_triangles_on_one_edge_rejected(self):
         verts = np.array([0, 1, 0.5 + 1j, 0.5 + 0.3j, 0.5 - 1j], dtype=complex)
         tris = np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]])
-        with pytest.raises(ValueError):
-            ParamMesh(verts, tris, np.array([0, 4, 1, 3, 2]))
+        with pytest.raises(ValueError, match="directed edge"):
+            _check_disk(verts, tris, np.array([0, 4, 1, 3, 2]))
 
     @pytest.mark.parametrize("index", [-1, 3])
     def test_vertex_index_out_of_range_rejected(self, index):
         verts = np.array([0.0, 1.0, 1j], dtype=complex)
         with pytest.raises(ValueError, match="out of range"):
-            ParamMesh(verts, np.array([[0, 1, index]]), np.array([0, 1, 2]))
+            _check_disk(verts, np.array([[0, 1, index]]), np.array([0, 1, 2]))
+
+    def test_sliver_below_shape_bound_rejected(self):
+        # positively oriented, area 0.005 against 0.14 x (longest edge)^2 = 0.14
+        verts = np.array([0.0, 1.0, 0.5 + 0.01j], dtype=complex)
+        with pytest.raises(ValueError, match="below 0.14"):
+            _check_disk(verts, np.array([[0, 1, 2]]), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("cycle", ["reversed rim", "inner ring"])
+    def test_boundary_cycle_other_than_rim_rejected(self, cycle):
+        # the rim traversed clockwise, or ring 2 of the n = 3 disk (a cycle of
+        # mesh edges inside the rim)
+        mesh = triangulate_disk(1.0, 3)
+        b = mesh.boundary[::-1] if cycle == "reversed rim" else np.arange(7, 19)
+        with pytest.raises(ValueError, match="rim cycle"):
+            _check_disk(mesh.vertices, mesh.triangles, b)
+
+    # Meshes as built: certified once per n, at every radius in range.
 
     @pytest.mark.parametrize("radius", [0.5, 0.9, 1e-3, 2.0])
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
@@ -136,25 +160,39 @@ class TestTriangulation:
         assert a.triangles is b.triangles and a.boundary is b.boundary
         assert not np.array_equal(a.vertices, b.vertices)
 
-    def test_orientation_checked_for_each_radius(self):
-        triangulate_disk(1.0, 4)  # the n = 4 topology is cached and valid
-        with pytest.raises(ValueError, match="parameter triangles must be positively oriented"):
-            triangulate_disk(1e-300, 4)
+    def test_certified_once_per_n(self, monkeypatch):
+        calls = []
+        check = meshcheck._check_disk
+        monkeypatch.setattr(meshcheck, "_check_disk", lambda *a: calls.append(a[0].size) or check(*a))
+        _disk_topology.cache_clear()
+        for radius in (0.5, 0.9, 1.3, 0.5):
+            ParamMesh(radius, 6)
+            triangulate_disk(radius, 5)
+        assert calls == [disk_vertex_count(6), disk_vertex_count(5)]
+        _disk_topology.cache_clear()
 
-    def test_shared_topology_with_other_vertex_count_fully_checked(self):
-        # the shared arrays with one vertex more are not the n = 3 disk
-        mesh = triangulate_disk(1.0, 3)
-        with pytest.raises(ValueError, match="Euler"):
-            ParamMesh(np.concatenate([mesh.vertices, [5.0]]), mesh.triangles, mesh.boundary)
+    @pytest.mark.parametrize("n", [*range(1, 33), 100, 256])
+    def test_shape_bound(self, n):
+        # every triangle has area >= 0.14 (longest edge)^2; from two rings on
+        # the least ratio is that of the equilateral triangle's half, sqrt(3)/12
+        mesh = triangulate_disk(1.0, n)
+        a, b, c = (mesh.vertices[t] for t in mesh.triangles.T)
+        area = 0.5 * ((b - a).real * (c - a).imag - (b - a).imag * (c - a).real)
+        longest = np.max(np.abs([b - a, c - b, a - c]), axis=0)
+        ratio = float(np.min(area / longest**2))
+        assert ratio >= 0.14
+        assert ratio == pytest.approx(np.sqrt(3) / (4 if n == 1 else 12), rel=1e-12)
 
-    @pytest.mark.parametrize("cycle", ["reversed rim", "inner ring"])
-    def test_boundary_cycle_other_than_rim_rejected(self, cycle):
-        # the rim traversed clockwise, or ring 2 of the n = 3 disk (a cycle of
-        # mesh edges inside the rim)
-        mesh = triangulate_disk(1.0, 3)
-        b = mesh.boundary[::-1] if cycle == "reversed rim" else np.arange(7, 19)
-        with pytest.raises(ValueError, match="rim cycle"):
-            ParamMesh(mesh.vertices, mesh.triangles, b)
+    def test_radius_bound(self):
+        # inside [2**-500, 2**500] coordinates and their products stay normal
+        # floats; outside it (or at a non-finite radius) no mesh is built
+        for radius in (2.0**-500, 1e-150, 1e150, 2.0**500):
+            mesh = triangulate_disk(radius, 4)
+            a, b, c = (mesh.vertices[t] for t in mesh.triangles.T)
+            assert np.all((b - a).real * (c - a).imag - (b - a).imag * (c - a).real > 0)
+        for radius in (2.0**-501, 1e-200, 1e-300, 0.0, -1.0, 1e200, np.inf, np.nan):
+            with pytest.raises(FloatRangeError, match="outside"):
+                triangulate_disk(radius, 4)
 
 
 class TestProjectionReport:
@@ -196,6 +234,18 @@ class TestProjectionReport:
         pos = np.zeros((len(param.vertices), 3))  # everything collapses
         with pytest.raises(DegenerateTriangle):
             projection_report(SurfaceMesh(param, pos, Ambient.EUCLIDEAN))
+
+    def test_non_finite_positions_or_areas_rejected(self):
+        param = triangulate_disk(1.0, 2)
+        pos = np.zeros((len(param.vertices), 3))
+        pos[:, :2] = 1e300 * np.column_stack([param.vertices.real, param.vertices.imag])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatRangeError, match="not finite"):
+                projection_report(SurfaceMesh(param, pos, Ambient.EUCLIDEAN))
+        pos = pos.copy()
+        pos[3, 0] = np.inf
+        with pytest.raises(FloatRangeError, match="non-finite position"):
+            SurfaceMesh(param, pos, Ambient.EUCLIDEAN)
 
     def test_sample_surface_vertices_match_immersion(self, plane15):
         im = immersion_from_data(plane15)
@@ -411,6 +461,15 @@ class TestPullbackAndInequality:
         assert np.all(out.margin > 0)
         rel = np.abs(out.lhs - out.integral) / np.abs(out.lhs)
         assert float(np.max(rel)) < 1e-3
+
+    def test_walker_halves_steps_that_leave_the_domain(self, catalog_data):
+        # the target 10 lies far outside the projected domain: iterates that
+        # leave the disk end in step halvings, never in an evaluation outside
+        im = immersion_from_data(catalog_data["rational-r05"])
+        walker = _ProjectionWalker(im, [0j, 0.1 + 0j])
+        with pytest.raises(NewtonDivergence, match="12 step halvings"):
+            walker.solve(np.array([0.2 + 0j, 10.0 + 0j]))
+        assert np.max(np.abs(walker.w)) <= im.domain_radius
 
     def test_identical_endpoints_rejected(self, catalog_data):
         with pytest.raises(ValueError):
