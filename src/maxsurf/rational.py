@@ -305,28 +305,38 @@ class Primitive:
         if not self.defect <= _CERT_DELTA:
             raise ToleranceError(f"primitive certificate {self.defect:.3g} > {_CERT_DELTA:g}")
 
-    def __call__(self, w):
+    def __call__(self, w, logs=None):
+        """F(w).  logs, a dict owned by the caller, holds log(1 - w/c) per
+        centre c for this w, filled on first use: forms with one denominator
+        have the same centres, so they can share it."""
+        logs = {} if logs is None else logs
         out = _horner(self.poly, w)
         for c, b in self.laurent:
-            # log(1 - w/c); numpy's complex log1p loses digits for small |w/c|
-            x = -w / c
-            log = 0.5 * np.log1p(2 * x.real + np.abs(x) ** 2) + 1j * np.arctan2(x.imag, 1 + x.real)
+            key = (c.real.hex(), c.imag.hex())  # exact: tells 0.0 from -0.0
+            log = logs.get(key)
+            if log is None:
+                # log(1 - w/c); numpy's complex log1p loses digits for small |w/c|
+                x = -w / c
+                log = 0.5 * np.log1p(2 * x.real + np.abs(x) ** 2) + 1j * np.arctan2(x.imag, 1 + x.real)
+                logs[key] = log
             out = out + b[0] * log
             for k in range(1, b.size):
                 out = out - b[k] / (k * (-c) ** k) * np.expm1(-k * log)
         return out
 
 
-def integrate_to_many(f: RationalHolomorphic, a, endpoints) -> np.ndarray:
+def integrate_to_many(f: RationalHolomorphic, a, endpoints, logs=None) -> np.ndarray:
     """Integrals of f dz along the segments [a, w] for an array of endpoints w.
 
     The start a is one point or an array shaped like endpoints.  Evaluates f's
     cached closed-form primitive, F(w) - F(a); see Primitive for its error
-    bound.  All start and end points must lie in the validity disk.
+    bound.  All start and end points must lie in the validity disk.  Calls on
+    the same endpoints may pass one dict as logs to share the pole logarithms
+    at w (see Primitive.__call__).
     """
     w = np.asarray(endpoints, dtype=complex)
     a = np.asarray(a, dtype=complex)
     r = f.radius * (1.0 + 1e-12)
     if np.max(np.abs(a), initial=0.0) > r or np.max(np.abs(w), initial=0.0) > r:
         raise DomainError("segment endpoint outside validity disk")
-    return f.primitive(w) - f.primitive(a)
+    return f.primitive(w, logs) - f.primitive(a)

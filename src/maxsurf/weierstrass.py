@@ -70,8 +70,9 @@ class IsotropicCurve:
 
     def __post_init__(self):
         worst = self.isotropy_residual()
-        if worst > _ISOTROPY_TOL:
-            raise IsotropyError(f"sampled isotropy residual {worst:.3g} > {_ISOTROPY_TOL:g}")
+        if not worst <= _ISOTROPY_TOL:  # NaN when the squared densities overflow
+            why = f"{worst:.3g} > {_ISOTROPY_TOL:g}" if np.isfinite(worst) else f"is not finite ({worst})"
+            raise IsotropyError(f"sampled isotropy residual {why}")
 
     def isotropy_residual(self) -> float:
         """Max relative quadric residual over _ISOTROPY_SAMPLES points in the disk."""
@@ -241,7 +242,8 @@ def immersion_from_data(data: WeierstrassData) -> Immersion:
 def integrals_at_many(im: Immersion, ws, components: int = 3) -> np.ndarray:
     """int_{w0}^{w} psi_k, k < components (2: the projection), for an array of w; (N, components)."""
     ws = np.asarray(ws, dtype=complex).ravel()
-    cols = [integrate_to_many(f, im.base_point, ws) for f in im.curve.forms[:components]]
+    logs = {}  # pole logarithms at ws, shared by forms with one denominator (psi1, psi2)
+    cols = [integrate_to_many(f, im.base_point, ws, logs) for f in im.curve.forms[:components]]
     return np.stack(cols, axis=-1)
 
 

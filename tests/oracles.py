@@ -4,9 +4,12 @@ Everything here is computed by a route disjoint from the package internals:
 closed-form antiderivatives, composite Simpson quadrature on dense nodes,
 loop and all-pairs forms of the mesh build and planar predicates, row-by-row
 forms of the text writers and reader, one expression per finite-difference
-rule, the full-grid sweeps of the tree integration, and hand-derived
-constants for the built-in catalog families.  Tests
-compare package output against these, never against the package itself.
+rule, the full-grid sweeps of the tree integration, the earlier forms of
+routines rewritten for speed (signed areas and the report span, half-edge
+pairing, per-form pole logarithms; the report oracle reuses the package's
+unchanged rim test), and hand-derived constants for the built-in catalog
+families.  Tests compare package output against these, never against the
+package itself.
 """
 
 from __future__ import annotations
@@ -17,7 +20,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from maxsurf.errors import DegenerateMask, NotSimplyConnected, NotSpacelike
+from maxsurf.errors import (
+    DegenerateMask,
+    DegenerateTriangle,
+    FloatRangeError,
+    NotSimplyConnected,
+    NotSpacelike,
+)
+from maxsurf.meshcheck import _AREA_EPS, _CONVEXITY_BAND, GraphReport, _boundary_simple
 
 
 def simpson_line(func, a: complex, b: complex, n: int = 4096) -> complex:
@@ -470,3 +480,91 @@ def tree_integrate_sweeps(mask, inc_x, inc_y, anchor) -> np.ndarray:
     if not np.array_equal(visited, mask):
         raise NotSimplyConnected("mask is not 4-connected")
     return vals
+
+
+# ---- the predicate and primitive forms before their array-speed rewrite ----
+#
+# Signed areas halved into a new array, the span over axis 0 of the (N, 2)
+# table, half-edges paired by a search on unsorted reversed keys, and a
+# primitive that computes its own pole logarithms on every call.  The package
+# must reproduce their values bit for bit and their verdicts exactly.
+
+
+def signed_areas_copy(z: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    a = z[triangles[:, 0]]
+    u, w = z[triangles[:, 1]], z[triangles[:, 2]]
+    u -= a
+    w -= a
+    area = u.real * w.imag
+    area -= u.imag * w.real
+    return 0.5 * area
+
+
+def report_from_points_axis0(pts2: np.ndarray, param):
+    """meshcheck._report_from_points with signed_areas_copy and the span as
+    pts2.max(axis=0) - pts2.min(axis=0); the rim predicates are the package's."""
+    areas = signed_areas_copy(np.ascontiguousarray(pts2).view(complex)[:, 0], param.triangles)
+    if not (np.all(np.isfinite(pts2)) and np.all(np.isfinite(areas))):
+        raise FloatRangeError("projected points or triangle areas are not finite floats")
+    span = pts2.max(axis=0) - pts2.min(axis=0)
+    scale = max(float(span[0]), float(span[1]), 1e-300)
+    if float(np.min(np.abs(areas))) <= _AREA_EPS * scale * scale:
+        raise DegenerateTriangle("projected triangle area below degeneracy threshold")
+    min_area = float(np.min(areas))
+    cycle = pts2[param.boundary]
+    simple = _boundary_simple(cycle)
+    e = np.roll(cycle, -1, axis=0) - cycle
+    e_next = np.roll(e, -1, axis=0)
+    turn = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
+    defect = float(np.min(turn))
+    winding = round(float(np.sum(np.arctan2(turn, np.sum(e * e_next, axis=1)))) / (2 * np.pi))
+    return GraphReport(min_area, simple, defect, bool(min_area > 0 and simple),
+                       bool(defect >= _CONVEXITY_BAND and winding == 1))
+
+
+def check_disk_searched(z: np.ndarray, t: np.ndarray, b: np.ndarray, shape: float):
+    """meshcheck._check_disk with directed keys a*n + b, each half-edge paired
+    by np.searchsorted on its unsorted reversed key."""
+    n = z.size
+    if min(t.min(), b.min()) < 0 or max(t.max(), b.max()) >= n:
+        raise ValueError("vertex index out of range")
+    if np.unique(b).size != b.size:
+        raise ValueError("boundary cycle repeats a vertex")
+    half = np.multiply(t, n, dtype=np.int64)
+    half[:, :2] += t[:, 1:]
+    half[:, 2] += t[:, 0]
+    half = np.sort(half.ravel())
+    if np.any(half[1:] == half[:-1]):
+        raise ValueError("two triangles share a directed edge (they overlap)")
+    rev = half % n * n + half // n
+    paired = np.take(half, np.searchsorted(half, rev), mode="clip") == rev
+    if n - (half.size - np.count_nonzero(paired) // 2) + t.shape[0] != 1:
+        raise ValueError("mesh is not disk-type (Euler count != 1)")
+    if not np.array_equal(np.sort(b * n + np.roll(b, -1)), half[~paired]):
+        raise ValueError("boundary must be the rim cycle of the triangulation")
+    area = signed_areas_copy(z, t)
+    if not area.min() > 0:
+        raise ValueError("parameter triangles must be positively oriented")
+    longest = np.zeros(area.size)
+    for i in range(3):
+        np.maximum(longest, np.abs(z[t[:, i]] - z[t[:, i - 1]]), out=longest)
+    if np.any(area < shape * longest**2):
+        raise ValueError(f"a triangle's area is below {shape} (longest edge)^2")
+
+
+def primitive_per_form(prim, w):
+    """rational.Primitive.__call__ with log(1 - w/c) computed afresh per call."""
+    out = polyval_ascending(prim.poly, w)
+    for c, b in prim.laurent:
+        x = -w / c
+        log = 0.5 * np.log1p(2 * x.real + np.abs(x) ** 2) + 1j * np.arctan2(x.imag, 1 + x.real)
+        out = out + b[0] * log
+        for k in range(1, b.size):
+            out = out - b[k] / (k * (-c) ** k) * np.expm1(-k * log)
+    return out
+
+
+def integrate_per_form(f, a, w):
+    """F(w) - F(a) by primitive_per_form, for an array of endpoints w."""
+    w = np.asarray(w, dtype=complex)
+    return primitive_per_form(f.primitive, w) - primitive_per_form(f.primitive, np.asarray(a, dtype=complex))

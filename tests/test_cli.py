@@ -472,7 +472,8 @@ class TestErrors:
         [
             (3.0, 1.0, 1e-200, 1e-200, "disk radius 1e-200 outside [2**-500, 2**500]"),
             (3.0, 1.0, 1e200, 1e200, "disk radius 1e+200 outside [2**-500, 2**500]"),
-            (3.0, 1e300, 2.0, 0.5, "projected points or triangle areas are not finite floats"),
+            # psi^2 overflows, so the isotropy residual is NaN and the curve is refused
+            (3.0, 1e300, 2.0, 0.5, "sampled isotropy residual is not finite (nan)"),
             (1e300, 1.0, 2.0, 0.5, "non-finite coefficient"),
         ],
         ids=["radius-1e-200", "radius-1e200", "dh-1e300", "g-1e300"],
@@ -490,6 +491,20 @@ class TestErrors:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_curve_with_non_finite_isotropy_residual(self, tmp_path):
+        # psi1^2 + psi2^2 - psi3^2 = -2.5e399 overflows to a NaN residual; the
+        # curve is refused by name, with no NaN printed as JSON
+        def const(c):
+            return {"num": [[c.real, c.imag]], "den": [[1.0, 0.0]], "radius": 0.5}
+
+        obj = {"psi1": const(1e200), "psi2": const(5e199j), "psi3": const(1e200), "ambient": "lorentzian"}
+        cfgp = tmp_path / "curve.json"
+        cfgp.write_text(json.dumps(obj))
+        argv = ["-m", "maxsurf.cli", "dualize-curve", "--config", str(cfgp), "--out", str(tmp_path / "o")]
+        proc = _run_module(argv)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: bad curve object: sampled isotropy residual is not finite (nan)\n"
 
     @pytest.mark.parametrize(
         "argv", [["identities", "--mesh-n", "4"], ["frobnicate"], ["verify-krust", "--tol", "1e-9"]]

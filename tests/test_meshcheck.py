@@ -12,12 +12,15 @@ from maxsurf.meshcheck import (
     KrustInequality,
     ParamMesh,
     SurfaceMesh,
+    _SHAPE,
     _ProjectionWalker,
     _boundary_simple,
     _check_disk,
     _disk_topology,
     _in_polygon,
     _nearest_vertex,
+    _report_from_points,
+    _signed_areas,
     folded_disk_mesh,
     krust_inequality_batch,
     krust_pipeline,
@@ -44,11 +47,15 @@ from oracles import (
     PLANE_KRUST_BOTH_SIDES,
     boundary_simple_all_pairs,
     boundary_simple_exact,
+    check_disk_searched,
     disk_triangle_count,
     disk_vertex_count,
     in_polygon_ray_cast,
+    integrate_per_form,
     merge_walk_disk,
     plane_immersion_point,
+    report_from_points_axis0,
+    signed_areas_copy,
     simpson_line,
     triangulate_disk_uncached,
 )
@@ -137,6 +144,48 @@ class TestTriangulation:
         b = mesh.boundary[::-1] if cycle == "reversed rim" else np.arange(7, 19)
         with pytest.raises(ValueError, match="rim cycle"):
             _check_disk(mesh.vertices, mesh.triangles, b)
+
+    def test_verdicts_match_searched_pairing_oracle(self, rng):
+        # random damage to a valid disk: each variant gets the verdict (and
+        # message) of the pairing by search on unsorted reversed keys
+        mesh = triangulate_disk(1.0, 4)
+        z, t0, b0 = mesh.vertices, np.array(mesh.triangles), np.array(mesh.boundary)
+        nt, nb = len(t0), len(b0)
+
+        def damage(kind):
+            t, b = t0.copy(), b0.copy()
+            i = rng.integers(nt)
+            if kind == "swap":
+                t[i, [0, 1]] = t[i, [1, 0]]
+            elif kind == "drop":
+                t = np.delete(t, i, axis=0)
+            elif kind == "repeat":
+                t = np.concatenate([t, t[[i]]])
+            elif kind == "reindex":
+                t[i, rng.integers(3)] = rng.integers(z.size)
+            elif kind == "roll rim":
+                b = np.roll(b, rng.integers(nb))
+            elif kind == "reverse rim":
+                b = b[::-1]
+            elif kind == "move rim":
+                b[rng.integers(nb)] = rng.integers(z.size)
+            return t, b
+
+        def verdict(check, *args):
+            try:
+                check(*args)
+            except ValueError as e:
+                return str(e)
+            return "ok"
+
+        seen = set()
+        kinds = ["none", "swap", "drop", "repeat", "reindex", "roll rim", "reverse rim", "move rim"]
+        for kind in kinds * 25:
+            t, b = damage(kind)
+            got = verdict(_check_disk, z, t, b)
+            assert got == verdict(check_disk_searched, z, t, b, _SHAPE)
+            seen.add(got)
+        assert len(seen) >= 5
 
     # Meshes as built: certified once per n, at every radius in range.
 
@@ -228,6 +277,39 @@ class TestProjectionReport:
         assert rep.boundary_convexity_defect > 0
         assert not rep.boundary_simple
         assert not rep.is_convex_domain
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_catalog_reports_match_axis0_span_oracle(self, catalog_data, n):
+        # 1-D span reductions and in-place halved areas keep the oracle's bits
+        def bits(rep):
+            floats = np.array([rep.min_projected_triangle_area, rep.boundary_convexity_defect])
+            return floats.view(np.int64).tolist(), rep.boundary_simple, rep.injective, rep.is_convex_domain
+
+        for data in catalog_data.values():
+            im = immersion_from_data(data)
+            mesh = triangulate_disk(data.domain_radius, n)
+            ints = integrals_at_many(im, mesh.vertices, 2)
+            for pts in (im.base_value.as_array()[:2] + ints.real, ints.imag):
+                z = np.ascontiguousarray(pts).view(complex)[:, 0]
+                want = signed_areas_copy(z, mesh.triangles)
+                assert np.array_equal(_signed_areas(z, mesh.triangles).view(np.int64), want.view(np.int64))
+                assert bits(_report_from_points(pts, mesh)) == bits(report_from_points_axis0(pts, mesh))
+
+    @pytest.mark.parametrize("stretch", [(1.0, 1.0), (1e3, 1.0), (1.0, 1e3)])
+    def test_degeneracy_threshold_matches_axis0_span_oracle(self, stretch):
+        # one triangle squeezed towards the threshold _AREA_EPS scale^2, with
+        # either span the larger: both forms take the same decision at every squeeze
+        param = triangulate_disk(1.0, 2)
+        for squeeze in 10.0 ** -np.arange(9, 20, 0.25):
+            pts = np.column_stack([param.vertices.real, param.vertices.imag]) * stretch
+            pts[0] = pts[1] + squeeze * (pts[0] - pts[1])
+            outcomes = []
+            for report in (_report_from_points, report_from_points_axis0):
+                try:
+                    outcomes.append(report(pts, param).min_projected_triangle_area)
+                except DegenerateTriangle:
+                    outcomes.append("degenerate")
+            assert outcomes[0] == outcomes[1]
 
     def test_degenerate_projection_rejected(self):
         param = triangulate_disk(1.0, 2)
@@ -498,6 +580,17 @@ class TestResampling:
             p = immerse(im, w)
             assert abs(complex(p.x1, p.x2) - complex(x, y)) < 1e-9
             assert abs(p.x3 - f.values[i, j]) < 1e-8
+
+    def test_walker_projection_bits_per_form(self, catalog_data, rng):
+        # psi1 and psi2 share their pole logarithms inside the walker
+        for name in ("rational-r09", "shift4-r05"):
+            data = catalog_data[name]
+            im = immersion_from_data(data)
+            w = disk_samples(rng, data.domain_radius, 200)
+            x1, x2 = (integrate_per_form(f, im.base_point, w).real for f in im.curve.forms[:2])
+            want = complex(data.base_value.x1, data.base_value.x2) + x1 + 1j * x2
+            got = _ProjectionWalker(im, w).projection(w)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_nearest_vertex_matches_brute_force(self, catalog_data):
         data = catalog_data["rational-r09"]

@@ -5,7 +5,7 @@ import pytest
 from maxsurf.errors import DomainError, PoleError, PoleInDomain, ToleranceError
 from maxsurf.rational import RationalHolomorphic, integrate_to_many
 
-from oracles import poly_antiderivative, polyval_ascending, simpson_line
+from oracles import integrate_per_form, poly_antiderivative, polyval_ascending, simpson_line
 
 
 def rh(num, den=(1.0,), radius=2.0):
@@ -199,3 +199,53 @@ class TestPathIntegration:
         got = integrate_to_many(f * -1j, 0.0, 1.0)
         want = -1j * integrate_to_many(f, 0.0, 1.0)
         assert abs(got - want) < 1e-15
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestSharedPoleLogs:
+    # Forms integrated at one endpoint array may share one table of pole
+    # logarithms; every value must equal the form integrated on its own.
+
+    def ends(self, rng, radius):
+        r = radius * np.sqrt(rng.uniform(0.0, 1.0, 500))
+        w = r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 500))
+        return np.concatenate([w, [0.0, radius, -radius, 1j * radius, 0.5 * radius]])
+
+    def test_shared_denominator_shares_logs(self, rng):
+        den = [2.28, -3.02, 1.0]  # poles 1.5 and 1.52
+        forms = [rh([1.0, 0.5], den, 1.0), rh([0.0, 2.0, -1.0j], den, 1.0)]
+        centres = [[c for c, _ in f.primitive.laurent] for f in forms]
+        assert centres[0] == centres[1] and len(centres[0]) == 1
+        ws, logs = self.ends(rng, 1.0), {}
+        for f in forms:
+            assert same_bits(integrate_to_many(f, 0.1j, ws, logs), integrate_per_form(f, 0.1j, ws))
+        assert len(logs) == 1
+
+    def test_pole_cluster_expansion(self, rng):
+        # a double pole splits into two roots that share one Laurent expansion
+        # (b.size > 1, so the expm1 terms run on the shared logarithm)
+        den = P.polyfromroots([1.25 + 0.5j, 1.25 + 0.5j])
+        forms = [rh([1.0], den, 1.0), rh([0.5, -1.0, 0.25], den, 1.0)]
+        assert all(b.size > 1 for f in forms for _, b in f.primitive.laurent)
+        ws, logs = self.ends(rng, 1.0), {}
+        for f in forms:
+            assert same_bits(integrate_to_many(f, 0.0, ws, logs), integrate_per_form(f, 0.0, ws))
+
+    def test_different_denominators_keep_their_own_logs(self, rng):
+        # poles that share a real part or an imaginary part, not both
+        poles = (1.5 + 0.5j, 1.5 - 0.5j, -1.5 + 0.5j)
+        forms = [rh([1.0, 2.0], [-p, 1.0], 1.0) for p in poles]
+        ws, logs = self.ends(rng, 1.0), {}
+        for f in forms:
+            assert same_bits(integrate_to_many(f, 0.0, ws, logs), integrate_per_form(f, 0.0, ws))
+        assert len(logs) == 3
+
+    def test_polynomial_form_has_no_logs(self, rng):
+        f = rh([1.0, -2.0j, 0.5, 3.0], radius=1.0)
+        ws, logs = self.ends(rng, 1.0), {}
+        assert same_bits(integrate_to_many(f, 0.0, ws, logs), integrate_per_form(f, 0.0, ws))
+        assert logs == {}

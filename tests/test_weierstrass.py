@@ -29,6 +29,7 @@ from maxsurf.weierstrass import (
 
 from conftest import disk_samples
 from oracles import (
+    integrate_per_form,
     plane_conjugate_point,
     plane_immersion_point,
     sigma_tau_plane,
@@ -47,6 +48,14 @@ class TestCurveConstruction:
         one = RationalHolomorphic.constant(1.0, 1.0)
         with pytest.raises(IsotropyError):
             IsotropicCurve(one, one, one, Ambient.LORENTZIAN)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the squares overflow
+    def test_non_finite_isotropy_residual_rejected(self):
+        # psi1^2 + psi2^2 - psi3^2 = -2.5e399: not isotropic, but the sampled
+        # residual is inf - inf = NaN
+        forms = [RationalHolomorphic.constant(c, 0.5) for c in (1e200, 5e199j, 1e200)]
+        with pytest.raises(IsotropyError, match="is not finite"):
+            IsotropicCurve(*forms, Ambient.LORENTZIAN)
 
     def test_conjugate_scales_coefficients_by_minus_i(self, plane15):
         curve = build_isotropic_maximal(plane15)
@@ -192,6 +201,19 @@ class TestImmersion:
             )
             assert np.max(np.abs(many[k] - single)) < 1e-11
 
+    @pytest.mark.parametrize("components", [2, 3])
+    def test_integrals_at_many_bits_per_form(self, catalog_data, rng, components):
+        # psi1 and psi2 share a denominator, so integrals_at_many computes
+        # their pole logarithms once; each column keeps the bits of its form
+        # integrated on its own
+        for name in ("rational-r09", "shift2.5-r05", "plane-r09"):
+            im = immersion_from_data(catalog_data[name])
+            ws = np.concatenate([disk_samples(rng, im.domain_radius, 300), [0.0, im.domain_radius]])
+            got = integrals_at_many(im, ws, components)
+            for k, f in enumerate(im.curve.forms[:components]):
+                want = integrate_per_form(f, im.base_point, ws)
+                assert np.array_equal(np.ascontiguousarray(got[:, k]).view(np.int64), want.view(np.int64))
+
     def test_domain_enforced(self, catalog_data):
         im = immersion_from_data(catalog_data["plane-r05"])
         with pytest.raises(DomainError):
@@ -235,6 +257,17 @@ class TestSigmaTauAndProjections:
             im, halves = immersion_from_data(data), half_forms(data)
             for w in disk_samples(rng, data.domain_radius, 5):
                 assert projection_identities(im, halves, complex(w)).residual < 1e-12
+
+    def test_half_forms_share_one_log_table(self, catalog_data, rng):
+        # sigma and tau have different denominators (different pole centres)
+        data = catalog_data["rational-r09"]
+        ws = disk_samples(rng, data.domain_radius, 300)
+        logs = {}
+        for f in half_forms(data):
+            got = integrate_to_many(f, data.base_point, ws, logs)
+            want = integrate_per_form(f, data.base_point, ws)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert len(logs) == 2
 
     def test_prebuilt_forms_bit_identical(self, catalog_data, rng):
         # forms built once per datum give the bits of forms built per point
