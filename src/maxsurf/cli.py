@@ -97,7 +97,7 @@ _FLAGS = {
 _INPUT = ("--datum", "--config", "--out")
 _SAMPLED = _INPUT + ("--mesh-n",)
 _SETTINGS = ("mesh_n", "seed")
-_MAX_MESH_N = 1024  # a disk of n rings has 6n^2 triangles: 850 MB to certify n = 1024
+_MAX_MESH_N = 1024  # a disk of n rings has 6n^2 triangles: 710 MB to certify n = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,6 +124,8 @@ def _parser() -> argparse.ArgumentParser:
 def _check_args(args: argparse.Namespace):
     if "mesh_n" in args and not 1 <= args.mesh_n <= _MAX_MESH_N:
         raise CliError(f"--mesh-n must be between 1 and {_MAX_MESH_N}, got {args.mesh_n}")
+    if "seed" in args and args.seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
 
 
 def _read_json(path: str) -> dict:

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .graphfield import ScalarField, dualize_maximal_to_minimal, shift_agreement
 from .lorentz import Ambient, cross_lorentz
-from .rational import integrate_to_many
+from .rational import _dyadic, integrate_to_many
 from .weierstrass import (
     Immersion,
     WeierstrassData,
@@ -265,21 +265,15 @@ def _signed_areas(z: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def _orientation(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Sign (-1, 0 or 1) of (b - a) x (c - a) for each row of the (k, 2)
-    point arrays, exact: a float result within its rounding bound is decided
-    again in integer arithmetic.  Every float is n / 2^j exactly, so scaling
-    a row's six coordinates by their largest 2^j makes them integers (this
-    is Fraction arithmetic without its gcd reductions)."""
-    left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-    right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    """Sign (-1, 0 or 1) of (b - a) x (c - a) for complex point arrays, exact: a float
+    result within its rounding bound is decided again over the integers of _dyadic."""
+    u, v = b - a, c - a
+    left, right = u.real * v.imag, u.imag * v.real
     det = left - right
     sign = np.sign(det)
     unsure = np.flatnonzero(~(np.abs(det) > _ORIENT_REL * (np.abs(left) + np.abs(right)) + _ORIENT_ABS))
-    rows = np.column_stack([a[unsure], b[unsure], c[unsure]]).tolist()
-    for k, row in zip(unsure, rows):
-        ratios = [v.as_integer_ratio() for v in row]
-        scale = max(den for _, den in ratios)
-        ax, ay, bx, by, cx, cy = (num * (scale // den) for num, den in ratios)
+    for k in unsure:
+        (ax, ay, bx, by, cx, cy), _ = _dyadic([t for z in (a[k], b[k], c[k]) for t in (z.real, z.imag)])
         exact = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
         sign[k] = (exact > 0) - (exact < 0)
     return sign
@@ -291,8 +285,8 @@ def _offsets(count: np.ndarray) -> np.ndarray:
     return np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
 
 
-def _boundary_simple(pts: np.ndarray) -> bool:
-    """No contact between non-adjacent edges of the closed polyline.
+def _boundary_simple(z: np.ndarray) -> bool:
+    """No contact between non-adjacent edges of the closed polyline z (complex).
 
     Contact is a proper crossing (strict orientation signs both ways) or an
     endpoint collinear with another edge and inside its closed bounding box.
@@ -305,15 +299,15 @@ def _boundary_simple(pts: np.ndarray) -> bool:
     candidate pairs, which stays linear while edge lengths are comparable.
     A polyline with a non-finite point is not certified simple.
     """
-    m = pts.shape[0]
+    m = z.size
     if m < 4:  # every pair of edges is adjacent
         return True
-    if not np.all(np.isfinite(pts)):
+    if not np.all(np.isfinite(z)):
         return False
-    a = pts
-    b = np.roll(pts, -1, axis=0)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
+    a, b = z, np.roll(z, -1)
+    pa = np.column_stack([a.real, a.imag])  # box coordinates, (m, 2)
+    pb = np.roll(pa, -1, axis=0)
+    lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
     size = float(np.max(hi - lo)) or 1.0
     c0 = np.floor((lo - lo.min(axis=0)) / size).astype(np.int64)
     c1 = np.floor((hi - lo.min(axis=0)) / size).astype(np.int64)
@@ -349,16 +343,16 @@ def _boundary_simple(pts: np.ndarray) -> bool:
     proper = ((d1 > 0) & (d2 < 0) | (d1 < 0) & (d2 > 0)) & ((e1 > 0) & (e2 < 0) | (e1 < 0) & (e2 > 0))
     contact = (
         proper
-        | (d1 == 0) & inside(a[j], i)
-        | (d2 == 0) & inside(b[j], i)
-        | (e1 == 0) & inside(a[i], j)
-        | (e2 == 0) & inside(b[i], j)
+        | (d1 == 0) & inside(pa[j], i)
+        | (d2 == 0) & inside(pb[j], i)
+        | (e1 == 0) & inside(pa[i], j)
+        | (e2 == 0) & inside(pb[i], j)
     )
     return not bool(np.any(contact))
 
 
 def _in_polygon(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd ray casting toward +x; poly (m, 2) finite, implicitly closed.
+    """Even-odd ray casting toward +x; poly complex (m,) finite, implicitly closed.
 
     Scanline form: the edge crossings of each distinct row py are computed
     once, and a point is inside iff an odd number of its row's crossings lie
@@ -366,7 +360,7 @@ def _in_polygon(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.ndarray:
     y_k <= y, i.e. min(y0, y1) <= y < max(y0, y1), which selects the rows of
     each edge by binary search.  Memory is linear in points plus crossings.
     """
-    x0, y0 = poly[:, 0], poly[:, 1]
+    x0, y0 = poly.real, poly.imag
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
     rows, row = np.unique(py, return_inverse=True)
     first = np.searchsorted(rows, np.minimum(y0, y1))
@@ -404,25 +398,25 @@ class GraphReport:
         return asdict(self)
 
 
-def _report_from_points(pts2: np.ndarray, param: ParamMesh) -> GraphReport:
-    areas = _signed_areas(np.ascontiguousarray(pts2).view(complex)[:, 0], param.triangles)
-    if not (np.all(np.isfinite(pts2)) and np.all(np.isfinite(areas))):
+def _report_from_points(z: np.ndarray, param: ParamMesh) -> GraphReport:
+    areas = _signed_areas(z, param.triangles)
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(areas))):
         raise FloatRangeError("projected points or triangle areas are not finite floats")
-    x, y = pts2[:, 0], pts2[:, 1]  # 1-D reductions: numpy is slow over a length-2 axis
+    x, y = z.real, z.imag
     scale = max(float(x.max() - x.min()), float(y.max() - y.min()), 1e-300)
     if float(np.min(np.abs(areas))) <= _AREA_EPS * scale * scale:
         raise DegenerateTriangle("projected triangle area below degeneracy threshold")
     min_area = float(np.min(areas))
 
-    cycle = pts2[param.boundary]
+    cycle = z[param.boundary]
     simple = _boundary_simple(cycle)
-    e = np.roll(cycle, -1, axis=0) - cycle
-    e_next = np.roll(e, -1, axis=0)
-    turn = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
+    e = np.roll(cycle, -1) - cycle
+    en = np.roll(e, -1)
+    turn = e.real * en.imag - e.imag * en.real
     defect = float(np.min(turn))
     # a convex rim turns left at every vertex and once around in all: a rim
     # that winds twice also turns left everywhere
-    winding = round(float(np.sum(np.arctan2(turn, np.sum(e * e_next, axis=1)))) / (2 * np.pi))
+    winding = round(float(np.sum(np.arctan2(turn, e.real * en.real + e.imag * en.imag))) / (2 * np.pi))
 
     return GraphReport(
         min_projected_triangle_area=min_area,
@@ -440,7 +434,7 @@ def projection_report(mesh: SurfaceMesh) -> GraphReport:
     local diffeomorphism; combined with a simple projected boundary this
     certifies global injectivity for a disk-type mesh.
     """
-    return _report_from_points(mesh.positions[:, :2], mesh.param)
+    return _report_from_points(mesh.positions[:, :2].copy().view(complex)[:, 0], mesh.param)
 
 
 # ---- the headline pipeline ----
@@ -464,15 +458,13 @@ def _verdict(domain: GraphReport, conjugate: GraphReport) -> str:
 
 def krust_pipeline(im: Immersion, n: int = 64) -> KrustReport:
     """Certify "graph over a convex domain implies the conjugate is a graph"
-    for one immersion, sampled at n rings.
-
-    Both certificates read one pass of the psi1, psi2 integrals on one mesh:
-    the surface their real parts, the conjugate their imaginary parts.
+    for one immersion, sampled at n rings: both certificates read the
+    projections of one mesh (_projections).
     """
     mesh = triangulate_disk(im.domain_radius, n)
-    ints = integrals_at_many(im, mesh.vertices, 2)
-    domain = _report_from_points(im.base_value.as_array()[:2] + ints.real, mesh)
-    conjugate = _report_from_points(ints.imag, mesh)
+    p, q = _projections(im, mesh.vertices)
+    domain = _report_from_points(p, mesh)
+    conjugate = _report_from_points(q, mesh)
     return KrustReport(domain, conjugate, _verdict(domain, conjugate))
 
 
@@ -496,36 +488,43 @@ def rotation_identity_check(
 # ---- Newton continuation in the projection plane ----
 
 
+def _projections(im: Immersion, w) -> tuple[np.ndarray, np.ndarray]:
+    """pi(X) and pi(X*) at the parameters w as complex arrays: with I_k the integral
+    of psi_k from the base point w0 (psi1 and psi2 share their pole logarithms),
+    pi(X) = X(w0)_1 + Re I1 + i (X(w0)_2 + Re I2) and pi(X*) = Im I1 + i Im I2."""
+    logs = {}
+    i = integrate_to_many(im.curve.psi1, im.base_point, w, logs)
+    p, q = np.empty_like(i), np.empty_like(i)
+    np.add(im.base_value.x1, i.real, out=p.real)  # each part one IEEE sum or copy
+    q.real = i.imag
+    i = integrate_to_many(im.curve.psi2, im.base_point, w, logs)
+    np.add(im.base_value.x2, i.real, out=p.imag)
+    q.imag = i.imag
+    return p, q
+
+
 class _ProjectionWalker:
     """Tracks beta with pi(X(beta)) following prescribed plane targets.
 
-    Starts at the parameters w and evaluates pi(X) at each Newton candidate
-    from the closed-form primitives of im's psi1, psi2, integrated from the
-    base point.  An iterate that leaves the domain disk (integrate_to_many's
-    bound) ends the Newton loop, and the step to the target is halved.
+    Starts at the parameters w and evaluates pi(X) at each Newton candidate.
+    An iterate that leaves the domain disk (integrate_to_many's bound) ends
+    the Newton loop, and the step to the target is halved.
     """
 
     def __init__(self, im: Immersion, w):
-        self.f1, self.f2 = im.curve.psi1, im.curve.psi2
-        self.base = im.base_point
-        self.off = complex(im.base_value.x1, im.base_value.x2)
+        self.im = im
         self.w = np.array(w, dtype=complex)
         self.radius = im.domain_radius * (1.0 + 1e-12)
-
-    def projection(self, w) -> np.ndarray:
-        logs = {}  # shared by psi1 and psi2, as in integrals_at_many
-        x1 = integrate_to_many(self.f1, self.base, w, logs).real
-        return self.off + x1 + 1j * integrate_to_many(self.f2, self.base, w, logs).real
 
     def solve(self, target: np.ndarray, depth: int = 0):
         w = self.w.copy()
         for _ in range(_NEWTON_ITERS):
-            r = self.projection(w) - target
+            r = _projections(self.im, w)[0] - target
             if float(np.max(np.abs(r))) <= _TOL:
                 self.w = w
                 return
-            v1 = self.f1._eval(w)
-            v2 = self.f2._eval(w)
+            v1 = self.im.curve.psi1._eval(w)
+            v2 = self.im.curve.psi2._eval(w)
             a = 0.5 * (v1 + 1j * v2)
             bc = 0.5 * np.conj(v1 - 1j * v2)
             det = np.abs(a) ** 2 - np.abs(bc) ** 2
@@ -537,7 +536,7 @@ class _ProjectionWalker:
         if depth >= _MAX_SPLIT:
             raise NewtonDivergence(f"no convergence after {_MAX_SPLIT} step halvings "
                                    "(or the pullback path leaves the domain disk)")
-        mid = 0.5 * (self.projection(self.w) + target)
+        mid = 0.5 * (_projections(self.im, self.w)[0] + target)
         self.solve(mid, depth + 1)
         self.solve(target, depth + 1)
 
@@ -583,16 +582,11 @@ def krust_inequality_batch(data: WeierstrassData, w1, w2) -> KrustInequality:
         raise ValueError("pair endpoints must be distinct")
 
     im = immersion_from_data(data)
-    ints1 = integrals_at_many(im, w1, 2)
-    ints2 = integrals_at_many(im, w2, 2)
-    walker = _ProjectionWalker(im, w1)
-    p1 = walker.off + ints1[:, 0].real + 1j * ints1[:, 1].real
-    p2 = walker.off + ints2[:, 0].real + 1j * ints2[:, 1].real
-    q1 = ints1[:, 0].imag + 1j * ints1[:, 1].imag
-    q2 = ints2[:, 0].imag + 1j * ints2[:, 1].imag
+    p1, q1 = _projections(im, w1)
+    p2, q2 = _projections(im, w2)
     lhs = np.real(np.conj(p2 - p1) * (1j * (q2 - q1)))
 
-    betas = _walk(walker, p1, p2)
+    betas = _walk(_ProjectionWalker(im, w1), p1, p2)
 
     dt = 1.0 / _KRUST_STEPS
     bp = np.empty_like(betas)
@@ -697,17 +691,16 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
     """
     im = immersion_from_data(data)
     mesh = triangulate_disk(data.domain_radius, _RESAMPLE_MESH_N)
-    base = data.base_value.as_array()
-    pts = base[:2] + integrals_at_many(im, mesh.vertices, 2).real
-    if not _report_from_points(pts, mesh).injective:
+    p = _projections(im, mesh.vertices)[0]
+    if not _report_from_points(p, mesh).injective:
         raise NotAGraph("projection of the sampled surface is not injective")
 
-    poly = pts[mesh.boundary]
+    poly = p[mesh.boundary]
     h = float(grid_h)
-    i0 = int(np.floor(poly[:, 0].min() / h)) - 1
-    i1 = int(np.ceil(poly[:, 0].max() / h)) + 1
-    j0 = int(np.floor(poly[:, 1].min() / h)) - 1
-    j1 = int(np.ceil(poly[:, 1].max() / h)) + 1
+    i0 = int(np.floor(poly.real.min() / h)) - 1
+    i1 = int(np.ceil(poly.real.max() / h)) + 1
+    j0 = int(np.floor(poly.imag.min() / h)) - 1
+    j1 = int(np.ceil(poly.imag.max() / h)) + 1
     xs = h * np.arange(i0, i1 + 1)
     ys = h * np.arange(j0, j1 + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -717,14 +710,14 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
         raise OverlapEmpty("no grid cells inside the projected domain at this spacing")
 
     targets = (gx + 1j * gy)[mask]
-    seed = _nearest_vertex(pts[:, 0] + 1j * pts[:, 1], mesh.triangles, targets)
+    seed = _nearest_vertex(p, mesh.triangles, targets)
     walker = _ProjectionWalker(im, mesh.vertices[seed])
     walker.solve(targets)
     i3 = integrate_to_many(im.curve.psi3, im.base_point, walker.w)
 
     f = np.zeros(mask.shape)
     s = np.zeros(mask.shape)
-    f[mask] = base[2] + i3.real
+    f[mask] = data.base_value.x3 + i3.real
     s[mask] = -i3.imag  # third component of the Euclidean dual: Re(i * I3)
     origin = (float(xs[0]), float(ys[0]))
     return ResampledGraph(ScalarField(origin, h, f, mask), ScalarField(origin, h, s, mask))

@@ -225,14 +225,19 @@ def _coerce(value, radius: float) -> RationalHolomorphic:
     return RationalHolomorphic.constant(value, radius)
 
 
-def _shift(coeffs: np.ndarray, c: complex) -> np.ndarray:
-    """Coefficients of p(c + u) in u, exact and then rounded, so a multiple
-    root at c costs no digits near c.  Floats are integers over powers of two
-    s; entry k carries a_k s^(n-k), keeping the synthetic division integral."""
-    n = len(coeffs)
-    ratios = [v.as_integer_ratio() for v in (c.real, c.imag, *coeffs.real, *coeffs.imag)]
+def _dyadic(floats) -> tuple[list[int], int]:
+    """Integers m_k over one power of two s, floats[k] == m_k / s: each float is an
+    integer over a power of two, and the largest clears all (Fraction arithmetic without gcd)."""
+    ratios = [v.as_integer_ratio() for v in floats]
     s = max(d for _, d in ratios)
-    cr, ci, *ab = (m * (s // d) for m, d in ratios)
+    return [m * (s // d) for m, d in ratios], s
+
+
+def _shift(coeffs: np.ndarray, c: complex) -> np.ndarray:
+    """Coefficients of p(c + u) in u, exact then rounded: a multiple root at c costs no
+    digits near c.  Entry k carries a_k s^(n-k), s from _dyadic: the division stays integral."""
+    n = len(coeffs)
+    (cr, ci, *ab), s = _dyadic((c.real, c.imag, *coeffs.real, *coeffs.imag))
     a = [x * s ** (n - 1 - k % n) for k, x in enumerate(ab)]
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):

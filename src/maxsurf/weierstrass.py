@@ -135,8 +135,8 @@ class WeierstrassData:
         r = float(self.domain_radius)
         if not (0 < r <= min(self.g.radius, self.dh.radius)):
             raise DomainError("domain radius must fit inside both validity disks")
-        if abs(self.base_point) > r:
-            raise DomainError("base point outside domain disk")
+        if not abs(self.base_point) <= r:  # NaN is not <= r
+            raise DomainError(f"base point {self.base_point} outside domain disk")
         if self.base_value.ambient is not Ambient.LORENTZIAN:
             raise AmbientMismatch("base value must be a Lorentzian point")
         grid = _polar_grid(r)
@@ -220,8 +220,8 @@ class Immersion:
     base_value: Vec3
 
     def __post_init__(self):
-        if abs(self.base_point) > self.domain_radius:
-            raise DomainError("base point outside domain disk")
+        if not abs(self.base_point) <= self.domain_radius:
+            raise DomainError(f"base point {self.base_point} outside domain disk")
         if self.base_value.ambient is not self.curve.ambient:
             raise AmbientMismatch("base value ambient does not match curve")
         object.__setattr__(self, "base_point", complex(self.base_point))
@@ -239,11 +239,11 @@ def immersion_from_data(data: WeierstrassData) -> Immersion:
     return Immersion(build_isotropic_maximal(data), data.base_point, data.base_value)
 
 
-def integrals_at_many(im: Immersion, ws, components: int = 3) -> np.ndarray:
-    """int_{w0}^{w} psi_k, k < components (2: the projection), for an array of w; (N, components)."""
+def integrals_at_many(im: Immersion, ws) -> np.ndarray:
+    """int_{w0}^{w} (psi1, psi2, psi3) for an array of w; (N, 3)."""
     ws = np.asarray(ws, dtype=complex).ravel()
     logs = {}  # pole logarithms at ws, shared by forms with one denominator (psi1, psi2)
-    cols = [integrate_to_many(f, im.base_point, ws, logs) for f in im.curve.forms[:components]]
+    cols = [integrate_to_many(f, im.base_point, ws, logs) for f in im.curve.forms]
     return np.stack(cols, axis=-1)
 
 

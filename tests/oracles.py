@@ -7,9 +7,9 @@ forms of the text writers and reader, one expression per finite-difference
 rule, the full-grid sweeps of the tree integration, the earlier forms of
 routines rewritten for speed (signed areas and the report span, half-edge
 pairing, per-form pole logarithms; the report oracle reuses the package's
-unchanged rim test), and hand-derived constants for the built-in catalog
-families.  Tests compare package output against these, never against the
-package itself.
+unchanged rim test), the projections in their earlier table and sum forms,
+and hand-derived constants for the built-in catalog families.  Tests
+compare package output against these, never against the package itself.
 """
 
 from __future__ import annotations
@@ -512,7 +512,7 @@ def report_from_points_axis0(pts2: np.ndarray, param):
         raise DegenerateTriangle("projected triangle area below degeneracy threshold")
     min_area = float(np.min(areas))
     cycle = pts2[param.boundary]
-    simple = _boundary_simple(cycle)
+    simple = _boundary_simple(np.ascontiguousarray(cycle).view(complex)[:, 0])
     e = np.roll(cycle, -1, axis=0) - cycle
     e_next = np.roll(e, -1, axis=0)
     turn = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
@@ -568,3 +568,27 @@ def integrate_per_form(f, a, w):
     """F(w) - F(a) by primitive_per_form, for an array of endpoints w."""
     w = np.asarray(w, dtype=complex)
     return primitive_per_form(f.primitive, w) - primitive_per_form(f.primitive, np.asarray(a, dtype=complex))
+
+
+# ---- the projections before one complex form ----
+#
+# pi(X) and pi(X*) as (N, 2) float tables (the base value plus the real parts
+# of the stacked psi1, psi2 integrals, and their imaginary parts) read as
+# complex points, and as sums x + 1j * y of the same parts.
+# meshcheck._projections must give the bits of both.
+
+
+def _projection_integrals(im, w):
+    return [integrate_per_form(f, im.base_point, w) for f in im.curve.forms[:2]]
+
+
+def projections_from_tables(im, w):
+    ints = np.stack(_projection_integrals(im, w), axis=-1)
+    tables = (im.base_value.as_array()[:2] + ints.real, ints.imag)
+    return tuple(np.ascontiguousarray(t).view(complex)[:, 0] for t in tables)
+
+
+def projections_complex_formula(im, w):
+    i1, i2 = _projection_integrals(im, w)
+    off = complex(im.base_value.x1, im.base_value.x2)
+    return off + i1.real + 1j * i2.real, i1.imag + 1j * i2.imag

@@ -467,6 +467,23 @@ class TestErrors:
             assert code == 1
             assert cap.err == f"error: --mesh-n must be between 1 and 1024, got {mesh_n}\n"
 
+    def test_negative_seed_named(self, capsys):
+        # numpy's default_rng refuses a negative seed with a ValueError
+        code, cap = run_json(capsys, "identities", "--seed", "-1")
+        assert code == 1 and cap.out == ""
+        assert cap.err == "error: --seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("command", ["verify-krust", "export", "identities"])
+    def test_nan_base_point_named_error(self, tmp_path, capsys, command):
+        # abs(nan) > r is False, so the base point is refused unless abs(w0) <= r
+        obj = get("plane-r05").to_obj()
+        obj["base"] = [float("nan"), 0.0]
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(obj))
+        code, cap = run_json(capsys, command, "--config", str(cfgp), "--out", str(tmp_path / "out"))
+        assert code == 1 and cap.out == ""
+        assert cap.err == "error: bad datum object: base point (nan+0j) outside domain disk\n"
+
     @pytest.mark.parametrize(
         "g, dh, validity, radius, message",
         [

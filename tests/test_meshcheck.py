@@ -19,6 +19,7 @@ from maxsurf.meshcheck import (
     _disk_topology,
     _in_polygon,
     _nearest_vertex,
+    _projections,
     _report_from_points,
     _signed_areas,
     folded_disk_mesh,
@@ -39,7 +40,6 @@ from maxsurf.weierstrass import (
     conjugate_immersion,
     immerse,
     immersion_from_data,
-    integrals_at_many,
 )
 
 from conftest import disk_samples
@@ -54,6 +54,8 @@ from oracles import (
     integrate_per_form,
     merge_walk_disk,
     plane_immersion_point,
+    projections_complex_formula,
+    projections_from_tables,
     report_from_points_axis0,
     signed_areas_copy,
     simpson_line,
@@ -288,12 +290,27 @@ class TestProjectionReport:
         for data in catalog_data.values():
             im = immersion_from_data(data)
             mesh = triangulate_disk(data.domain_radius, n)
-            ints = integrals_at_many(im, mesh.vertices, 2)
-            for pts in (im.base_value.as_array()[:2] + ints.real, ints.imag):
-                z = np.ascontiguousarray(pts).view(complex)[:, 0]
+            for z in _projections(im, mesh.vertices):
                 want = signed_areas_copy(z, mesh.triangles)
                 assert np.array_equal(_signed_areas(z, mesh.triangles).view(np.int64), want.view(np.int64))
-                assert bits(_report_from_points(pts, mesh)) == bits(report_from_points_axis0(pts, mesh))
+                assert bits(_report_from_points(z, mesh)) == bits(report_from_points_axis0(_xy(z), mesh))
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_projections_match_table_and_sum_oracles(self, catalog_data, n):
+        # one complex form keeps the bits of the (N, 2) tables and of the
+        # x + 1j * y sums, at every vertex including the centre w = base point;
+        # each datum also with a base value whose three components differ
+        shifted = Vec3(0.3, -1.7, 0.5, Ambient.LORENTZIAN)
+        for data in catalog_data.values():
+            mesh = triangulate_disk(data.domain_radius, n)
+            assert mesh.vertices[0] == data.base_point
+            for base in (data.base_value, shifted):
+                im = Immersion(immersion_from_data(data).curve, data.base_point, base)
+                got = _projections(im, mesh.vertices)
+                for want in (projections_from_tables(im, mesh.vertices),
+                             projections_complex_formula(im, mesh.vertices)):
+                    for g, w in zip(got, want, strict=True):
+                        assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
     @pytest.mark.parametrize("stretch", [(1.0, 1.0), (1e3, 1.0), (1.0, 1e3)])
     def test_degeneracy_threshold_matches_axis0_span_oracle(self, stretch):
@@ -304,9 +321,9 @@ class TestProjectionReport:
             pts = np.column_stack([param.vertices.real, param.vertices.imag]) * stretch
             pts[0] = pts[1] + squeeze * (pts[0] - pts[1])
             outcomes = []
-            for report in (_report_from_points, report_from_points_axis0):
+            for report, points in ((_report_from_points, _complex(pts)), (report_from_points_axis0, pts)):
                 try:
-                    outcomes.append(report(pts, param).min_projected_triangle_area)
+                    outcomes.append(report(points, param).min_projected_triangle_area)
                 except DegenerateTriangle:
                     outcomes.append("degenerate")
             assert outcomes[0] == outcomes[1]
@@ -336,6 +353,16 @@ class TestProjectionReport:
         for k in (0, 7, 30, len(param.vertices) - 1):
             want = plane_immersion_point(complex(param.vertices[k]))
             assert np.max(np.abs(mesh.positions[k] - want)) < 1e-12
+
+
+def _complex(pts: np.ndarray) -> np.ndarray:
+    """The (m, 2) float points as complex points, bit for bit."""
+    return np.ascontiguousarray(pts, dtype=float).view(complex)[:, 0]
+
+
+def _xy(z: np.ndarray) -> np.ndarray:
+    """The complex points as an (m, 2) float array, bit for bit (the oracles' format)."""
+    return np.column_stack([z.real, z.imag])
 
 
 def _random_polylines(rng, count):
@@ -384,12 +411,12 @@ class TestPlanarPredicates:
             [841.4779422374434, 0.0],
         ])
         assert boundary_simple_exact(pts)
-        assert _boundary_simple(pts)
+        assert _boundary_simple(_complex(pts))
 
     def test_boundary_simple_matches_exact_oracle_near_collinear(self, rng):
         verdicts = []
         for pts in _near_collinear_polylines(rng, 1000):
-            got = _boundary_simple(pts)
+            got = _boundary_simple(_complex(pts))
             assert got == boundary_simple_exact(pts), pts
             verdicts.append(got)
         assert 0 < sum(verdicts) < len(verdicts)  # both verdicts exercised
@@ -397,28 +424,27 @@ class TestPlanarPredicates:
     def test_boundary_simple_matches_all_pairs_oracle(self, rng):
         verdicts = []
         for pts in _random_polylines(rng, 3000):
-            got = _boundary_simple(pts)
+            got = _boundary_simple(_complex(pts))
             assert got == boundary_simple_all_pairs(pts), pts
             verdicts.append(got)
         assert 0 < sum(verdicts) < len(verdicts)  # both verdicts exercised
 
     def test_non_finite_boundary_not_simple(self):
         t = 2.0 * np.pi * np.arange(12) / 12
-        pts = np.column_stack([np.cos(t), np.sin(t)])
-        assert _boundary_simple(pts)
-        pts[5] = np.nan
-        assert not _boundary_simple(pts)
-        assert not _boundary_simple(np.full((6, 2), np.nan))
+        z = _complex(np.column_stack([np.cos(t), np.sin(t)]))
+        assert _boundary_simple(z)
+        z[5] = complex(np.nan, np.nan)
+        assert not _boundary_simple(z)
+        assert not _boundary_simple(np.full(6, complex(np.nan, np.nan)))
+        assert not _boundary_simple(np.full(6, complex(0.0, np.nan)))
 
     def test_boundary_simple_matches_oracle_on_catalog_rims(self, catalog_data):
         meshes = {r: triangulate_disk(r, 128) for r in {d.domain_radius for d in catalog_data.values()}}
         for data in catalog_data.values():
             im = immersion_from_data(data)
             mesh = meshes[data.domain_radius]
-            ints = integrals_at_many(im, mesh.vertices[mesh.boundary])[:, :2]
-            base = data.base_value.as_array()[:2]
-            for rim in (base + ints.real, ints.imag):
-                assert _boundary_simple(rim) == boundary_simple_all_pairs(rim)
+            for rim in _projections(im, mesh.vertices[mesh.boundary]):
+                assert _boundary_simple(rim) == boundary_simple_all_pairs(_xy(rim))
                 assert _boundary_simple(rim)
 
     def test_in_polygon_matches_ray_cast_oracle(self, rng):
@@ -430,10 +456,10 @@ class TestPlanarPredicates:
                 poly = rng.integers(-5, 6, size=(m, 2)).astype(float)
             else:
                 poly = 3.0 * rng.normal(size=(m, 2))
-            assert np.array_equal(_in_polygon(gx, gy, poly), in_polygon_ray_cast(gx, gy, poly))
+            assert np.array_equal(_in_polygon(gx, gy, _complex(poly)), in_polygon_ray_cast(gx, gy, poly))
             px, py = 3.0 * rng.normal(size=(2, 300))
             py[::3] = poly[rng.integers(m, size=100), 1]  # rows through vertices
-            assert np.array_equal(_in_polygon(px, py, poly), in_polygon_ray_cast(px, py, poly))
+            assert np.array_equal(_in_polygon(px, py, _complex(poly)), in_polygon_ray_cast(px, py, poly))
 
     def test_boundary_simple_memory_is_linear(self):
         # 6144-edge circle, the rim of the n = 1024 disk.  The all-pairs form holds (m, m)
@@ -442,9 +468,9 @@ class TestPlanarPredicates:
         # so the (cell, edge) entries and candidate pairs number about 4m, and
         # 32 int64 arrays of 4m entries are 32 * 4 * 6144 * 8 B = 6.3 MB.
         t = 2.0 * np.pi * np.arange(6144) / 6144
-        pts = np.column_stack([np.cos(t), np.sin(t)])
-        assert _boundary_simple(pts)
-        peak = _traced_peak(_boundary_simple, pts)
+        z = _complex(np.column_stack([np.cos(t), np.sin(t)]))
+        assert _boundary_simple(z)
+        peak = _traced_peak(_boundary_simple, z)
         assert peak < 8e6, peak
 
     def test_in_polygon_memory_is_linear(self):
@@ -454,7 +480,7 @@ class TestPlanarPredicates:
         # and sort workspace of np.unique, ranks, keys, counts) and over the
         # ~2000 crossings: 12 arrays of 10^6 * 8 B are 96 MB.
         t = 2.0 * np.pi * np.arange(3000) / 3000
-        poly = np.column_stack([np.cos(t), np.sin(t)])
+        poly = _complex(np.column_stack([np.cos(t), np.sin(t)]))
         g = np.linspace(-1.1, 1.1, 1000)
         gx, gy = (a.ravel() for a in np.meshgrid(g, g, indexing="ij"))
         peak = _traced_peak(_in_polygon, gx, gy, poly)
@@ -582,27 +608,26 @@ class TestResampling:
             assert abs(p.x3 - f.values[i, j]) < 1e-8
 
     def test_walker_projection_bits_per_form(self, catalog_data, rng):
-        # psi1 and psi2 share their pole logarithms inside the walker
+        # psi1 and psi2 share their pole logarithms in _projections, which the
+        # walker evaluates at each Newton iterate
         for name in ("rational-r09", "shift4-r05"):
             data = catalog_data[name]
             im = immersion_from_data(data)
             w = disk_samples(rng, data.domain_radius, 200)
             x1, x2 = (integrate_per_form(f, im.base_point, w).real for f in im.curve.forms[:2])
             want = complex(data.base_value.x1, data.base_value.x2) + x1 + 1j * x2
-            got = _ProjectionWalker(im, w).projection(w)
+            got = _projections(im, w)[0]
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_nearest_vertex_matches_brute_force(self, catalog_data):
         data = catalog_data["rational-r09"]
         mesh = triangulate_disk(data.domain_radius, 48)
-        ints = integrals_at_many(immersion_from_data(data), mesh.vertices)
-        pv = ints[:, 0].real + 1j * ints[:, 1].real
+        pv = _projections(immersion_from_data(data), mesh.vertices)[0]
         h = 0.01
         xs = h * np.arange(np.floor(pv.real.min() / h), np.ceil(pv.real.max() / h) + 1)
         ys = h * np.arange(np.floor(pv.imag.min() / h), np.ceil(pv.imag.max() / h) + 1)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        poly = np.column_stack([pv.real, pv.imag])[mesh.boundary]
-        inside = (gx + 1j * gy).ravel()[_in_polygon(gx.ravel(), gy.ravel(), poly)]
+        inside = (gx + 1j * gy).ravel()[_in_polygon(gx.ravel(), gy.ravel(), pv[mesh.boundary])]
         targets = inside[::4]  # every 4th grid point keeps the brute force at ~1 s
         assert targets.size > 15000
         got = _nearest_vertex(pv, mesh.triangles, targets)
