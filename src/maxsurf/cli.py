@@ -44,7 +44,6 @@ from .meshcheck import (
     SurfaceMesh,
     krust_pipeline,
     projection_report,
-    rotation_identity_check,
     sample_surface,
     triangulate_disk,
 )
@@ -59,7 +58,8 @@ from .weierstrass import (
     half_forms,
     immerse,
     immersion_from_data,
-    projection_identities,
+    projection_residuals,
+    rotation_identity_check,
 )
 
 _THRESHOLDS = {
@@ -310,32 +310,24 @@ def _unit_disk_samples(rng: np.random.Generator, radius: float, n: int) -> np.nd
 def _identity_battery(data: WeierstrassData, rng: np.random.Generator) -> dict:
     im = immersion_from_data(data)
     conj = conjugate_immersion(im)
-    halves = half_forms(data)
-    curve = im.curve
     r = data.domain_radius
 
-    ws = _unit_disk_samples(rng, r, 10)
-    proj = max(projection_identities(im, halves, complex(w)).residual for w in ws)
+    proj = projection_residuals(im, half_forms(data), _unit_disk_samples(rng, r, 10))
 
-    rot = 0.0
-    for w in _unit_disk_samples(rng, r, 20):
-        ang = rng.uniform(0, 2 * np.pi)
-        direction = (np.cos(ang), np.sin(ang))
-        rot = max(rot, rotation_identity_check(im, conj, data, complex(w), direction))
+    ws = _unit_disk_samples(rng, r, 20)
+    ang = rng.uniform(0, 2 * np.pi, 20)
+    rot = rotation_identity_check(im, conj, data, ws, (np.cos(ang), np.sin(ang)))
 
-    twice = Immersion(conjugate_curve(conjugate_curve(curve)), im.base_point, im.base_value)
-    invol = 0.0
-    for w in _unit_disk_samples(rng, r, 4):
-        got = immerse(twice, complex(w)).as_array()
-        want = 2.0 * im.base_value.as_array() - immerse(im, complex(w)).as_array()
-        invol = max(invol, float(np.max(np.abs(got - want))))
+    twice = Immersion(conjugate_curve(conj.curve), im.base_point, im.base_value)
+    ws = _unit_disk_samples(rng, r, 4)
+    invol = (immerse(twice, ws) - (2.0 * im.base_value - immerse(im, ws))).as_array()
 
     return {
-        "isotropy": curve.isotropy_residual(),
-        "projection": proj,
-        "rotation": rot,
-        "commutation": check_commutation(curve),
-        "involution": invol,
+        "isotropy": im.curve.isotropy_residual(),
+        "projection": float(np.max(proj)),
+        "rotation": float(np.max(rot)),
+        "commutation": check_commutation(im.curve),
+        "involution": float(np.max(np.abs(invol))),
     }
 
 

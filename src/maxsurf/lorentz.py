@@ -26,7 +26,11 @@ class CausalCharacter(Enum):
 
 @dataclass(frozen=True)
 class Vec3:
-    """Point or tangent vector of E3 / L3, tagged with its ambient space."""
+    """Point or tangent vector of E3 / L3, tagged with its ambient space.
+
+    The components may also be float arrays of one shape: a batch of vectors,
+    on which the arithmetic, inner and cross_lorentz act element-wise.
+    """
 
     x1: float
     x2: float
@@ -34,8 +38,11 @@ class Vec3:
     ambient: Ambient = Ambient.LORENTZIAN
 
     def __post_init__(self):
-        for c in (self.x1, self.x2, self.x3):
-            if not np.isfinite(c):
+        components = (self.x1, self.x2, self.x3)
+        if len({np.shape(c) for c in components}) > 1:
+            raise ValueError("components of different shapes")
+        for c in components:
+            if not np.all(np.isfinite(c)):
                 raise ValueError("non-finite component")
 
     def as_array(self) -> np.ndarray:
@@ -94,17 +101,18 @@ def cross_lorentz(u: Vec3, v: Vec3) -> Vec3:
     )
 
 
-def stereo_inv(z: complex) -> Vec3:
+def stereo_inv(z) -> Vec3:
     """Inverse stereographic projection onto the unit hyperboloid <x,x> = -1.
 
     mu^{-1}(z) = (-2 Re z, -2 Im z, |z|^2 + 1) / (|z|^2 - 1); |z| > 1 lands on
-    the upper sheet x3 >= 1.  Undefined on the equator |z| = 1.
+    the upper sheet x3 >= 1.  Undefined on the equator |z| = 1.  z may be an
+    array; the result is then a batch.
     """
-    z = complex(z)
-    d = abs(z) ** 2 - 1.0
-    if abs(abs(z) - 1.0) < _LIGHT_BAND:
+    m = abs(z)
+    if np.any(abs(m - 1.0) < _LIGHT_BAND):
         raise EquatorError("|z| = 1 has no hyperboloid preimage")
-    return Vec3(-2.0 * z.real / d, -2.0 * z.imag / d, (abs(z) ** 2 + 1.0) / d, Ambient.LORENTZIAN)
+    d = m**2 - 1.0
+    return Vec3(-2.0 * z.real / d, -2.0 * z.imag / d, (m**2 + 1.0) / d, Ambient.LORENTZIAN)
 
 
 def stereo(p: Vec3) -> complex:

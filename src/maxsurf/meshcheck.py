@@ -8,12 +8,11 @@ graph).  The headline pipeline reports, per datum, whether the hypothesis
 "graph over a convex domain" holds and whether the conjugate surface is then
 itself certified as a graph.
 
-Also here: the rotation identity N x dX = dX* of the Lorentzian Gauss map,
-Newton continuation that pulls straight segments in the projection plane back
-to the parameter disk, the positivity check of the conjugate-width inner
-product against its path-integral form, and resampling of a sampled graph
-onto a masked grid (used to compare the grid-level duality against the
-isotropic-curve duality).
+Also here: Newton continuation that pulls straight segments in the
+projection plane back to the parameter disk, the positivity check of the
+conjugate-width inner product against its path-integral form, and resampling
+of a sampled graph onto a masked grid (used to compare the grid-level duality
+against the isotropic-curve duality).
 """
 
 from __future__ import annotations
@@ -31,13 +30,11 @@ from .errors import (
     OverlapEmpty,
 )
 from .graphfield import ScalarField, dualize_maximal_to_minimal, shift_agreement
-from .lorentz import Ambient, cross_lorentz
+from .lorentz import Ambient
 from .rational import _dyadic, integrate_to_many
 from .weierstrass import (
     Immersion,
     WeierstrassData,
-    differential,
-    gauss_map,
     immersion_from_data,
     integrals_at_many,
 )
@@ -466,23 +463,6 @@ def krust_pipeline(im: Immersion, n: int = 64) -> KrustReport:
     domain = _report_from_points(p, mesh)
     conjugate = _report_from_points(q, mesh)
     return KrustReport(domain, conjugate, _verdict(domain, conjugate))
-
-
-# ---- rotation identity ----
-
-
-def rotation_identity_check(
-    im: Immersion, conj: Immersion, data: WeierstrassData, w: complex, direction: tuple[float, float]
-) -> float:
-    """| N(w) x dX(a,b) - dX*(a,b) | for the parameter direction (a, b), where
-    conj is conjugate_immersion(im)."""
-    a, b = float(direction[0]), float(direction[1])
-    xu, xv = differential(im, w)
-    su, sv = differential(conj, w)
-    n = gauss_map(data, w)
-    got = cross_lorentz(n, xu * a + xv * b)
-    want = su * a + sv * b
-    return float(np.linalg.norm((got - want).as_array()))
 
 
 # ---- Newton continuation in the projection plane ----

@@ -46,6 +46,16 @@ def _as_coeffs(seq) -> np.ndarray:
     return arr
 
 
+def _number(value, what: str) -> float:
+    """A number read from JSON, as a float: int or float, but not bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise FloatRangeError(f"{what} is beyond the float range") from None
+
+
 def _trim(arr: np.ndarray) -> np.ndarray:
     # Drop exact trailing zeros only; inexact trimming would break the
     # coefficient-level equality guarantees.
@@ -206,9 +216,11 @@ class RationalHolomorphic:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "RationalHolomorphic":
-        num = [complex(re, im) for re, im in obj["num"]]
-        den = [complex(re, im) for re, im in obj["den"]]
-        return cls(np.array(num), np.array(den), float(obj["radius"]))
+        num, den = (
+            [complex(_number(re, "coefficient"), _number(im, "coefficient")) for re, im in obj[key]]
+            for key in ("num", "den")
+        )
+        return cls(np.array(num), np.array(den), _number(obj["radius"], "radius"))
 
     @classmethod
     def constant(cls, c, radius: float) -> "RationalHolomorphic":

@@ -33,8 +33,8 @@ from .errors import (
     IsotropyError,
     NotSpacelike,
 )
-from .lorentz import Ambient, Vec3, stereo_inv
-from .rational import RationalHolomorphic, integrate_to_many
+from .lorentz import Ambient, Vec3, cross_lorentz, stereo_inv
+from .rational import RationalHolomorphic, _number, integrate_to_many
 
 _ISOTROPY_SAMPLES = 32
 _ISOTROPY_TOL = 1e-10
@@ -163,12 +163,12 @@ class WeierstrassData:
     def from_obj(cls, obj: dict) -> "WeierstrassData":
         if obj["kind"] != MAXIMAL_GRAPH:
             raise ValueError(f"unknown kind {obj['kind']!r}; the only kind is {MAXIMAL_GRAPH!r}")
-        bx, by, bz = obj["base_value"]
+        bx, by, bz = (_number(v, "base_value") for v in obj["base_value"])
         return cls(
             RationalHolomorphic.from_obj(obj["g"]),
             RationalHolomorphic.from_obj(obj["dh"]),
-            float(obj["radius"]),
-            complex(obj["base"][0], obj["base"][1]),
+            _number(obj["radius"], "radius"),
+            complex(_number(obj["base"][0], "base"), _number(obj["base"][1], "base")),
             Vec3(bx, by, bz, Ambient.LORENTZIAN),
         )
 
@@ -247,10 +247,10 @@ def integrals_at_many(im: Immersion, ws) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def immerse(im: Immersion, w: complex) -> Vec3:
-    """X(w) = base_value + Re int psi."""
-    vals = im.base_value.as_array() + integrals_at_many(im, [w])[0].real
-    return Vec3(*vals, im.ambient)
+def immerse(im: Immersion, w) -> Vec3:
+    """X(w) = base_value + Re int psi; a batch for an array of w."""
+    x = im.base_value.as_array() + integrals_at_many(im, w).real
+    return Vec3(*x.T.reshape((3,) + np.shape(w)), im.ambient)
 
 
 def conjugate_immersion(im: Immersion) -> Immersion:
@@ -259,19 +259,32 @@ def conjugate_immersion(im: Immersion) -> Immersion:
     return Immersion(conjugate_curve(im.curve), im.base_point, zero)
 
 
-def differential(im: Immersion, w: complex) -> tuple[Vec3, Vec3]:
+def differential(im: Immersion, w) -> tuple[Vec3, Vec3]:
     """(X_u, X_v) at w, from the densities: X_u = Re psi, X_v = -Im psi."""
-    psi = im.curve.densities_at(complex(w))
+    psi = im.curve.densities_at(w)
     xu = Vec3(*psi.real, im.ambient)
     xv = Vec3(*(-psi.imag), im.ambient)
     return xu, xv
 
 
-def gauss_map(data: WeierstrassData, w: complex) -> Vec3:
+def gauss_map(data: WeierstrassData, w) -> Vec3:
     """Hyperboloid Gauss map N(w) = stereo_inv(g(w)); upper sheet for |g| > 1."""
-    if abs(w) > data.domain_radius * (1.0 + 1e-12):
+    if np.max(np.abs(w)) > data.domain_radius * (1.0 + 1e-12):
         raise DomainError("parameter outside domain disk")
-    return stereo_inv(complex(data.g._eval(complex(w))))
+    return stereo_inv(data.g._eval(w))
+
+
+def rotation_identity_check(
+    im: Immersion, conj: Immersion, data: WeierstrassData, w, direction
+) -> np.ndarray:
+    """| N(w) x dX(a, b) - dX*(a, b) | per point, for the parameters w and the
+    parameter directions (a, b) = direction (arrays shaped like w), where conj
+    is conjugate_immersion(im)."""
+    a, b = direction
+    xu, xv = differential(im, w)
+    su, sv = differential(conj, w)
+    got = cross_lorentz(gauss_map(data, w), xu * a + xv * b)
+    return np.linalg.norm((got - (su * a + sv * b)).as_array(), axis=0)
 
 
 def half_forms(data: WeierstrassData) -> tuple[RationalHolomorphic, RationalHolomorphic]:
@@ -282,34 +295,17 @@ def half_forms(data: WeierstrassData) -> tuple[RationalHolomorphic, RationalHolo
     return -0.5 * (g * hp), 0.5 * (g.reciprocal() * hp)
 
 
-@dataclass(frozen=True)
-class ProjectionIdentities:
-    """Both sides of the horizontal-projection identities at one parameter."""
-
-    pi_x: complex
-    pi_x_star: complex
-    tau_conj_minus_sigma: complex
-    i_tau_conj_plus_sigma: complex
-
-    @property
-    def residual(self) -> float:
-        return max(
-            abs(self.pi_x - self.tau_conj_minus_sigma),
-            abs(self.pi_x_star - self.i_tau_conj_plus_sigma),
-        )
-
-
-def projection_identities(
-    im: Immersion, halves: tuple[RationalHolomorphic, RationalHolomorphic], w: complex
-) -> ProjectionIdentities:
-    """Compare pi(X) - pi(X(w0)) with conj(tau) - sigma, and the conjugate
-    projection with i(conj(tau) + sigma).
+def projection_residuals(
+    im: Immersion, halves: tuple[RationalHolomorphic, RationalHolomorphic], ws
+) -> np.ndarray:
+    """Per parameter w, the larger of |pi(X) - pi(X(w0)) - (conj(tau) - sigma)|
+    and |pi(X*) - i(conj(tau) + sigma)|.
 
     im is immersion_from_data(data) and halves is half_forms(data); build them
     once per datum, so their primitives are built once too.
     """
-    ints = integrals_at_many(im, [w])[0]
-    pi_x = complex(ints[0].real, ints[1].real)
-    pi_star = complex(ints[0].imag, ints[1].imag)
-    s, t = (complex(integrate_to_many(f, im.base_point, complex(w))) for f in halves)
-    return ProjectionIdentities(pi_x, pi_star, np.conj(t) - s, 1j * (np.conj(t) + s))
+    ints = integrals_at_many(im, ws)
+    pi_x = ints[:, 0].real + 1j * ints[:, 1].real
+    pi_star = ints[:, 0].imag + 1j * ints[:, 1].imag
+    s, t = (integrate_to_many(f, im.base_point, np.ravel(ws)) for f in halves)
+    return np.maximum(np.abs(pi_x - (np.conj(t) - s)), np.abs(pi_star - 1j * (np.conj(t) + s)))

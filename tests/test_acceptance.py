@@ -27,7 +27,6 @@ from maxsurf.meshcheck import (
     krust_pipeline,
     lee_equivalence_check,
     projection_report,
-    rotation_identity_check,
 )
 from maxsurf.weierstrass import (
     Immersion,
@@ -38,7 +37,8 @@ from maxsurf.weierstrass import (
     half_forms,
     immersion_from_data,
     integrals_at_many,
-    projection_identities,
+    projection_residuals,
+    rotation_identity_check,
 )
 
 from conftest import ACCEPTANCE_LINES, disk_samples
@@ -120,12 +120,14 @@ def test_criterion_02_conjugation(catalog_data, rng):
 @_criterion(3, "projection identities", budget=10.0)
 def test_criterion_03_projection(catalog_data, rng):
     names = sorted(catalog_data)
-    forms = {n: (immersion_from_data(d), half_forms(d)) for n, d in catalog_data.items()}
-    worst = 0.0
+    ws = {name: [] for name in names}
     for k in range(50):
         name = names[k % len(names)]
-        w = complex(disk_samples(rng, catalog_data[name].domain_radius, 1)[0])
-        worst = max(worst, projection_identities(*forms[name], w).residual)
+        ws[name].append(disk_samples(rng, catalog_data[name].domain_radius, 1)[0])
+    worst = max(
+        float(np.max(projection_residuals(immersion_from_data(data), half_forms(data), ws[name])))
+        for name, data in catalog_data.items()
+    )
     assert worst < 1e-8, f"projection identity residual {worst:.3e}"
     return f"worst residual {worst:.1e} < 1e-8 over 50 random points"
 
@@ -150,20 +152,16 @@ def test_criterion_04_krust_inequality(catalog_data, rng):
 @_criterion(5, "rotation identity", budget=5.0)
 def test_criterion_05_rotation(catalog_data, rng):
     names = sorted(catalog_data)
-    cache = {}
-    worst = 0.0
+    ws, angles = {name: [] for name in names}, {name: [] for name in names}
     for k in range(100):
         name = names[k % len(names)]
-        data = catalog_data[name]
-        if name not in cache:
-            im = immersion_from_data(data)
-            cache[name] = (im, conjugate_immersion(im))
-        w = complex(disk_samples(rng, data.domain_radius, 1)[0])
-        ang = rng.uniform(0.0, 2.0 * np.pi)
-        worst = max(
-            worst,
-            rotation_identity_check(*cache[name], data, w, (np.cos(ang), np.sin(ang))),
-        )
+        ws[name].append(disk_samples(rng, catalog_data[name].domain_radius, 1)[0])
+        angles[name].append(rng.uniform(0.0, 2.0 * np.pi))
+    worst = 0.0
+    for name, data in catalog_data.items():
+        im, w, ang = immersion_from_data(data), np.array(ws[name]), np.array(angles[name])
+        rot = rotation_identity_check(im, conjugate_immersion(im), data, w, (np.cos(ang), np.sin(ang)))
+        worst = max(worst, float(np.max(rot)))
     assert worst < 1e-8, f"rotation identity residual {worst:.3e}"
     return f"worst |N x dX - dX*| {worst:.1e} < 1e-8 over 100 samples"
 

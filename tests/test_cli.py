@@ -31,6 +31,10 @@ from oracles import (
 )
 
 
+PLANE = get("plane-r05").to_obj()
+BAD = "error: bad datum object: "
+
+
 def run_json(capsys, *argv):
     code = run_argv(list(argv))
     captured = capsys.readouterr()
@@ -260,6 +264,15 @@ class TestIdentities:
         assert worst["rotation"] < 1e-8
         assert worst["commutation"] <= 1e-15
         assert worst["involution"] < 2e-10
+
+    def test_failing_identity_exits_two(self, capsys, monkeypatch):
+        import maxsurf.cli as cli
+
+        monkeypatch.setattr(cli, "rotation_identity_check", lambda *args: np.array([0.0, 1e-7]))
+        code, cap = run_json(capsys, "identities", "--datum", "plane-r05")
+        assert code == 2
+        report = json.loads(cap.out)
+        assert report["ok"] is False and report["worst"]["rotation"] == 1e-7
 
     def test_seeded_reruns_identical(self, capsys):
         code1, cap1 = run_json(capsys, "identities", "--datum", "plane-r05", "--seed", "11")
@@ -540,6 +553,15 @@ class TestErrors:
             ("verify-krust", 5, "config must be a JSON object"),
             ("dualize-graph", 5, "config must be a JSON object"),
             ("dualize-curve", [1, 2], "config must be a JSON object"),
+            # numbers are JSON ints or floats in float range: no lists, strings, booleans or nulls
+            ("verify-krust", {**PLANE, "base_value": [[1, 2], 0, 0]}, f"{BAD}base_value must be a number, got list"),
+            ("verify-krust", {**PLANE, "g": {**PLANE["g"], "num": [["3", 0]]}},
+             f"{BAD}coefficient must be a number, got str"),
+            ("verify-krust", {**PLANE, "radius": True}, f"{BAD}radius must be a number, got bool"),
+            ("dualize-curve", {**PLANE, "dh": {**PLANE["dh"], "radius": False}},
+             f"{BAD}radius must be a number, got bool"),
+            ("identities", {**PLANE, "base": [0, None]}, f"{BAD}base must be a number, got NoneType"),
+            ("export", {**PLANE, "radius": 10**400}, f"{BAD}radius is beyond the float range"),
         ],
     )
     def test_hostile_config_shape(self, tmp_path, capsys, command, obj, message):

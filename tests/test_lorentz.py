@@ -37,6 +37,15 @@ class TestVec3:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             Vec3(np.nan, 0.0, 0.0, L)
+        with pytest.raises(ValueError):  # one bad entry of a batch
+            Vec3(np.zeros(3), np.array([0.0, np.inf, 0.0]), np.zeros(3), L)
+
+    def test_batch_components_share_one_shape(self):
+        u = Vec3(np.arange(3.0), np.ones(3), np.zeros(3), L)
+        assert u.as_array().shape == (3, 3)
+        assert (u + lv(1.0, 0.0, 0.0)).as_array()[0].tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="different shapes"):
+            Vec3(np.zeros(2), 0.0, np.zeros(2), L)
 
     def test_inner_signature(self):
         assert inner(lv(1, 2, 3), lv(4, 5, 6)) == 4 + 10 - 18
@@ -95,6 +104,8 @@ class TestStereo:
     def test_equator_rejected(self):
         with pytest.raises(EquatorError):
             stereo_inv(np.exp(0.3j))
+        with pytest.raises(EquatorError):  # one point of a batch
+            stereo_inv(np.array([2.0, np.exp(0.3j), -3.0j]))
 
     def test_off_hyperboloid_rejected(self):
         with pytest.raises(OffHyperboloid):

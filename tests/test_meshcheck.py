@@ -28,7 +28,6 @@ from maxsurf.meshcheck import (
     lee_equivalence_check,
     projection_report,
     resample_graph,
-    rotation_identity_check,
     sample_surface,
     triangulate_disk,
 )
@@ -40,6 +39,7 @@ from maxsurf.weierstrass import (
     conjugate_immersion,
     immerse,
     immersion_from_data,
+    rotation_identity_check,
 )
 
 from conftest import disk_samples
@@ -422,8 +422,11 @@ class TestPlanarPredicates:
         assert 0 < sum(verdicts) < len(verdicts)  # both verdicts exercised
 
     def test_boundary_simple_matches_all_pairs_oracle(self, rng):
+        # last: edge 0 folds back onto edge 1, so vertex 0 (the end of edge 3)
+        # lies on edge 1, a contact only the end-on-edge term sees
+        fold = np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
         verdicts = []
-        for pts in _random_polylines(rng, 3000):
+        for pts in [*_random_polylines(rng, 3000), fold]:
             got = _boundary_simple(_complex(pts))
             assert got == boundary_simple_all_pairs(pts), pts
             verdicts.append(got)
@@ -535,21 +538,29 @@ class TestRotationIdentity:
     def test_random_directions(self, catalog_data, rng):
         data = catalog_data["shift2.5-r05"]
         im = immersion_from_data(data)
-        conj = conjugate_immersion(im)
-        for w in disk_samples(rng, 0.5, 10):
-            a, b = rng.normal(size=2)
-            assert rotation_identity_check(im, conj, data, complex(w), (a, b)) < 1e-12
+        ws, direction = disk_samples(rng, 0.5, 10), rng.normal(size=(2, 10))
+        assert np.max(rotation_identity_check(im, conjugate_immersion(im), data, ws, direction)) < 1e-12
 
     def test_prebuilt_conjugate_bit_identical(self, catalog_data, rng):
-        # a conjugate built once per datum gives the bits of one built per point
+        # a conjugate an earlier call used gives the bits of a fresh one
         for data in catalog_data.values():
             im = immersion_from_data(data)
             conj = conjugate_immersion(im)
-            for w in disk_samples(rng, data.domain_radius, 3):
-                w, d = complex(w), tuple(rng.normal(size=2))
-                fresh = immersion_from_data(data)
-                want = rotation_identity_check(fresh, conjugate_immersion(fresh), data, w, d)
-                assert repr(rotation_identity_check(im, conj, data, w, d)) == repr(want)
+            rotation_identity_check(im, conj, data, disk_samples(rng, data.domain_radius, 3), (1.0, 0.0))
+            ws, d = disk_samples(rng, data.domain_radius, 3), rng.normal(size=(2, 3))
+            fresh = immersion_from_data(data)
+            want = rotation_identity_check(fresh, conjugate_immersion(fresh), data, ws, d)
+            assert np.array_equal(rotation_identity_check(im, conj, data, ws, d), want)
+
+    def test_surface_is_not_its_own_conjugate(self, catalog_data, rng):
+        # the check can fail: with im in place of its conjugate, the residual
+        # is |X_u (b - a) - X_v (a + b)|, at least sqrt(2) times the conformal
+        # factor for a unit direction (a, b)
+        for data in catalog_data.values():
+            im = immersion_from_data(data)
+            ws, d = disk_samples(rng, data.domain_radius, 20), rng.normal(size=(2, 20))
+            d /= np.hypot(*d)
+            assert np.min(rotation_identity_check(im, im, data, ws, d)) > 1.0
 
 
 class TestPullbackAndInequality:

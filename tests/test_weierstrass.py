@@ -24,7 +24,8 @@ from maxsurf.weierstrass import (
     immerse,
     immersion_from_data,
     integrals_at_many,
-    projection_identities,
+    projection_residuals,
+    rotation_identity_check,
 )
 
 from conftest import disk_samples
@@ -231,6 +232,32 @@ class TestImmersion:
         with pytest.raises(DomainError):
             differential(im, 0.6j)
 
+    def test_batch_matches_points(self, catalog_data, rng):
+        # array division may round other than scalar division (SIMD), so
+        # differential, gauss_map and the rotation residuals agree to 1e-15 of
+        # their scale; immerse adds the same integrals either way
+        def agree(batch, points, scale):
+            assert np.max(np.abs(batch - np.stack(points, axis=-1))) <= 1e-15 * scale
+
+        def tangents(im, w):  # (X_u, X_v) stacked, (2, 3) or (2, 3, N)
+            return np.array([v.as_array() for v in differential(im, w)])
+
+        for data in catalog_data.values():
+            im = immersion_from_data(data)
+            conj = conjugate_immersion(im)
+            ws = disk_samples(rng, data.domain_radius, 8)
+            a, b = rng.normal(size=(2, 8))
+            pts = [complex(w) for w in ws]
+            dx = tangents(im, ws)
+            agree(dx, [tangents(im, w) for w in pts], np.max(np.abs(dx)))
+            n = gauss_map(data, ws).as_array()
+            agree(n, [gauss_map(data, w).as_array() for w in pts], np.max(np.abs(n)))
+            rot = rotation_identity_check(im, conj, data, ws, (a, b))
+            each = [rotation_identity_check(im, conj, data, w, d) for w, *d in zip(pts, a, b)]
+            agree(rot, each, np.max(np.abs(dx)) * np.max(np.abs(n)) * np.max(np.hypot(a, b)))
+            x = immerse(im, ws).as_array()
+            assert np.array_equal(x, np.stack([immerse(im, w).as_array() for w in pts], axis=-1))
+
 
 def sigma_tau_at(data: WeierstrassData, ws) -> list[tuple[complex, complex]]:
     """(sigma, tau) at each of ws, from half forms built once for the datum."""
@@ -262,9 +289,20 @@ class TestSigmaTauAndProjections:
     def test_projection_identities_tight(self, catalog_data, rng):
         for name in ("plane-r09", "shift3-r09", "rational-r09"):
             data = catalog_data[name]
-            im, halves = immersion_from_data(data), half_forms(data)
-            for w in disk_samples(rng, data.domain_radius, 5):
-                assert projection_identities(im, halves, complex(w)).residual < 1e-12
+            ws = disk_samples(rng, data.domain_radius, 5)
+            assert np.max(projection_residuals(immersion_from_data(data), half_forms(data), ws)) < 1e-12
+
+    def test_projection_residuals_see_both_identities(self, plane15):
+        # turned by pi about the x3 axis, pi(X) and pi(X*) change sign; on the
+        # plane (sigma = -w, tau = w/4) the two gaps are then 2|conj(tau) - sigma|
+        # and 2|conj(tau) + sigma|: 2.5|w| and 1.5|w| at real w, swapped at imaginary w
+        im = immersion_from_data(plane15)
+        c = im.curve
+        turned = Immersion(
+            IsotropicCurve(-1.0 * c.psi1, -1.0 * c.psi2, c.psi3, c.ambient), im.base_point, im.base_value
+        )
+        got = projection_residuals(turned, half_forms(plane15), [0.4, 0.4j])
+        assert np.allclose(got, [1.0, 1.0], rtol=1e-14, atol=0.0)
 
     def test_half_forms_share_one_log_table(self, catalog_data, rng):
         # sigma and tau have different denominators (different pole centres)
@@ -278,18 +316,17 @@ class TestSigmaTauAndProjections:
         assert len(logs) == 2
 
     def test_prebuilt_forms_bit_identical(self, catalog_data, rng):
-        # forms built once per datum give the bits of forms built per point
+        # forms whose primitives an earlier call built give the bits of fresh forms
         for data in catalog_data.values():
             im, halves = immersion_from_data(data), half_forms(data)
-            for w in disk_samples(rng, data.domain_radius, 3):
-                w = complex(w)
-                fresh = projection_identities(immersion_from_data(data), half_forms(data), w)
-                assert repr(projection_identities(im, halves, w)) == repr(fresh)
+            projection_residuals(im, halves, disk_samples(rng, data.domain_radius, 3))
+            ws = disk_samples(rng, data.domain_radius, 3)
+            fresh = projection_residuals(immersion_from_data(data), half_forms(data), ws)
+            assert np.array_equal(projection_residuals(im, halves, ws), fresh)
 
     def test_projection_matches_immersion(self, catalog_data):
-        data = catalog_data["shift3-r05"]
-        im = immersion_from_data(data)
-        w = 0.3 - 0.2j
-        ids = projection_identities(im, half_forms(data), w)
-        x = immerse(im, w)
-        assert abs(ids.pi_x - complex(x.x1, x.x2)) < 1e-12
+        data = catalog_data["shift3-r05"]  # base value 0
+        ws = np.array([0.3 - 0.2j, -0.1 + 0.45j])
+        x = immerse(immersion_from_data(data), ws)
+        s, t = np.array(sigma_tau_at(data, ws)).T
+        assert np.max(np.abs(x.x1 + 1j * x.x2 - (np.conj(t) - s))) < 1e-12
