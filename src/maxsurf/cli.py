@@ -47,6 +47,7 @@ from .meshcheck import (
     sample_surface,
     triangulate_disk,
 )
+from .rational import _number
 from .textio import write_rows
 from .weierstrass import (
     Immersion,
@@ -256,8 +257,8 @@ def _cmd_dualize_graph(args: argparse.Namespace) -> int:
     if direction not in ("minimal-to-maximal", "maximal-to-minimal"):
         raise CliError(f"unknown direction {direction!r}")
     try:
-        curl_tol = float(obj.get("curl_tol", 1e-3))
-    except (TypeError, ValueError) as e:
+        curl_tol = _number(obj.get("curl_tol", 1e-3), "curl_tol")
+    except ValueError as e:
         raise CliError(f"bad curl_tol: {e}") from e
     if not 0.0 < curl_tol < np.inf:
         raise CliError(f"curl_tol must be finite and positive, got {curl_tol!r}")

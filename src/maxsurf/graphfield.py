@@ -40,6 +40,7 @@ from .errors import (
     NotSpacelike,
     OverlapEmpty,
 )
+from .rational import _number
 from .textio import parse_rows, write_rows
 
 _SPACELIKE_EPS = 1e-12
@@ -390,8 +391,12 @@ def save_field(f: ScalarField, csv_path, header_path):
 def _read_header(header_path) -> tuple[tuple[float, float], float, int, int]:
     with open(header_path) as fh:
         head = json.load(fh)
-    nx, ny, h = head["nx"], head["ny"], float(head["spacing"])
-    origin = (float(head["origin"][0]), float(head["origin"][1]))
+    nx, ny = head["nx"], head["ny"]
+    h = _number(head["spacing"], f"{header_path}: spacing")
+    origin = head["origin"]
+    if not isinstance(origin, list) or len(origin) != 2:
+        raise ValueError(f"{header_path}: origin must be a list of two numbers, got {origin!r}")
+    origin = tuple(_number(v, f"{header_path}: origin") for v in origin)
     for key, n in (("nx", nx), ("ny", ny)):
         if type(n) is not int or n < 1:
             raise ValueError(f"{header_path}: {key} must be a positive integer, got {n!r}")

@@ -8,8 +8,9 @@ rule, the full-grid sweeps of the tree integration, the earlier forms of
 routines rewritten for speed (signed areas and the report span, half-edge
 pairing, per-form pole logarithms; the report oracle reuses the package's
 unchanged rim test), the projections in their earlier table and sum forms,
-and hand-derived constants for the built-in catalog families.  Tests
-compare package output against these, never against the package itself.
+the point location that the raster pass replaced, and hand-derived
+constants for the built-in catalog families.  Tests compare package output
+against these, never against the package itself.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from maxsurf.errors import (
     NotSimplyConnected,
     NotSpacelike,
 )
-from maxsurf.meshcheck import _AREA_EPS, _CONVEXITY_BAND, GraphReport, _boundary_simple
+from maxsurf.meshcheck import _AREA_EPS, _CONVEXITY_BAND, GraphReport, _boundary_simple, _offsets
 
 
 def simpson_line(func, a: complex, b: complex, n: int = 4096) -> complex:
@@ -260,6 +261,127 @@ def in_polygon_ray_cast(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.
     dy = np.where(y1 - y0 == 0, 1.0, y1 - y0)
     xint = x0[None, :] + (py - y0[None, :]) * ((x1 - x0) / dy)[None, :]
     return (np.sum(straddles & (px < xint), axis=1) % 2) == 1
+
+
+def in_polygon_exact(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """in_polygon_ray_cast with each crossing decided exactly: a point is
+    inside iff an odd number of edges have exactly one endpoint with y <= py
+    and cross that row strictly right of px, as for the point moved by
+    (+e, +e^2), e infinitesimal.
+
+    Every point meets every edge (in chunks of points).  Crossing edge
+    (x0, y0) -> (x1, y1) right of px has the sign of
+    D = (x0 - px)(y1 - y0) + (py - y0)(x1 - x0) times that of y1 - y0.  The
+    float D is off by under 1e-15 of |x0 - px||y1 - y0| + |py - y0||x1 - x0|;
+    a D within 1e-9 of that is recomputed with Fraction coordinates.
+    """
+    x0, y0 = poly[:, 0], poly[:, 1]
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    inside = np.zeros(px.size, dtype=bool)
+    for s in range(0, px.size, 4096):
+        x, y = px[s:s + 4096, None], py[s:s + 4096, None]
+        straddles = (y0 <= y) != (y1 <= y)
+        left, right = (x0 - x) * (y1 - y0), (y - y0) * (x1 - x0)
+        d = left + right
+        sign = np.sign(d)
+        for p, e in np.argwhere(straddles & ~(np.abs(d) > 1e-9 * (np.abs(left) + np.abs(right)))):
+            fx, fy, a0, b0, a1, b1 = (Fraction(float(v)) for v in (x[p, 0], y[p, 0], x0[e], y0[e], x1[e], y1[e]))
+            exact = (a0 - fx) * (b1 - b0) + (fy - b0) * (a1 - a0)
+            sign[p, e] = (exact > 0) - (exact < 0)
+        right_of = sign * np.sign(y1 - y0) > 0
+        inside[s:s + 4096] = np.sum(straddles & right_of, axis=1) % 2 == 1
+    return inside
+
+
+# ---- point location before one raster pass ----
+#
+# The scanline in-domain test and the bucketed nearest-vertex search that
+# resample_graph used before meshcheck._locate: references for its masks
+# and for the heights Newton reaches from other seeds.
+
+
+def in_polygon_scanline(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Even-odd ray casting toward +x; poly complex (m,) finite, implicitly closed.
+
+    Scanline form: the edge crossings of each distinct row py are computed
+    once, and a point is inside iff an odd number of its row's crossings lie
+    strictly right of px.  Edge e crosses row y iff exactly one endpoint has
+    y_k <= y, i.e. min(y0, y1) <= y < max(y0, y1), which selects the rows of
+    each edge by binary search.  Memory is linear in points plus crossings.
+    """
+    x0, y0 = poly.real, poly.imag
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    rows, row = np.unique(py, return_inverse=True)
+    first = np.searchsorted(rows, np.minimum(y0, y1))
+    count = np.searchsorted(rows, np.maximum(y0, y1)) - first
+    edge = np.repeat(np.arange(x0.size), count)
+    r = np.repeat(first, count) + _offsets(count)
+    dy = np.where(y1 - y0 == 0, 1.0, y1 - y0)
+    xint = x0[edge] + (rows[r] - y0[edge]) * ((x1 - x0) / dy)[edge]
+
+    # rank the crossings among their distinct values, so (row, x) orders as
+    # one integer key row * width + rank; px maps to the count of values <= px
+    values = np.unique(xint)
+    width = values.size + 1
+    keys = np.sort(r * width + np.searchsorted(values, xint))
+    right = np.searchsorted(keys, (row + 1) * width) - np.searchsorted(
+        keys, row * width + np.searchsorted(values, px, side="right")
+    )
+    return right % 2 == 1
+
+
+def nearest_vertex_bucketed(points: np.ndarray, triangles: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of the projected mesh vertex nearest to each target (complex
+    arrays; ties go to the lower index), for targets inside an injectively
+    projected mesh.
+
+    Vertices are bucketed on a square grid of spacing reach and only the
+    3 x 3 buckets around a target are searched.  That is exact: every target
+    lies in some projected triangle, and a point of a triangle lies within
+    (longest edge)/sqrt(3) of one of its vertices, so the nearest vertex is
+    closer than reach and sits in a neighbouring bucket.
+
+    first[k] counts the vertices with bucket key x * width + y below k, so the
+    buckets (x + dx, y - 1 .. y + 1) are the run first[key - 1] : first[key + 2]
+    of the key-sorted vertices.  The three runs (dx = -1, 0, 1) are searched
+    one at a time; each run's best distance and lowest index at it merge into
+    the running pair.  The table is indexed without a search, so a target
+    outside the mesh's buckets raises ValueError.
+    """
+    edges = points[triangles] - points[np.roll(triangles, 1, axis=1)]
+    reach = float(np.max(np.abs(edges))) / np.sqrt(3.0) * (1.0 + 1e-9)
+    corner = complex(points.real.min(), points.imag.min())
+
+    def bucket(z):
+        z = (z - corner) / reach
+        return np.floor(z.real).astype(np.int64) + 1, np.floor(z.imag).astype(np.int64) + 1
+
+    bx, by = bucket(points)
+    width = int(by.max()) + 3
+    keys = bx * width + by
+    order = np.argsort(keys)
+    first = np.cumsum(np.bincount(keys + 1, minlength=(int(bx.max()) + 2) * width))
+    tx, ty = bucket(targets)
+    if np.any((tx < 1) | (tx > bx.max()) | (ty < 1) | (ty > by.max())):
+        raise ValueError("targets lie outside the projected mesh")
+    best = np.full(targets.size, np.inf)
+    nearest = np.full(targets.size, points.size)
+    for dx in (-1, 0, 1):
+        key = (tx + dx) * width + ty
+        start = first[key - 1]
+        count = first[key + 2] - start
+        owner = np.repeat(np.arange(targets.size), count)
+        cand = order[np.repeat(start, count) + _offsets(count)]
+        dist = np.abs(points[cand] - targets[owner])
+        run_best = np.full(targets.size, np.inf)
+        np.minimum.at(run_best, owner, dist)
+        hit = dist == run_best[owner]
+        run_nearest = np.full(targets.size, points.size)
+        np.minimum.at(run_nearest, owner[hit], cand[hit])
+        take = (run_best < best) | ((run_best == best) & (run_nearest < nearest))
+        best = np.where(take, run_best, best)
+        nearest = np.where(take, run_nearest, nearest)
+    return nearest
 
 
 # ---- row-by-row text writers and reader ----

@@ -156,6 +156,10 @@ class TestDualizeGraph:
             ({"nx": 10**8, "ny": 10**8}, "0,0,1\n", "grid exceeds 4194304 cells"),
             ({}, "0,0,1\ninf,0,1\n", "f.csv:3: non-finite coordinate or value"),
             ({}, "0,0,1\n0,0,2\n", "f.csv:3: duplicate grid cell"),
+            ({"spacing": "0.05"}, "0,0,1\n", "spacing must be a number, got str"),
+            ({"spacing": True}, "0,0,1\n", "spacing must be a number, got bool"),
+            ({"origin": ["0", "0"]}, "0,0,1\n", "origin must be a number, got str"),
+            ({"origin": [0]}, "0,0,1\n", "origin must be a list of two numbers"),
         ],
     )
     def test_hostile_field_file(self, tmp_path, capsys, head, rows, message):
@@ -178,7 +182,7 @@ class TestDualizeGraph:
         assert code == 1
         assert "dualize-graph needs" in cap.err
 
-    @pytest.mark.parametrize("curl_tol", ["nan", "abc", 0, -1])
+    @pytest.mark.parametrize("curl_tol", ["nan", "abc", 0, -1, True, "0.5"])
     def test_meaningless_curl_tol_rejected(self, tmp_path, capsys, curl_tol):
         _, cfg = self.make_field(tmp_path)
         obj = json.loads(cfg.read_text())

@@ -17,8 +17,8 @@ from maxsurf.meshcheck import (
     _boundary_simple,
     _check_disk,
     _disk_topology,
-    _in_polygon,
-    _nearest_vertex,
+    _erode,
+    _locate,
     _projections,
     _report_from_points,
     _signed_areas,
@@ -31,7 +31,7 @@ from maxsurf.meshcheck import (
     sample_surface,
     triangulate_disk,
 )
-from maxsurf.rational import RationalHolomorphic
+from maxsurf.rational import RationalHolomorphic, integrate_to_many
 from maxsurf.weierstrass import (
     Immersion,
     WeierstrassData,
@@ -50,9 +50,12 @@ from oracles import (
     check_disk_searched,
     disk_triangle_count,
     disk_vertex_count,
+    in_polygon_exact,
     in_polygon_ray_cast,
+    in_polygon_scanline,
     integrate_per_form,
     merge_walk_disk,
+    nearest_vertex_bucketed,
     plane_immersion_point,
     projections_complex_formula,
     projections_from_tables,
@@ -459,10 +462,10 @@ class TestPlanarPredicates:
                 poly = rng.integers(-5, 6, size=(m, 2)).astype(float)
             else:
                 poly = 3.0 * rng.normal(size=(m, 2))
-            assert np.array_equal(_in_polygon(gx, gy, _complex(poly)), in_polygon_ray_cast(gx, gy, poly))
+            assert np.array_equal(in_polygon_scanline(gx, gy, _complex(poly)), in_polygon_ray_cast(gx, gy, poly))
             px, py = 3.0 * rng.normal(size=(2, 300))
             py[::3] = poly[rng.integers(m, size=100), 1]  # rows through vertices
-            assert np.array_equal(_in_polygon(px, py, _complex(poly)), in_polygon_ray_cast(px, py, poly))
+            assert np.array_equal(in_polygon_scanline(px, py, _complex(poly)), in_polygon_ray_cast(px, py, poly))
 
     def test_boundary_simple_memory_is_linear(self):
         # 6144-edge circle, the rim of the n = 1024 disk.  The all-pairs form holds (m, m)
@@ -476,18 +479,107 @@ class TestPlanarPredicates:
         peak = _traced_peak(_boundary_simple, z)
         assert peak < 8e6, peak
 
-    def test_in_polygon_memory_is_linear(self):
-        # 10^6 grid points against a 3000-edge circle.  Ray casting against
-        # every edge holds (points, edges) arrays: 3e9 entries, 3 GB per bool
-        # array.  The scanline form holds arrays over points (the row index
-        # and sort workspace of np.unique, ranks, keys, counts) and over the
-        # ~2000 crossings: 12 arrays of 10^6 * 8 B are 96 MB.
-        t = 2.0 * np.pi * np.arange(3000) / 3000
-        poly = _complex(np.column_stack([np.cos(t), np.sin(t)]))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_locate_lattice_points_in_one_triangle(self, seed):
+        # half-integer grid points sit on vertices, edge midpoints and square
+        # centres: moved by (+e, +e^2), each point of the half-open square
+        # [0, 4)^2 lies in one triangle, and no other point lies in any
+        points, triangles, _ = _shuffled_lattice(seed)
+        half = np.arange(-0.5, 4.75, 0.5)
+        cell, tri, weight = _locate(points, triangles, half, half)
+        gx, gy = np.meshgrid(half, half, indexing="ij")
+        count = np.bincount(cell, minlength=gx.size).reshape(gx.shape)
+        assert np.array_equal(count, (gx >= 0) & (gx < 4) & (gy >= 0) & (gy < 4))
+        q = (gx + 1j * gy).ravel()[cell]
+        assert np.max(np.abs(np.sum(weight * points[triangles[tri]], axis=1) - q)) < 1e-14
+        assert np.all(weight >= 0) and np.allclose(weight.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_locate_mask_matches_exact_oracle(self, seed):
+        # even seeds: integer lattices whose grid points land on vertices and
+        # edges (ties); odd seeds: float jitter
+        points, triangles, rim, xs = _jittered_lattice(np.random.default_rng(seed), integer=seed % 2 == 0)
+        assert np.all(_signed_areas(points, triangles) > 0) and _boundary_simple(points[rim])
+        cell, _, _ = _locate(points, triangles, xs, xs)
+        assert np.unique(cell).size == cell.size  # no point in two triangles
+        gx, gy = (a.ravel() for a in np.meshgrid(xs, xs, indexing="ij"))
+        mask = np.zeros(gx.size, dtype=bool)
+        mask[cell] = True
+        assert np.array_equal(mask, in_polygon_exact(gx, gy, _xy(points[rim])))
+
+    @pytest.mark.parametrize("h", [0.01, 0.02, 0.05])
+    def test_locate_masks_match_scanline_on_catalog(self, catalog_data, h):
+        # resample_graph's grids at n = 48; equal raw masks erode alike
+        for data in catalog_data.values():
+            mesh = triangulate_disk(data.domain_radius, 48)
+            p = _projections(immersion_from_data(data), mesh.vertices)[0]
+            xs, ys = _resample_grid(p[mesh.boundary], h)
+            cell, _, _ = _locate(p, mesh.triangles, xs, ys)
+            mask = np.zeros((xs.size, ys.size), dtype=bool)
+            mask.flat[cell] = True
+            gx, gy = np.meshgrid(xs, ys, indexing="ij")
+            want = in_polygon_scanline(gx.ravel(), gy.ravel(), p[mesh.boundary]).reshape(gx.shape)
+            assert np.array_equal(mask, want)
+
+    def test_locate_memory_is_linear(self):
+        # 10^6 grid points against the 98,304 triangles of the n = 128 unit
+        # disk, 0.65M hits.  All triangles in one block peak at 230 MB, on
+        # the candidates' index, coordinate and orientation arrays.  Blocks of
+        # _LOCATE_BLOCK triangles peak at 70 MB, mostly the returned cells,
+        # triangles and weights (40 B a hit), held twice while concatenated.
+        mesh = triangulate_disk(1.0, 128)
         g = np.linspace(-1.1, 1.1, 1000)
-        gx, gy = (a.ravel() for a in np.meshgrid(g, g, indexing="ij"))
-        peak = _traced_peak(_in_polygon, gx, gy, poly)
-        assert peak < 96e6, peak
+        peak = _traced_peak(_locate, mesh.vertices, mesh.triangles, g, g)
+        assert peak < 80e6, peak
+
+
+def _shuffled_lattice(seed: int):
+    """A 4 x 4 lattice of unit squares, each cut into two triangles, in
+    shuffled vertex order with three vertices repeated: (points, triangles,
+    the generator that shuffled them)."""
+    rng = np.random.default_rng(seed)
+    n = 4
+    i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    lattice = (i + 1j * j).astype(complex)
+    v00 = (i * (n + 1) + j)[(i < n) & (j < n)]
+    tris = np.concatenate([np.column_stack([v00, v00 + n + 1, v00 + n + 2]),
+                           np.column_stack([v00, v00 + n + 2, v00 + 1])])
+    pts = np.concatenate([lattice, lattice[[0, 12, 24]]])
+    order = rng.permutation(pts.size)
+    return pts[order], np.argsort(order)[tris], rng
+
+
+def _jittered_lattice(rng, integer: bool, n: int = 5):
+    """An n x n lattice of squares cut along random diagonals, with jittered
+    vertices: (points, triangles, rim cycle, grid coordinates).  Integer
+    jitter of at most 1 on spacing 6, or float jitter below 0.2 on spacing 1,
+    moves no vertex across the opposite edge of a triangle."""
+    i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    if integer:
+        points = (6 * i + rng.integers(-1, 2, i.size)) + 1j * (6 * j + rng.integers(-1, 2, i.size))
+        xs = np.arange(-2.0, 6 * n + 2.5, 0.5)
+    else:
+        points = (i + rng.uniform(-0.2, 0.2, i.size)) + 1j * (j + rng.uniform(-0.2, 0.2, i.size))
+        xs = np.linspace(-0.5, n + 0.5, 61)
+    v00 = (i * (n + 1) + j)[(i < n) & (j < n)]
+    v10, v11, v01 = v00 + n + 1, v00 + n + 2, v00 + 1
+    cut = rng.random(v00.size) < 0.5  # diagonal v00 - v11, else v10 - v01
+    triangles = np.concatenate([
+        np.where(cut[:, None], np.column_stack([v00, v10, v11]), np.column_stack([v00, v10, v01])),
+        np.where(cut[:, None], np.column_stack([v00, v11, v01]), np.column_stack([v10, v11, v01])),
+    ])
+    k = np.arange(n)
+    rim = np.concatenate([k * (n + 1), n * (n + 1) + k, (n - k) * (n + 1) + n, n - k])
+    return points.astype(complex), triangles, rim, xs
+
+
+def _resample_grid(rim: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """resample_graph's grid coordinates around a projected rim."""
+    i0 = int(np.floor(rim.real.min() / h)) - 1
+    i1 = int(np.ceil(rim.real.max() / h)) + 1
+    j0 = int(np.floor(rim.imag.min() / h)) - 1
+    j1 = int(np.ceil(rim.imag.max() / h)) + 1
+    return h * np.arange(i0, i1 + 1), h * np.arange(j0, j1 + 1)
 
 
 def _traced_peak(fn, *args) -> int:
@@ -638,10 +730,10 @@ class TestResampling:
         xs = h * np.arange(np.floor(pv.real.min() / h), np.ceil(pv.real.max() / h) + 1)
         ys = h * np.arange(np.floor(pv.imag.min() / h), np.ceil(pv.imag.max() / h) + 1)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        inside = (gx + 1j * gy).ravel()[_in_polygon(gx.ravel(), gy.ravel(), pv[mesh.boundary])]
+        inside = (gx + 1j * gy).ravel()[in_polygon_scanline(gx.ravel(), gy.ravel(), pv[mesh.boundary])]
         targets = inside[::4]  # every 4th grid point keeps the brute force at ~1 s
         assert targets.size > 15000
-        got = _nearest_vertex(pv, mesh.triangles, targets)
+        got = nearest_vertex_bucketed(pv, mesh.triangles, targets)
         want = np.concatenate(
             [np.argmin(np.abs(pv[None, :] - t[:, None]), axis=1) for t in np.array_split(targets, 32)]
         )
@@ -649,38 +741,49 @@ class TestResampling:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_nearest_vertex_ties_and_edge_buckets(self, seed):
-        # a 4 x 4 lattice of unit squares in shuffled vertex order, with three
-        # vertices repeated; half-integer targets sit on vertices (ties with
-        # the repeats), mid-edges (two-way ties, across bucket columns) and
-        # square centres (four-way ties), and reach every edge bucket row
-        rng = np.random.default_rng(seed)
+        # the shuffled lattice with three vertices repeated; half-integer
+        # targets sit on vertices (ties with the repeats), mid-edges (two-way
+        # ties, across bucket columns) and square centres (four-way ties),
+        # and reach every edge bucket row
+        points, triangles, rng = _shuffled_lattice(seed)
         n = 4
-        i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
-        lattice = (i + 1j * j).astype(complex)
-        v00 = (i * (n + 1) + j)[(i < n) & (j < n)]
-        tris = np.concatenate([np.column_stack([v00, v00 + n + 1, v00 + n + 2]),
-                               np.column_stack([v00, v00 + n + 2, v00 + 1])])
-        pts = np.concatenate([lattice, lattice[[0, 12, 24]]])
-        order = rng.permutation(pts.size)
-        points, triangles = pts[order], np.argsort(order)[tris]
         half = np.arange(0.0, n + 0.25, 0.5)
         targets = np.concatenate([(half[:, None] + 1j * half[None, :]).ravel(),
                                   rng.uniform(0, n, 200) + 1j * rng.uniform(0, n, 200)])
-        got = _nearest_vertex(points, triangles, targets)
+        got = nearest_vertex_bucketed(points, triangles, targets)
         want = np.argmin(np.abs(points[None, :] - targets[:, None]), axis=1)
         assert np.array_equal(got, want)
 
-    def test_nearest_vertex_repeated_point_lower_index(self):
-        points = np.array([0, 1, 1 + 1j, 1j, 1 + 1j], dtype=complex)
-        triangles = np.array([[0, 1, 2], [0, 2, 3]])
-        got = _nearest_vertex(points, triangles, np.array([1 + 1j, 0.9 + 0.9j, 0.5 + 0.5j]))
-        assert got.tolist() == [2, 2, 0]
+    def test_heights_independent_of_seeds(self, catalog_data):
+        # Newton from the nearest projected vertex, the earlier seeds, reaches
+        # the heights resample_graph reaches from barycentric seeds
+        data = catalog_data["rational-r09"]
+        h = 0.05
+        f = resample_graph(data, h).field
+        im = immersion_from_data(data)
+        mesh = triangulate_disk(data.domain_radius, 48)
+        p = _projections(im, mesh.vertices)[0]
+        xs, ys = _resample_grid(p[mesh.boundary], h)
+        i, j = np.nonzero(f.mask)
+        targets = xs[i] + 1j * ys[j]
+        walker = _ProjectionWalker(im, mesh.vertices[nearest_vertex_bucketed(p, mesh.triangles, targets)])
+        walker.solve(targets)
+        heights = data.base_value.x3 + integrate_to_many(im.curve.psi3, im.base_point, walker.w).real
+        assert np.max(np.abs(heights - f.values[f.mask])) < 1e-9
 
-    def test_nearest_vertex_rejects_targets_outside_buckets(self):
-        points = np.array([0, 1, 1 + 1j, 1j], dtype=complex)
-        triangles = np.array([[0, 1, 2], [0, 2, 3]])
-        with pytest.raises(ValueError, match="outside the projected mesh"):
-            _nearest_vertex(points, triangles, np.array([0.5 + 0.5j, 5.0 + 0.5j]))
+    def test_plane_rim_tie_decided_exactly(self, catalog_data):
+        # at h = 0.005 the grid point (-0.625, 0) lies outside plane-r05's
+        # sampled rim by a cross product of -6.8e-21 with one rim edge; the
+        # scanline test's rounded crossing abscissa counted it inside
+        data = catalog_data["plane-r05"]
+        f = resample_graph(data, 0.005).field
+        mesh = triangulate_disk(data.domain_radius, 48)
+        rim = _projections(immersion_from_data(data), mesh.vertices)[0][mesh.boundary]
+        xs, ys = _resample_grid(rim, 0.005)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        inside = in_polygon_exact(gx.ravel(), gy.ravel(), _xy(rim)).reshape(gx.shape)
+        assert not inside[np.argmin(np.abs(xs + 0.625)), np.argmin(np.abs(ys))]
+        assert np.array_equal(f.mask, _erode(inside, 2))
 
     def test_lee_equivalence_small_discrepancy(self, catalog_data):
         assert lee_equivalence_check(catalog_data["shift3-r05"], 0.02) < 1e-4
