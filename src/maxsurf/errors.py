@@ -46,7 +46,7 @@ class NorthPole(MaxsurfError):
 
 
 class CommonZeroError(MaxsurfError):
-    """All components of an isotropic triple vanish at a sampled point."""
+    """dh has a zero in the domain disk, where all components of the isotropic triple vanish."""
 
 
 class IsotropyError(MaxsurfError):

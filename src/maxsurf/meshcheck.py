@@ -44,7 +44,6 @@ PASS = "PASS"
 FAIL = "FAIL"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
-_CONVEXITY_BAND = -1e-9
 _AREA_EPS = 1e-16
 _NEWTON_ITERS = 30
 _MAX_SPLIT = 12
@@ -417,20 +416,23 @@ def _report_from_points(z: np.ndarray, param: ParamMesh) -> GraphReport:
 
     cycle = z[param.boundary]
     simple = _boundary_simple(cycle)
-    e = np.roll(cycle, -1) - cycle
-    en = np.roll(e, -1)
-    turn = e.real * en.imag - e.imag * en.real
-    defect = float(np.min(turn))
-    # a convex rim turns left at every vertex and once around in all: a rim
-    # that winds twice also turns left everywhere
-    winding = round(float(np.sum(np.arctan2(turn, e.real * en.real + e.imag * en.imag))) / (2 * np.pi))
+    after, later = np.roll(cycle, -1), np.roll(cycle, -2)
+    e, en = after - cycle, later - after
+    defect = float(np.min(e.real * en.imag - e.imag * en.real))
+    # A convex rim turns left at every vertex (exact signs) and once around in
+    # all: a rim that winds twice also turns left everywhere.  With each turn
+    # in (0, pi), the edge direction leaves the upper half-plane (y > 0, or
+    # y = 0 < x: float differences have exact signs) once per turn around.
+    left = bool(np.all(_orientation(cycle, after, later) > 0))
+    upper = (e.imag > 0) | (e.imag == 0) & (e.real > 0)
+    winding = int(np.count_nonzero(upper & ~np.roll(upper, -1)))
 
     return GraphReport(
         min_projected_triangle_area=min_area,
         boundary_simple=simple,
         boundary_convexity_defect=defect,
         injective=bool(min_area > 0 and simple),
-        is_convex_domain=bool(defect >= _CONVEXITY_BAND and winding == 1),
+        is_convex_domain=left and winding == 1,
     )
 
 

@@ -3,9 +3,9 @@
 A :class:`RationalHolomorphic` stores numerator and denominator coefficient
 sequences (ascending powers, complex) together with a validity radius.
 Construction certifies that the denominator has no zero in the closed disk
-|z| <= radius via the argument-principle winding integral of Q'/Q around the
-circle of that radius; the certificate must evaluate to 0 within 0.4 or the
-value is rejected.  All arithmetic is exact quotient arithmetic on the
+|z| <= radius by :func:`_zero_free`, the argument principle on _RIM points of
+the rim (:func:`_rim`).  The same test certifies dh and g zero-free in
+:mod:`maxsurf.weierstrass`.  All arithmetic is exact quotient arithmetic on the
 coefficient level, so algebraic identities between derived quantities hold to
 rounding error rather than to an approximation tolerance.
 
@@ -23,9 +23,10 @@ import numpy as np
 
 from .errors import DegreeError, DomainError, FloatRangeError, PoleError, PoleInDomain, ToleranceError
 
+# A value below _POLE_EPS times the coefficient norm sum |a_k| r^k counts as a
+# zero; _RIM points sample the rim for the zero test and the modulus guards.
 _POLE_EPS = 1e-14
-_WINDING_SAMPLES = 512
-_WINDING_BAND = 0.4
+_RIM = 512
 # Poles closer to each other than _CLUSTER times their distance from the disk
 # share one Laurent expansion, read off _FFT_MIN or more points on a circle
 # around them.  _CERT_DELTA bounds max |F' - f| / max |f| on the rim.
@@ -86,14 +87,25 @@ def _padd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _winding_number(den: np.ndarray, radius: float) -> float:
-    theta = np.linspace(0.0, 2.0 * np.pi, _WINDING_SAMPLES, endpoint=False)
-    z = radius * np.exp(1j * theta)
-    q = _horner(den, z)
-    if np.any(np.abs(q) < _POLE_EPS):
-        return np.inf
-    qp = _horner(_deriv_coeffs(den), z)
-    return abs(np.mean(qp / q * z))
+def _rim(radius: float, m: int) -> np.ndarray:
+    """m points radius e^(2 pi i k / m), k = 0 .. m - 1, on the circle |z| = radius."""
+    return radius * np.exp(2j * np.pi * np.arange(m) / m)
+
+
+def _norm(p: np.ndarray, radius: float) -> float:
+    """sum |a_k| radius^k: a bound on |p| over the closed disk."""
+    return float(np.sum(np.abs(p) * radius ** np.arange(p.size)))
+
+
+def _zero_free(p: np.ndarray, radius: float) -> bool:
+    """Whether p (ascending coefficients) has no zero in |z| <= radius, by the argument
+    principle: the mean of z p'/p over _RIM rim points counts the zeros inside, and must
+    be below 0.4.  A rim value below _POLE_EPS times the norm counts as a zero, as does p = 0."""
+    z = _rim(radius, _RIM)
+    v = _horner(p, z)
+    if not np.min(np.abs(v)) > _POLE_EPS * _norm(p, radius):
+        return False
+    return bool(abs(np.mean(_horner(_deriv_coeffs(p), z) / v * z)) < 0.4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,13 +126,8 @@ class RationalHolomorphic:
         degree = max(num.size, den.size) - 1
         if degree > _MAX_DEGREE:
             raise DegreeError(f"degree {degree} exceeds the cap of {_MAX_DEGREE}")
-        if den.size > 1:
-            w = _winding_number(den, self.radius)
-            if not w < _WINDING_BAND:
-                raise PoleInDomain(
-                    f"denominator winding {w:.3g} on |z| = {self.radius:g}; "
-                    "zero inside the certified disk"
-                )
+        if den.size > 1 and not _zero_free(den, self.radius):
+            raise PoleInDomain(f"denominator has a zero in |z| <= {self.radius:g}")
         num.setflags(write=False)
         den.setflags(write=False)
         object.__setattr__(self, "num", num)
@@ -129,10 +136,14 @@ class RationalHolomorphic:
 
     # ---- evaluation ----
 
+    @cached_property
+    def _den_norm(self) -> float:
+        return _norm(self.den, self.radius)
+
     def _eval(self, z):
         q = _horner(self.den, z)
-        if np.min(np.abs(q)) < _POLE_EPS:
-            raise PoleError("denominator below 1e-14 at evaluation point")
+        if np.min(np.abs(q)) < _POLE_EPS * self._den_norm:
+            raise PoleError("denominator below 1e-14 of its coefficient norm at evaluation point")
         return _horner(self.num, z) / q
 
     def eval(self, z):
@@ -303,7 +314,7 @@ class Primitive:
             # past the cluster size, terms shrink like (rho / gap)^k on the disk
             extra = np.log(2.0**-53) / np.log(rho / gap) if rho > 0 else 0.0
             order = min(members.size + int(np.ceil(extra)), n // 2)
-            u = r * np.exp(2j * np.pi * np.arange(n) / n)
+            u = _rim(r, n)
             if members.size == 1:  # plain evaluation is accurate round a lone pole
                 vals = _horner(num, c + u) / _horner(den, c + u)
             else:
@@ -313,7 +324,7 @@ class Primitive:
         # rim samples: more for higher degree and for poles nearer the rim
         m = max(256, 16 * (num.size + den.size), 16 * np.pi * radius / np.min(gaps, initial=np.inf))
         m = int(min(m, 2**16))
-        z = radius * np.exp(2j * np.pi * np.arange(m) / m)
+        z = _rim(radius, m)
         fz = f._eval(z)
         dF = _horner(quot, z)
         for c, b in self.laurent:

@@ -34,29 +34,12 @@ from .errors import (
     NotSpacelike,
 )
 from .lorentz import Ambient, Vec3, cross_lorentz, stereo_inv
-from .rational import RationalHolomorphic, _number, integrate_to_many
+from .rational import _RIM, RationalHolomorphic, _number, _rim, _zero_free, integrate_to_many
 
-_ISOTROPY_SAMPLES = 32
 _ISOTROPY_TOL = 1e-10
-_GRID_RADII = 16
-_GRID_ANGLES = 64
 _GRAPH_MARGIN = 1e-9
-_COMMON_ZERO_REL = 1e-9
 
 MAXIMAL_GRAPH = "maximal-graph"
-
-
-def _sample_circle(radius: float) -> np.ndarray:
-    # Two interleaved rings; deterministic, stays away from the center.
-    k = np.arange(_ISOTROPY_SAMPLES)
-    r = radius * np.where(k % 2 == 0, 0.55, 0.95)
-    return r * np.exp(2j * np.pi * k / _ISOTROPY_SAMPLES)
-
-
-def _polar_grid(radius: float) -> np.ndarray:
-    rr = radius * (np.arange(1, _GRID_RADII + 1) / _GRID_RADII)
-    th = np.exp(2j * np.pi * np.arange(_GRID_ANGLES) / _GRID_ANGLES)
-    return np.concatenate([[0.0 + 0j], np.outer(rr, th).ravel()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,14 +58,14 @@ class IsotropicCurve:
             raise IsotropyError(f"sampled isotropy residual {why}")
 
     def isotropy_residual(self) -> float:
-        """Max relative quadric residual over _ISOTROPY_SAMPLES points in the disk."""
-        z = _sample_circle(self.radius)
+        """Max relative quadric residual over the rim (_rim, _RIM points): the
+        quadric is holomorphic on the closed disk, so its largest modulus lies
+        on the rim (maximum modulus)."""
+        z = _rim(self.radius, _RIM)
         p1, p2, p3 = (f._eval(z) for f in self.forms)
         s = -1.0 if self.ambient is Ambient.LORENTZIAN else 1.0
         quad = p1 * p1 + p2 * p2 + s * (p3 * p3)
-        scale = np.maximum(
-            np.max(np.stack([np.abs(p1), np.abs(p2), np.abs(p3)]), axis=0) ** 2, 1e-300
-        )
+        scale = np.maximum(np.maximum(np.abs(p1), np.maximum(np.abs(p2), np.abs(p3))) ** 2, 1e-300)
         return float(np.max(np.abs(quad) / scale))
 
     @property
@@ -139,13 +122,14 @@ class WeierstrassData:
             raise DomainError(f"base point {self.base_point} outside domain disk")
         if self.base_value.ambient is not Ambient.LORENTZIAN:
             raise AmbientMismatch("base value must be a Lorentzian point")
-        grid = _polar_grid(r)
-        hp = np.abs(self.dh._eval(grid))
-        if float(np.min(hp)) < _COMMON_ZERO_REL * float(np.max(hp)):
-            raise CommonZeroError("dh vanishes in the domain disk (sampled)")
-        gmin = float(np.min(np.abs(self.g._eval(grid))))
+        if not _zero_free(self.dh.num, r):
+            raise CommonZeroError("dh vanishes in the domain disk")
+        if not _zero_free(self.g.num, r):
+            raise NotSpacelike("g vanishes in the domain disk; need |g| > 1")
+        # g has no zero or pole on the closed disk: min |g| lies on the rim
+        gmin = float(np.min(np.abs(self.g._eval(_rim(r, _RIM)))))
         if not gmin > 1.0 + _GRAPH_MARGIN:
-            raise NotSpacelike(f"min |g| = {gmin:.6g} on the domain disk; need > 1")
+            raise NotSpacelike(f"min |g| = {gmin:.6g} on the domain rim; need > 1")
         object.__setattr__(self, "domain_radius", r)
         object.__setattr__(self, "base_point", complex(self.base_point))
 
@@ -195,15 +179,17 @@ def build_isotropic_euclidean(
     """Isotropic triple of the minimal immersion in E3 induced by (g, dh).
 
     phi1 = (1/g - g)/2 dh, phi2 = i (1/g + g)/2 dh, phi3 = dh.  With graph=True
-    the sampled condition |g| != 1 (no horizontal normals) is enforced.
+    |g| != 1 (no horizontal normals) is enforced: g has no zero or pole on the
+    closed disk, so |g| - 1 keeps one sign there when it keeps one sign,
+    clear of _GRAPH_MARGIN, on the rim (minimum and maximum modulus).
     """
     r = min(g.radius, dh.radius)
     gr = _restrict(g, r)
     hp = _restrict(dh, r)
     if graph:
-        vals = np.abs(gr._eval(_polar_grid(r)))
-        if float(np.min(np.abs(vals - 1.0))) < _GRAPH_MARGIN:
-            raise NotSpacelike("|g| touches 1; surface is not a graph over the plane")
+        d = np.abs(gr._eval(_rim(r, _RIM))) - 1.0
+        if not (_zero_free(gr.num, r) and (np.all(d > _GRAPH_MARGIN) or np.all(d < -_GRAPH_MARGIN))):
+            raise NotSpacelike("|g| meets 1 in the disk; surface is not a graph over the plane")
     inv = gr.reciprocal()
     phi1 = 0.5 * (inv - gr) * hp
     phi2 = 0.5j * (inv + gr) * hp

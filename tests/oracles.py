@@ -7,8 +7,8 @@ forms of the text writers and reader, one expression per finite-difference
 rule, the full-grid sweeps of the tree integration, the earlier forms of
 routines rewritten for speed (signed areas and the report span, half-edge
 pairing, per-form pole logarithms; the report oracle reuses the package's
-unchanged rim test), the projections in their earlier table and sum forms,
-the point location that the raster pass replaced, and hand-derived
+rim simplicity test), an exact rim convexity test in Fraction arithmetic,
+the projections in their earlier table and sum forms, the point location that the raster pass replaced, and hand-derived
 constants for the built-in catalog families.  Tests compare package output
 against these, never against the package itself.
 """
@@ -28,7 +28,7 @@ from maxsurf.errors import (
     NotSimplyConnected,
     NotSpacelike,
 )
-from maxsurf.meshcheck import _AREA_EPS, _CONVEXITY_BAND, GraphReport, _boundary_simple, _offsets
+from maxsurf.meshcheck import _AREA_EPS, GraphReport, _boundary_simple, _offsets
 
 
 def simpson_line(func, a: complex, b: complex, n: int = 4096) -> complex:
@@ -622,9 +622,30 @@ def signed_areas_copy(z: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * area
 
 
+def rim_convex_exact(pts2: np.ndarray) -> bool:
+    """The closed polyline pts2 (m, 2) turns strictly left at every vertex and
+    winds once, in Fraction arithmetic.  Each left turn (under pi) moves the
+    edge direction 0, 1 or 2 half-open quadrants on, so the steps sum to 4 per
+    turn around."""
+    p = [(Fraction(x), Fraction(y)) for x, y in np.asarray(pts2, dtype=float).tolist()]
+    m = len(p)
+    e = [(p[(k + 1) % m][0] - p[k][0], p[(k + 1) % m][1] - p[k][1]) for k in range(m)]
+
+    def quadrant(x, y):  # [0, 90), [90, 180), [180, 270), [270, 360) degrees
+        return 0 if x > 0 and y >= 0 else 1 if x <= 0 and y > 0 else 2 if x < 0 and y <= 0 else 3
+
+    steps = 0
+    for (ax, ay), (bx, by) in zip(e, e[1:] + e[:1]):
+        if not ax * by - ay * bx > 0:
+            return False
+        steps += (quadrant(bx, by) - quadrant(ax, ay)) % 4
+    return steps == 4
+
+
 def report_from_points_axis0(pts2: np.ndarray, param):
-    """meshcheck._report_from_points with signed_areas_copy and the span as
-    pts2.max(axis=0) - pts2.min(axis=0); the rim predicates are the package's."""
+    """meshcheck._report_from_points with signed_areas_copy, the span as
+    pts2.max(axis=0) - pts2.min(axis=0) and convexity from rim_convex_exact;
+    the simplicity test is the package's."""
     areas = signed_areas_copy(np.ascontiguousarray(pts2).view(complex)[:, 0], param.triangles)
     if not (np.all(np.isfinite(pts2)) and np.all(np.isfinite(areas))):
         raise FloatRangeError("projected points or triangle areas are not finite floats")
@@ -637,11 +658,8 @@ def report_from_points_axis0(pts2: np.ndarray, param):
     simple = _boundary_simple(np.ascontiguousarray(cycle).view(complex)[:, 0])
     e = np.roll(cycle, -1, axis=0) - cycle
     e_next = np.roll(e, -1, axis=0)
-    turn = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
-    defect = float(np.min(turn))
-    winding = round(float(np.sum(np.arctan2(turn, np.sum(e * e_next, axis=1)))) / (2 * np.pi))
-    return GraphReport(min_area, simple, defect, bool(min_area > 0 and simple),
-                       bool(defect >= _CONVEXITY_BAND and winding == 1))
+    defect = float(np.min(e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]))
+    return GraphReport(min_area, simple, defect, bool(min_area > 0 and simple), rim_convex_exact(cycle))
 
 
 def check_disk_searched(z: np.ndarray, t: np.ndarray, b: np.ndarray, shape: float):

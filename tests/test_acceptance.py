@@ -85,7 +85,7 @@ def test_criterion_01_isotropy(catalog_data):
             worst = max(worst, curve.isotropy_residual())
             count += 1
     assert worst < 1e-10, f"worst isotropy residual {worst:.3e}"
-    return f"worst residual {worst:.1e} < 1e-10 over {count} curves at 32 points"
+    return f"worst residual {worst:.1e} < 1e-10 over {count} curves at 512 rim points"
 
 
 @_criterion(2, "conjugation laws", budget=1.0)

@@ -526,6 +526,41 @@ class TestErrors:
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "g, dh, radius, message",
+        [
+            # dh(i/3) = 0: no point of the old polar grid lands on i/3
+            ([1.2, 0.1], [1.0, 3j], 1.0, "dh vanishes in the domain disk"),
+            ([3.0], [0.0], 0.5, "dh vanishes in the domain disk"),
+            # |g| = 0.95 between the 64 angles of the old polar grid
+            ([1.05] + [0.0] * 63 + [0.1 / 0.9**64], [1.0], 0.9, "min |g| = 0.95 on the domain rim"),
+        ],
+        ids=["dh-zero-inside", "dh-zero", "g-degree-64"],
+    )
+    @pytest.mark.parametrize("command", ["verify-krust", "identities"])
+    def test_datum_breaking_a_hypothesis_named_error(self, tmp_path, capsys, command, g, dh, radius, message):
+        def poly(coeffs):
+            return {"num": [[complex(c).real, complex(c).imag] for c in coeffs], "den": [[1.0, 0.0]], "radius": 2.0}
+
+        obj = {"g": poly(g), "dh": poly(dh), "radius": radius, "base": [0, 0],
+               "base_value": [0, 0, 0], "kind": "maximal-graph"}
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(obj))
+        code, cap = run_json(capsys, command, "--config", str(cfgp))
+        assert code == 1 and cap.out == ""
+        assert cap.err.startswith(BAD) and message in cap.err
+
+    def test_tiny_coefficients_accepted(self, tmp_path, capsys):
+        # g = 3 + z with numerator and denominator scaled by 1e-15: the zero
+        # and pole tests are relative to the coefficient norm
+        obj = get("plane-r05").to_obj()
+        obj["g"] = {"num": [[3e-15, 0.0], [1e-15, 0.0]], "den": [[1e-15, 0.0]], "radius": 2.0}
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(obj))
+        code, cap = run_json(capsys, "verify-krust", "--config", str(cfgp), "--mesh-n", "8")
+        assert code == 0
+        assert json.loads(cap.out)["verdicts"] == {"config": "PASS"}
+
     def test_curve_with_non_finite_isotropy_residual(self, tmp_path):
         # psi1^2 + psi2^2 - psi3^2 = -2.5e399 overflows to a NaN residual; the
         # curve is refused by name, with no NaN printed as JSON

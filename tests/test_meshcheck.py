@@ -60,6 +60,7 @@ from oracles import (
     projections_complex_formula,
     projections_from_tables,
     report_from_points_axis0,
+    rim_convex_exact,
     signed_areas_copy,
     simpson_line,
     triangulate_disk_uncached,
@@ -282,6 +283,20 @@ class TestProjectionReport:
         assert rep.boundary_convexity_defect > 0
         assert not rep.boundary_simple
         assert not rep.is_convex_domain
+
+    @pytest.mark.parametrize("shift", [-1e-16, 0.0, 1e-16])
+    def test_rim_convexity_ties_decided_exactly(self, shift):
+        # each rim vertex in turn moved to its neighbours' rounded midpoint,
+        # then out (or in) by a shift below the float turn's rounding error
+        param = triangulate_disk(1.0, 4)
+        rim = param.boundary
+        for k in range(rim.size):
+            z = param.vertices.copy()
+            a, b = z[rim[k - 1]], z[rim[(k + 1) % rim.size]]
+            mid = 0.5 * (a + b)
+            z[rim[k]] = mid + shift * mid / abs(mid)
+            want = rim_convex_exact(np.column_stack([z.real, z.imag])[rim])
+            assert _report_from_points(z, param).is_convex_domain is want
 
     @pytest.mark.parametrize("n", [1, 7, 64])
     def test_catalog_reports_match_axis0_span_oracle(self, catalog_data, n):
@@ -601,6 +616,26 @@ class TestKrustPipeline:
             assert rep.verdict == "PASS"
             assert rep.domain_report.injective and rep.domain_report.is_convex_domain
             assert rep.conjugate_report.injective
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2])
+    def test_non_convex_domain_not_applicable_at_every_scale(self, n, scale):
+        # g = 1.6 + 0.3 z, dh = (1 + 0.5 z) dz: the domain rim bends inwards
+        # near theta = pi; its turns there shrink like scale^2 / n^2
+        g = RationalHolomorphic.polynomial([1.6, 0.3], 2.0)
+        dh = RationalHolomorphic.polynomial([scale, 0.5 * scale], 2.0)
+        rep = krust_pipeline(immersion_from_data(WeierstrassData(g, dh, 1.0)), n=n)
+        assert rep.domain_report.injective and rep.domain_report.boundary_convexity_defect < 0
+        assert rep.verdict == "NOT_APPLICABLE"
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1e2])
+    def test_catalog_verdicts_scale_free(self, catalog_data, scale):
+        # scaling dh is a similarity of both projections
+        for name, data in catalog_data.items():
+            scaled = WeierstrassData(data.g, data.dh * scale, data.domain_radius)
+            reports = [krust_pipeline(immersion_from_data(d), n=16) for d in (data, scaled)]
+            assert [r.verdict for r in reports] == ["PASS", "PASS"], name
+            assert reports[1].conjugate_report.is_convex_domain is reports[0].conjugate_report.is_convex_domain
 
     def test_report_serialization(self, catalog_data):
         obj = krust_pipeline(immersion_from_data(catalog_data["plane-r05"]), n=8).to_obj()

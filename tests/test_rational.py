@@ -3,7 +3,7 @@ import numpy.polynomial.polynomial as P
 import pytest
 
 from maxsurf.errors import DomainError, PoleError, PoleInDomain, ToleranceError
-from maxsurf.rational import RationalHolomorphic, integrate_to_many
+from maxsurf.rational import RationalHolomorphic, _zero_free, integrate_to_many
 
 from oracles import integrate_per_form, poly_antiderivative, polyval_ascending, simpson_line
 
@@ -67,6 +67,28 @@ class TestArithmetic:
     def test_pole_in_validity_disk_rejected_at_construction(self):
         with pytest.raises(PoleInDomain):
             rh([1.0], [(-0.5), 1.0])  # pole at 0.5
+
+    def test_tiny_denominator_certified_and_evaluated(self):
+        # the pole tests are relative to the coefficient norm: a pole at -10,
+        # and a constant denominator, however small their coefficients
+        f = rh([1.0], [1e-15, 1e-16], radius=1.0)
+        assert f.eval(0.5) == 1.0 / (1e-15 + 0.5e-16)
+        assert rh([1.0], [1e-20], radius=1.0).eval(0.5) == 1e20
+
+    @pytest.mark.parametrize(
+        "coeffs, radius, free",
+        [
+            ([-0.5, 1.0], 1.0, False),  # zero at 0.5
+            ([-1.0, 1.0], 1.0, False),  # zero on the rim
+            ([-1.1, 1.0], 1.0, True),
+            ([0.0], 1.0, False),  # p = 0
+            ([1e-300], 1.0, True),
+            ([1.0, 3j], 1.0, False),  # zero at i/3
+            ([1.0, 3j], 0.3, True),
+        ],
+    )
+    def test_zero_free(self, coeffs, radius, free):
+        assert _zero_free(np.array(coeffs, dtype=complex), radius) is free
 
     def test_eval_outside_radius_raises(self):
         f = rh([1.0], radius=1.0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from maxsurf.errors import (
     NotSpacelike,
 )
 from maxsurf.lorentz import Ambient, CausalCharacter, Vec3, causal_character, cross_lorentz, inner
+from maxsurf.meshcheck import krust_pipeline
 from maxsurf.rational import RationalHolomorphic, integrate_to_many
 from maxsurf.weierstrass import (
     Immersion,
@@ -71,6 +74,20 @@ class TestCurveConstruction:
         assert curve.ambient is Ambient.EUCLIDEAN
         assert curve.isotropy_residual() < 1e-12
 
+    @pytest.mark.parametrize("c", [3.0, 0.3])
+    def test_euclidean_graph_flag_accepts_one_side(self, c):
+        g = RationalHolomorphic.polynomial([c, 0.1], 2.0)  # |g| - 1 keeps one sign
+        curve = build_isotropic_euclidean(g, RationalHolomorphic.constant(1.0, 2.0), graph=True)
+        assert curve.ambient is Ambient.EUCLIDEAN
+
+    def test_euclidean_graph_flag_rejects_unit_modulus_between_angles(self):
+        # |g| > 1 at the 64th roots of unity, and |g| = 0.95 < 1 between them
+        coeffs = np.zeros(65, dtype=complex)
+        coeffs[0], coeffs[64] = 1.05, 0.1
+        g = RationalHolomorphic.polynomial(coeffs, 1.0)
+        with pytest.raises(NotSpacelike):
+            build_isotropic_euclidean(g, RationalHolomorphic.constant(1.0, 1.0), graph=True)
+
     def test_euclidean_graph_flag_rejects_unit_modulus(self):
         g = RationalHolomorphic.polynomial([0.0, 1.0], 2.0)  # |g| = 1 met inside
         dh = RationalHolomorphic.constant(1.0, 2.0)
@@ -97,6 +114,56 @@ class TestDataValidation:
         dh = RationalHolomorphic.polynomial([0.0, 1.0], 2.0)
         with pytest.raises(CommonZeroError):
             WeierstrassData(g, dh, 0.5)
+
+    def test_dh_zero_off_any_grid_rejected(self):
+        # dh(i/3) = 0 exactly; the rim count sees it wherever it lies
+        g = RationalHolomorphic.polynomial([1.2, 0.1], 2.0)
+        dh = RationalHolomorphic.polynomial([1.0, 3j], 2.0)
+        with pytest.raises(CommonZeroError):
+            WeierstrassData(g, dh, 1.0)
+
+    def test_dh_identically_zero_rejected(self):
+        with pytest.raises(CommonZeroError):
+            WeierstrassData(RationalHolomorphic.constant(3.0, 2.0), RationalHolomorphic.constant(0.0, 2.0), 0.5)
+
+    def test_modulus_of_g_below_one_between_angles_rejected(self):
+        # |g| = 1.15 at the 64th roots of unity, but 0.95 halfway between them
+        coeffs = np.zeros(65, dtype=complex)
+        coeffs[0], coeffs[64] = 1.05, 0.1 / 0.9**64
+        g = RationalHolomorphic.polynomial(coeffs, 2.0)
+        with pytest.raises(NotSpacelike, match="0.95"):
+            WeierstrassData(g, self.std_form(), 0.9)
+
+    def test_guards_on_family(self):
+        # g = c + b z^k and dh = (1 + a z^m) dz on the unit disk: every datum
+        # accepted has no zero of dh in the closed disk and min |g| > 1 on a
+        # rim four times denser than the guards' own
+        rim = np.exp(2j * np.pi * np.arange(4096) / 4096)
+        accepted = 0
+        family = itertools.product((1.2, 1.6, 2.5), (0.1, 0.3, 0.6), (1, 2, 3), (0.5, 1.5, 3j), (1, 2, 3, 4))
+        for c, b, k, a, m in family:
+            gc, hc = np.zeros(k + 1, dtype=complex), np.zeros(m + 1, dtype=complex)
+            gc[0], gc[k], hc[0], hc[m] = c, b, 1.0, a
+            g, dh = (RationalHolomorphic.polynomial(x, 2.0) for x in (gc, hc))
+            try:
+                WeierstrassData(g, dh, 1.0)
+            except (CommonZeroError, NotSpacelike):
+                continue
+            accepted += 1
+            assert np.all(np.abs(np.roots(hc[::-1])) > 1.0)
+            assert np.min(np.abs(g.eval(rim))) > 1.0
+        # |a| < 1 and c - b > 1: 4 forms dh times 18 maps g
+        assert accepted == 72
+
+    def test_guards_are_scale_free(self, catalog_data):
+        # g's numerator and denominator scaled by 1e-15, dh by 1e-20: the same
+        # map g and a similar surface
+        for name, data in catalog_data.items():
+            g = RationalHolomorphic(data.g.num * 1e-15, data.g.den * 1e-15, data.g.radius)
+            dh = RationalHolomorphic(data.dh.num * 1e-20, data.dh.den, data.dh.radius)
+            scaled = WeierstrassData(g, dh, data.domain_radius)
+            verdicts = [krust_pipeline(immersion_from_data(d), n=16).verdict for d in (data, scaled)]
+            assert verdicts == ["PASS", "PASS"], name
 
     @pytest.mark.parametrize("base", [complex(np.nan, 0.0), complex(0.0, np.nan), 0.6, complex(np.inf, 0.0)])
     def test_base_point_outside_or_not_a_number_rejected(self, catalog_data, base):
