@@ -32,14 +32,10 @@ def sharp(curve: IsotropicCurve) -> IsotropicCurve:
 
 
 def _coeff_gap(a: IsotropicCurve, b: IsotropicCurve) -> float:
-    gap = 0.0
-    for fa, fb in zip(a.forms, b.forms):
-        for ca, cb in ((fa.num, fb.num), (fa.den, fb.den)):
-            if ca.shape != cb.shape:
-                return np.inf
-            if ca.size:
-                gap = max(gap, float(np.max(np.abs(ca - cb))))
-    return gap
+    """Largest coefficient difference.  Scaling by units zeroes no coefficient and
+    every form keeps at least one, so the shapes agree and no array is empty."""
+    return max(float(np.max(np.abs(x - y))) for fa, fb in zip(a.forms, b.forms)
+               for x, y in ((fa.num, fb.num), (fa.den, fb.den)))
 
 
 def check_commutation(curve: IsotropicCurve) -> float:

@@ -8,12 +8,13 @@ graph).  The headline pipeline reports, per datum, whether the hypothesis
 "graph over a convex domain" holds and whether the conjugate surface is then
 itself certified as a graph.
 
-Also here: Newton continuation that pulls straight segments in the
-projection plane back to the parameter disk, the positivity check of the
-conjugate-width inner product against its path-integral form, and resampling
-of a sampled graph onto a masked grid (used to compare the grid-level duality
-against the isotropic-curve duality): one exact raster pass over the projected
-triangles locates every grid point, which gives the mask and the Newton seeds.
+Also here: the Newton pull-back of plane points to the parameter disk
+(_pull_back: plain Newton, no step halving, continued step by step along
+straight plane segments), the positivity check of the conjugate-width inner
+product against its path-integral form, and resampling of a sampled graph
+onto a masked grid (used to compare the grid-level duality against the
+isotropic-curve duality): one exact raster pass over the projected triangles
+locates every grid point, which gives the mask and the Newton seeds.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import (
     OverlapEmpty,
 )
 from .graphfield import ScalarField, dualize_maximal_to_minimal, shift_agreement
-from .lorentz import Ambient
 from .rational import _dyadic, integrate_to_many
 from .weierstrass import (
     Immersion,
@@ -46,8 +46,7 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 
 _AREA_EPS = 1e-16
 _NEWTON_ITERS = 30
-_MAX_SPLIT = 12
-# Newton residual tolerance of the projection walker; resample_graph's mesh
+# Newton residual tolerance of the pull-back (_pull_back); resample_graph's mesh
 # rings and grid erosion; the curl tolerance of lee_equivalence_check's grid
 # dualization.
 _TOL = 1e-10
@@ -222,7 +221,6 @@ class SurfaceMesh:
 
     param: ParamMesh
     positions: np.ndarray  # (N, 3) float
-    ambient: Ambient
 
     def __post_init__(self):
         p = np.asarray(self.positions, dtype=float)
@@ -237,7 +235,7 @@ class SurfaceMesh:
 def sample_surface(im: Immersion, mesh: ParamMesh) -> SurfaceMesh:
     ints = integrals_at_many(im, mesh.vertices)
     pos = im.base_value.as_array()[None, :] + ints.real
-    return SurfaceMesh(mesh, pos, im.ambient)
+    return SurfaceMesh(mesh, pos)
 
 
 def folded_disk_mesh() -> SurfaceMesh:
@@ -247,7 +245,7 @@ def folded_disk_mesh() -> SurfaceMesh:
     u, v = mesh.vertices.real.copy(), mesh.vertices.imag
     u[u < 0] = u[u < 0] ** 2
     pos = np.column_stack([u, v, np.zeros_like(u)])
-    return SurfaceMesh(mesh, pos, Ambient.LORENTZIAN)
+    return SurfaceMesh(mesh, pos)
 
 
 # ---- planar predicates ----
@@ -495,52 +493,40 @@ def _projections(im: Immersion, w) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-class _ProjectionWalker:
-    """Tracks beta with pi(X(beta)) following prescribed plane targets.
-
-    Starts at the parameters w and evaluates pi(X) at each Newton candidate.
-    An iterate that leaves the domain disk (integrate_to_many's bound) ends
-    the Newton loop, and the step to the target is halved.
-    """
-
-    def __init__(self, im: Immersion, w):
-        self.im = im
-        self.w = np.array(w, dtype=complex)
-        self.radius = im.domain_radius * (1.0 + 1e-12)
-
-    def solve(self, target: np.ndarray, depth: int = 0):
-        w = self.w.copy()
-        for _ in range(_NEWTON_ITERS):
-            r = _projections(self.im, w)[0] - target
-            if float(np.max(np.abs(r))) <= _TOL:
-                self.w = w
-                return
-            v1 = self.im.curve.psi1._eval(w)
-            v2 = self.im.curve.psi2._eval(w)
-            a = 0.5 * (v1 + 1j * v2)
-            bc = 0.5 * np.conj(v1 - 1j * v2)
-            det = np.abs(a) ** 2 - np.abs(bc) ** 2
-            if float(np.min(np.abs(det))) < 1e-300:
-                raise NewtonDivergence("projected differential is singular")
-            w = w + (-np.conj(a) * r + bc * np.conj(r)) / det
-            if float(np.max(np.abs(w))) > self.radius:
-                break
-        if depth >= _MAX_SPLIT:
-            raise NewtonDivergence(f"no convergence after {_MAX_SPLIT} step halvings "
-                                   "(or the pullback path leaves the domain disk)")
-        mid = 0.5 * (_projections(self.im, self.w)[0] + target)
-        self.solve(mid, depth + 1)
-        self.solve(target, depth + 1)
+def _pull_back(im: Immersion, w, target) -> np.ndarray:
+    """Parameters beta with pi(X(beta)) = target: plain Newton from w, all points
+    until every residual is within _TOL.  No step is halved: across a non-convex
+    dent no step size has a preimage.  Raises NewtonDivergence when an iterate
+    leaves the domain disk (nothing is evaluated outside it), the projected
+    differential is singular, or _NEWTON_ITERS steps do not converge."""
+    w = np.array(w, dtype=complex)
+    radius = im.domain_radius * (1.0 + 1e-12)
+    for _ in range(_NEWTON_ITERS):
+        r = _projections(im, w)[0] - target
+        if float(np.max(np.abs(r))) <= _TOL:
+            return w
+        v1 = im.curve.psi1._eval(w)
+        v2 = im.curve.psi2._eval(w)
+        a = 0.5 * (v1 + 1j * v2)
+        bc = 0.5 * np.conj(v1 - 1j * v2)
+        det = np.abs(a) ** 2 - np.abs(bc) ** 2
+        if float(np.min(np.abs(det))) < 1e-300:
+            raise NewtonDivergence("projected differential is singular")
+        w = w + (-np.conj(a) * r + bc * np.conj(r)) / det
+        if float(np.max(np.abs(w))) > radius:
+            raise NewtonDivergence("a Newton iterate left the domain disk "
+                                   "(the pulled-back path leaves the domain)")
+    raise NewtonDivergence(f"no convergence in {_NEWTON_ITERS} Newton steps")
 
 
-def _walk(walker: _ProjectionWalker, p1, p2) -> np.ndarray:
-    """Walker parameters at t = j / _KRUST_STEPS on p1 -> p2; (_KRUST_STEPS + 1, k)."""
-    betas = np.empty((_KRUST_STEPS + 1, walker.w.size), dtype=complex)
-    betas[0] = walker.w
+def _walk(im: Immersion, w, p1, p2) -> np.ndarray:
+    """Pulled-back parameters at t = j / _KRUST_STEPS on p1 -> p2, each step's
+    Newton starting from the last; (_KRUST_STEPS + 1, k), row 0 is w."""
+    betas = np.empty((_KRUST_STEPS + 1, w.size), dtype=complex)
+    betas[0] = w
     span = p2 - p1
     for j in range(1, _KRUST_STEPS + 1):
-        walker.solve(p1 + (j / _KRUST_STEPS) * span)
-        betas[j] = walker.w
+        betas[j] = _pull_back(im, betas[j - 1], p1 + (j / _KRUST_STEPS) * span)
     return betas
 
 
@@ -578,7 +564,7 @@ def krust_inequality_batch(data: WeierstrassData, w1, w2) -> KrustInequality:
     p2, q2 = _projections(im, w2)
     lhs = np.real(np.conj(p2 - p1) * (1j * (q2 - q1)))
 
-    betas = _walk(_ProjectionWalker(im, w1), p1, p2)
+    betas = _walk(im, w1, p1, p2)
 
     dt = 1.0 / _KRUST_STEPS
     bp = np.empty_like(betas)
@@ -656,9 +642,8 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
     seed = np.zeros(mask.size, dtype=complex)
     seed[cell] = np.sum(weight * mesh.vertices[mesh.triangles[tri]], axis=1)
     i, j = np.nonzero(mask)
-    walker = _ProjectionWalker(im, seed[mask.ravel()])
-    walker.solve(xs[i] + 1j * ys[j])
-    i3 = integrate_to_many(im.curve.psi3, im.base_point, walker.w)
+    beta = _pull_back(im, seed[mask.ravel()], xs[i] + 1j * ys[j])
+    i3 = integrate_to_many(im.curve.psi3, im.base_point, beta)
 
     f = np.zeros(mask.shape)
     s = np.zeros(mask.shape)

@@ -11,7 +11,6 @@ from maxsurf import meshcheck, textio
 from maxsurf.catalog import get
 from maxsurf.cli import _write_obj, run_argv
 from maxsurf.graphfield import ScalarField, load_field, save_field, shift_agreement
-from maxsurf.lorentz import Ambient
 from maxsurf.meshcheck import SurfaceMesh, sample_surface, triangulate_disk
 from maxsurf.weierstrass import (
     IsotropicCurve,
@@ -359,7 +358,7 @@ class TestExport:
         param = triangulate_disk(1.0, 1)
         special = [-0.0, 5e-324, 1e-5, 1e16, 0.1, 1 / 3, -2.5e-300]
         pos = np.resize(special, (param.vertices.size, 3))
-        mesh = SurfaceMesh(param, pos, Ambient.LORENTZIAN)
+        mesh = SurfaceMesh(param, pos)
         _write_obj(tmp_path / "got.obj", mesh)
         write_obj_rows(tmp_path / "want.obj", mesh)
         got = (tmp_path / "got.obj").read_bytes()

@@ -13,13 +13,13 @@ from maxsurf.meshcheck import (
     ParamMesh,
     SurfaceMesh,
     _SHAPE,
-    _ProjectionWalker,
     _boundary_simple,
     _check_disk,
     _disk_topology,
     _erode,
     _locate,
     _projections,
+    _pull_back,
     _report_from_points,
     _signed_areas,
     folded_disk_mesh,
@@ -268,7 +268,7 @@ class TestProjectionReport:
         param = triangulate_disk(1.0, 16)
         w = param.vertices + 0.5 * param.vertices**2
         pos = np.stack([w.real, w.imag, np.zeros(w.size)], axis=1)
-        rep = projection_report(SurfaceMesh(param, pos, Ambient.EUCLIDEAN))
+        rep = projection_report(SurfaceMesh(param, pos))
         assert rep.injective and rep.boundary_simple
         assert not rep.is_convex_domain
         assert rep.boundary_convexity_defect < 0
@@ -279,7 +279,7 @@ class TestProjectionReport:
         param = triangulate_disk(1.0, 8)
         w = param.vertices**2
         pos = np.stack([w.real, w.imag, np.zeros(w.size)], axis=1)
-        rep = projection_report(SurfaceMesh(param, pos, Ambient.EUCLIDEAN))
+        rep = projection_report(SurfaceMesh(param, pos))
         assert rep.boundary_convexity_defect > 0
         assert not rep.boundary_simple
         assert not rep.is_convex_domain
@@ -350,7 +350,7 @@ class TestProjectionReport:
         param = triangulate_disk(1.0, 2)
         pos = np.zeros((len(param.vertices), 3))  # everything collapses
         with pytest.raises(DegenerateTriangle):
-            projection_report(SurfaceMesh(param, pos, Ambient.EUCLIDEAN))
+            projection_report(SurfaceMesh(param, pos))
 
     def test_non_finite_positions_or_areas_rejected(self):
         param = triangulate_disk(1.0, 2)
@@ -358,11 +358,11 @@ class TestProjectionReport:
         pos[:, :2] = 1e300 * np.column_stack([param.vertices.real, param.vertices.imag])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatRangeError, match="not finite"):
-                projection_report(SurfaceMesh(param, pos, Ambient.EUCLIDEAN))
+                projection_report(SurfaceMesh(param, pos))
         pos = pos.copy()
         pos[3, 0] = np.inf
         with pytest.raises(FloatRangeError, match="non-finite position"):
-            SurfaceMesh(param, pos, Ambient.EUCLIDEAN)
+            SurfaceMesh(param, pos)
 
     def test_sample_surface_vertices_match_immersion(self, plane15):
         im = immersion_from_data(plane15)
@@ -708,14 +708,46 @@ class TestPullbackAndInequality:
         rel = np.abs(out.lhs - out.integral) / np.abs(out.lhs)
         assert float(np.max(rel)) < 1e-3
 
-    def test_walker_halves_steps_that_leave_the_domain(self, catalog_data):
-        # the target 10 lies far outside the projected domain: iterates that
-        # leave the disk end in step halvings, never in an evaluation outside
+    def test_pull_back_stops_where_iterates_leave_the_domain(self, catalog_data, monkeypatch):
+        # the target 10 lies far outside the projected domain: the iterate
+        # that leaves the disk ends the pull-back by name, and no projection is
+        # evaluated outside the disk
         im = immersion_from_data(catalog_data["rational-r05"])
-        walker = _ProjectionWalker(im, [0j, 0.1 + 0j])
-        with pytest.raises(NewtonDivergence, match="12 step halvings"):
-            walker.solve(np.array([0.2 + 0j, 10.0 + 0j]))
-        assert np.max(np.abs(walker.w)) <= im.domain_radius
+        seen = []
+        original = meshcheck._projections
+
+        def projections(im, w):
+            seen.append(float(np.max(np.abs(w))))
+            return original(im, w)
+
+        monkeypatch.setattr(meshcheck, "_projections", projections)
+        with pytest.raises(NewtonDivergence, match="left the domain disk"):
+            _pull_back(im, [0j, 0.1 + 0j], np.array([0.2 + 0j, 10.0 + 0j]))
+        assert seen and max(seen) <= im.domain_radius
+
+    def test_non_convex_segment_leaves_the_disk(self):
+        # g = 1.6 + 0.6 z^2 on r = 0.9: the domain is not convex, and the plane
+        # segment between these two points leaves it, so no continuation step
+        # has a preimage
+        data = WeierstrassData(RationalHolomorphic([1.6, 0.0, 0.6], [1.0], 2.0),
+                               RationalHolomorphic.constant(1.0, 2.0), 0.9)
+        assert krust_pipeline(immersion_from_data(data), n=32).verdict == "NOT_APPLICABLE"
+        with pytest.raises(NewtonDivergence, match="left the domain disk"):
+            krust_inequality_batch(data, [0.85 * np.exp(1j * np.pi / 6)], [0.85 * np.exp(2j * np.pi / 3)])
+
+    def test_pull_back_singular_differential(self):
+        # dh = 1e-155 dz: |a|^2 underflows below the 1e-300 cut
+        data = WeierstrassData(RationalHolomorphic.constant(3.0, 2.0),
+                               RationalHolomorphic.constant(1e-155, 2.0), 0.5)
+        with pytest.raises(NewtonDivergence, match="projected differential is singular"):
+            _pull_back(immersion_from_data(data), [0.1], [1.0])
+
+    def test_pull_back_no_convergence(self, catalog_data, monkeypatch):
+        im = immersion_from_data(catalog_data["plane-r05"])
+        target = _projections(im, np.array([0.3 + 0.2j]))[0]
+        monkeypatch.setattr(meshcheck, "_NEWTON_ITERS", 1)
+        with pytest.raises(NewtonDivergence, match="no convergence in 1 Newton steps"):
+            _pull_back(im, [0j], target)
 
     def test_identical_endpoints_rejected(self, catalog_data):
         with pytest.raises(ValueError):
@@ -747,7 +779,7 @@ class TestResampling:
 
     def test_walker_projection_bits_per_form(self, catalog_data, rng):
         # psi1 and psi2 share their pole logarithms in _projections, which the
-        # walker evaluates at each Newton iterate
+        # pull-back evaluates at each Newton iterate
         for name in ("rational-r09", "shift4-r05"):
             data = catalog_data[name]
             im = immersion_from_data(data)
@@ -801,9 +833,8 @@ class TestResampling:
         xs, ys = _resample_grid(p[mesh.boundary], h)
         i, j = np.nonzero(f.mask)
         targets = xs[i] + 1j * ys[j]
-        walker = _ProjectionWalker(im, mesh.vertices[nearest_vertex_bucketed(p, mesh.triangles, targets)])
-        walker.solve(targets)
-        heights = data.base_value.x3 + integrate_to_many(im.curve.psi3, im.base_point, walker.w).real
+        beta = _pull_back(im, mesh.vertices[nearest_vertex_bucketed(p, mesh.triangles, targets)], targets)
+        heights = data.base_value.x3 + integrate_to_many(im.curve.psi3, im.base_point, beta).real
         assert np.max(np.abs(heights - f.values[f.mask])) < 1e-9
 
     def test_plane_rim_tie_decided_exactly(self, catalog_data):
@@ -825,7 +856,7 @@ class TestResampling:
 
 
 def _invert_projection(im, target, iters=60):
-    """Newton inversion of pi(X) independent of the package walker."""
+    """Newton inversion of pi(X) independent of the package pull-back."""
     w = 0j
     for _ in range(iters):
         i1 = simpson_line(im.curve.psi1.eval, 0j, w)

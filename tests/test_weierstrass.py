@@ -9,6 +9,7 @@ from maxsurf.errors import (
     DomainError,
     IsotropyError,
     NotSpacelike,
+    PoleInDomain,
 )
 from maxsurf.lorentz import Ambient, CausalCharacter, Vec3, causal_character, cross_lorentz, inner
 from maxsurf.meshcheck import krust_pipeline
@@ -164,6 +165,17 @@ class TestDataValidation:
             scaled = WeierstrassData(g, dh, data.domain_radius)
             verdicts = [krust_pipeline(immersion_from_data(d), n=16).verdict for d in (data, scaled)]
             assert verdicts == ["PASS", "PASS"], name
+
+    @pytest.mark.xfail(strict=True, raises=PoleInDomain,
+                       reason="ROADMAP item 2, defect 4: the sampled zero test aliases on a product")
+    def test_product_of_certified_denominators_builds(self):
+        # g = 3/(1 - z/1.003) and dh = dz/(1 + z/1.003) have no pole in the
+        # closed disk, and each denominator passes the zero test.  The curve
+        # re-tests their product, where the two rim-aliasing terms (-0.275
+        # each) add to -0.55, past the 0.4 cut; at 1.004 the curve builds.
+        g = RationalHolomorphic([3.0], [1.0, -1 / 1.003], 1.0)
+        dh = RationalHolomorphic([1.0], [1.0, 1 / 1.003], 1.0)
+        immersion_from_data(WeierstrassData(g, dh, 1.0))
 
     @pytest.mark.parametrize("base", [complex(np.nan, 0.0), complex(0.0, np.nan), 0.6, complex(np.inf, 0.0)])
     def test_base_point_outside_or_not_a_number_rejected(self, catalog_data, base):
