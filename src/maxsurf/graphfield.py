@@ -437,8 +437,9 @@ def load_field(csv_path, header_path) -> ScalarField:
         on_grid = (0 <= fi) & (fi < nx) & (0 <= fj) & (fj < ny)
         # rows with another fault get distinct negative cells, so only cells collide
         cell = np.where(finite & on_grid, fi * ny + fj, -1.0 - np.arange(len(xyv)))
-    repeated = np.ones(len(xyv), dtype=bool)
-    repeated[np.unique(cell, return_index=True)[1]] = False
+    order = np.argsort(cell, kind="stable")  # a cell's first row comes first
+    repeated = np.zeros(len(xyv), dtype=bool)
+    repeated[order[1:]] = cell[order[1:]] == cell[order[:-1]]
     fault = np.select([malformed, ~finite, ~on_grid, repeated], [1, 2, 3, 4])
     if fault.any():
         row = int(np.flatnonzero(fault)[0])

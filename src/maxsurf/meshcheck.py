@@ -123,7 +123,7 @@ def _check_disk(z: np.ndarray, t: np.ndarray, b: np.ndarray):
     n = z.size
     if min(t.min(), b.min()) < 0 or max(t.max(), b.max()) >= n:
         raise ValueError("vertex index out of range")
-    if np.unique(b).size != b.size:
+    if np.any(np.diff(np.sort(b)) == 0):
         raise ValueError("boundary cycle repeats a vertex")
     # Each half-edge's key (_half_edge_keys), sorted once, in place.  In an
     # oriented disk each half-edge occurs once; a repeat means two triangles
@@ -148,12 +148,14 @@ def _check_disk(z: np.ndarray, t: np.ndarray, b: np.ndarray):
     if not np.array_equal(np.sort(_half_edge_keys(b, np.roll(b, -1), n)), half[rim]):
         raise ValueError("boundary must be the rim cycle of the triangulation")
     del half, twin, rim  # 150 MB, 19 MB and 19 MB at n = 1024
-    area = _signed_areas(z, t)
+    u, w = edges = _edge_vectors(z, t)
+    area = _signed_areas(z, t, edges)
     if not area.min() > 0:
         raise ValueError("parameter triangles must be positively oriented")
-    longest = np.zeros(area.size)
-    for i in range(3):
-        np.maximum(longest, np.abs(z[t[:, i]] - z[t[:, i - 1]]), out=longest)
+    longest = np.abs(u)
+    np.maximum(longest, np.abs(w), out=longest)
+    u -= w  # z1 - z2, in place: the third edge costs no 100 MB copy at n = 1024
+    np.maximum(longest, np.abs(u), out=longest)
     if np.any(area < _SHAPE * longest**2):
         raise ValueError(f"a triangle's area is below {_SHAPE} (longest edge)^2")
 
@@ -251,11 +253,18 @@ def folded_disk_mesh() -> SurfaceMesh:
 # ---- planar predicates ----
 
 
-def _signed_areas(z: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a = z[triangles[:, 0]]
-    u, w = z[triangles[:, 1]], z[triangles[:, 2]]
+def _edge_vectors(z: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z1 - z0 and z2 - z0 of each triangle (z0, z1, z2), each corner gathered once."""
+    a = z.take(triangles[:, 0])
+    u, w = z.take(triangles[:, 1]), z.take(triangles[:, 2])
     u -= a
     w -= a
+    return u, w
+
+
+def _signed_areas(z: np.ndarray, triangles: np.ndarray, edges: tuple | None = None) -> np.ndarray:
+    """Signed area of each triangle; edges, if given, are its _edge_vectors."""
+    u, w = _edge_vectors(z, triangles) if edges is None else edges
     area = u.real * w.imag
     area -= u.imag * w.real
     area *= 0.5
@@ -324,7 +333,8 @@ def _boundary_simple(z: np.ndarray) -> bool:
     later = stop - np.arange(edge.size) - 1
     p = np.repeat(np.arange(edge.size), later)
     q = p + 1 + _offsets(later)
-    pair = np.unique(edge[p] * m + edge[q])
+    pair = np.sort(edge[p] * m + edge[q])
+    pair = pair[np.diff(pair, prepend=-1) != 0]  # each pair once; keys are >= 0
     i, j = pair // m, pair % m
     gap = j - i
     keep = (gap > 1) & (gap != m - 1)

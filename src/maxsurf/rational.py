@@ -300,7 +300,7 @@ class Primitive:
         label, prev = np.arange(roots.size), np.arange(roots.size) - 1
         while not np.array_equal(label, prev):  # connected components of near
             label, prev = np.min(np.where(near, label, label[:, None]), axis=1), label
-        for k in np.unique(label):
+        for k in np.flatnonzero(label == np.arange(label.size)):  # a cluster's least index labels it
             members = roots[label == k]
             c = complex(members.mean())
             rho, gap = float(np.max(np.abs(members - c))), abs(c) - radius

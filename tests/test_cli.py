@@ -721,3 +721,42 @@ def test_cli_import_loads_no_scipy():
     proc = _run_module(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_NO_MASKED_ARRAYS = """
+import contextlib, io, json, sys
+import numpy as np
+if "numpy.ma" in sys.modules:  # numpy 1.x loads it with numpy itself
+    print("skip")
+    sys.exit()
+from maxsurf.catalog import get
+from maxsurf.cli import run_argv
+from maxsurf.graphfield import ScalarField, save_field
+from maxsurf.meshcheck import lee_equivalence_check
+d = sys.argv[1]
+f = ScalarField.sample(lambda x, y: np.arctan2(y, x), lambda x, y: True, (1.6, -0.6), 0.05, 17, 25)
+save_field(f, f"{d}/f.csv", f"{d}/f.json")
+with open(f"{d}/graph.json", "w") as fh:
+    json.dump({"csv": f"{d}/f.csv", "header": f"{d}/f.json", "direction": "minimal-to-maximal"}, fh)
+runs = [
+    ["verify-krust", "--datum", "rational-r09", "--mesh-n", "16"],
+    ["export", "--datum", "rational-r09", "--mesh-n", "8", "--out", f"{d}/export"],
+    ["generate", "--datum", "rational-r05", "--mesh-n", "8", "--out", f"{d}/surface"],
+    ["identities", "--datum", "rational-r05"],
+    ["dualize-graph", "--config", f"{d}/graph.json", "--out", f"{d}/dual"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run_argv(argv) for argv in runs]
+for name in ("rational-r09", "shift2.5-r05"):
+    lee_equivalence_check(get(name), 0.02)
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_commands_load_no_masked_arrays(tmp_path):
+    # numpy.ma costs about 10 ms to import; np.unique loads it on numpy 2
+    proc = _run_module(["-c", _NO_MASKED_ARRAYS, str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "skip":
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert json.loads(proc.stdout) == {"codes": [0] * 5, "numpy.ma": False}

@@ -538,6 +538,18 @@ class TestHostileFieldFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(str(csv) + message)}$"):
             load_field(csv, hp)
 
+    def test_duplicate_names_the_second_row_of_its_cell(self, tmp_path, rng):
+        # 60 rows on random cells of a 12 x 12 grid, well past the length at
+        # which an unstable sort may reorder equal cells: the first row whose
+        # cell came before is named
+        for _ in range(20):
+            cells = rng.integers(0, 144, 60)
+            seen = [c in cells[:k] for k, c in enumerate(cells)]
+            rows = "".join(f"{c // 12 / 10},{c % 12 / 10},{k}\n" for k, c in enumerate(cells))
+            csv, hp = self.write(tmp_path, {"nx": 12, "ny": 12}, rows)
+            with pytest.raises(ValueError, match=f":{2 + seen.index(True)}: duplicate grid cell$"):
+                load_field(csv, hp)
+
     def test_empty_file_has_no_cells(self, tmp_path):
         csv, hp = self.write(tmp_path, {}, "")
         csv.write_text("")

@@ -101,6 +101,17 @@ class TestTriangulation:
         with pytest.raises(ValueError, match="repeats a vertex"):
             _check_disk(verts, tris, np.array([0, 1, 1]))
 
+    @pytest.mark.parametrize("first, second", [(0, 11), (2, 9)])
+    def test_boundary_repeat_anywhere_in_the_cycle_rejected(self, first, second):
+        # the rim of the n = 2 disk with one vertex listed twice, at both ends
+        # of the cycle or apart (test_repeated_boundary_vertex_rejected has
+        # the repeat side by side)
+        mesh = triangulate_disk(1.0, 2)
+        b = np.array(mesh.boundary)
+        b[second] = b[first]
+        with pytest.raises(ValueError, match="^boundary cycle repeats a vertex$"):
+            _check_disk(mesh.vertices, mesh.triangles, b)
+
     def test_non_disk_topology_rejected(self):
         # two triangles glued at one vertex: Euler count is still 1, but the
         # six rim edges cannot form a single cycle of distinct vertices
@@ -141,6 +152,20 @@ class TestTriangulation:
         verts = np.array([0.0, 1.0, 0.5 + 0.01j], dtype=complex)
         with pytest.raises(ValueError, match="below 0.14"):
             _check_disk(verts, np.array([[0, 1, 2]]), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("roll", range(3))
+    def test_shape_bound_reads_all_three_edges(self, roll):
+        # apex angle 130 degrees at corner `roll`, legs of length 1: area
+        # 0.383 clears 0.14 x 1^2 but not 0.14 x (base 1.81)^2 = 0.460, so the
+        # triangle passes only if one edge is missed; roll 0 puts the base at
+        # z2 - z1, the edge that is the difference of the other two
+        verts = np.exp(1j * np.radians([90.0, 25.0, 155.0]))
+        verts[0] = 0.0
+        tri = np.roll([0, 1, 2], roll)[None, :]
+        with pytest.raises(ValueError, match="below 0.14"):
+            _check_disk(verts, tri, tri[0])
+        verts[1:] = np.exp(1j * np.radians([30.0, 150.0]))  # apex 120 degrees: 0.433 >= 0.420
+        _check_disk(verts, tri, tri[0])
 
     @pytest.mark.parametrize("cycle", ["reversed rim", "inner ring"])
     def test_boundary_cycle_other_than_rim_rejected(self, cycle):
@@ -449,6 +474,13 @@ class TestPlanarPredicates:
             assert got == boundary_simple_all_pairs(pts), pts
             verdicts.append(got)
         assert 0 < sum(verdicts) < len(verdicts)  # both verdicts exercised
+
+    def test_boundary_simple_without_non_adjacent_candidates(self):
+        # the unit square's cells hold only adjacent edges, so no pair is
+        # left to test after the adjacent ones are dropped
+        z = np.array([0, 1, 1 + 1j, 1j])
+        assert _boundary_simple(z)
+        assert not _boundary_simple(z[[0, 2, 1, 3]])  # the crossed bow tie
 
     def test_non_finite_boundary_not_simple(self):
         t = 2.0 * np.pi * np.arange(12) / 12

@@ -257,6 +257,21 @@ class TestSharedPoleLogs:
         for f in forms:
             assert same_bits(integrate_to_many(f, 0.0, ws, logs), integrate_per_form(f, 0.0, ws))
 
+    def test_clusters_in_order_of_their_first_root(self):
+        # a lone pole, a pair, and a chain 1.5 ~ 1.53 ~ 1.56 whose ends are
+        # not near each other: each cluster's expansion comes in the order of
+        # its first root in np.roots, with its mean as centre
+        den = P.polyfromroots([2j, 1.56, -1.7 + 0.2j, 1.5, -1.7 + 0.21j, 1.53])
+        laurent = rh([1.0, 0.5], den, 1.0).primitive.laurent
+        centres = np.array([c for c, _ in laurent])
+        first = []
+        for r in np.roots(den[::-1]):
+            k = int(np.argmin(np.abs(centres - r)))
+            first += [k] * (k not in first)
+        assert first == [0, 1, 2]
+        assert np.allclose(sorted(centres, key=lambda c: c.real), [-1.7 + 0.205j, 2j, 1.53], atol=1e-9)
+        assert [b.size > 1 for _, b in laurent] == [False, True, True]
+
     def test_different_denominators_keep_their_own_logs(self, rng):
         # poles that share a real part or an imaginary part, not both
         poles = (1.5 + 0.5j, 1.5 - 0.5j, -1.5 + 0.5j)
