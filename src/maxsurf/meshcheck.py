@@ -14,7 +14,9 @@ straight plane segments), the positivity check of the conjugate-width inner
 product against its path-integral form, and resampling of a sampled graph
 onto a masked grid (used to compare the grid-level duality against the
 isotropic-curve duality): one exact raster pass over the projected triangles
-locates every grid point, which gives the mask and the Newton seeds.
+locates every grid point, which gives the mask and the Newton seeds, and the
+points are pulled back and integrated in blocks of _PULL_BACK_BLOCK (8192),
+each block's Newton run until all its residuals are within _TOL.
 """
 
 from __future__ import annotations
@@ -55,6 +57,12 @@ _RESAMPLE_MARGIN_CELLS = 2
 # Triangles per block of _locate: its candidate arrays stay a few MB on the
 # catalog, where one block of all triangles raised peak RSS by 6%.
 _LOCATE_BLOCK = 2048
+# Grid points per block of resample_graph's pull-back: each Newton temporary
+# is 128 KiB.  One catalog pass of lee_equivalence_check at h = 0.01 peaked
+# at 50.7-52.4 MB RSS with blocks of 2048 to 32768 points, and at 64.2 MB
+# with one block of all points (up to 100k, on shift4-r09); 2-core x86-64,
+# numpy 2.4.6.
+_PULL_BACK_BLOCK = 8192
 _LEE_CURL_TOL = 1e-2
 # Rings of folded_disk_mesh; continuation (and trapezoid) steps of _walk.
 _FOLD_N = 16
@@ -359,7 +367,7 @@ def _boundary_simple(z: np.ndarray) -> bool:
     return not bool(np.any(contact))
 
 
-def _locate(z: np.ndarray, triangles: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+def _locate(z: np.ndarray, triangles: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Which of the triangles over the points z (complex; positively oriented,
     not overlapping) holds each grid point (xs[i], ys[j]), xs and ys ascending.
 
@@ -369,10 +377,12 @@ def _locate(z: np.ndarray, triangles: np.ndarray, xs: np.ndarray, ys: np.ndarray
     b.y < a.y, or b.y == a.y and b.x > a.x: the signs of the point moved by
     (+e, +e^2), e infinitesimal.  So a point on a shared edge or vertex lies
     in exactly one triangle, and one on the union's rim is inside iff the
-    moved point is.  Returns, per point kept, its flat cell index
-    i * ys.size + j, its triangle, and its barycentric weights (k, 3).
+    moved point is.  Returns the triangle of each grid point, flat at
+    i * ys.size + j, or -1 where none holds it (int32, 4 B a grid point).
+    Raises ValueError if a point lies in two triangles (they overlap).
     """
-    found = []
+    owner = np.full(xs.size * ys.size, -1, dtype=np.int32)
+    hits = 0
     for start in range(0, triangles.shape[0], _LOCATE_BLOCK):
         v = z[triangles[start:start + _LOCATE_BLOCK]]
         i0 = np.searchsorted(xs, v.real.min(axis=1))
@@ -388,11 +398,19 @@ def _locate(z: np.ndarray, triangles: np.ndarray, xs: np.ndarray, ys: np.ndarray
             sign = _orientation(a, b, q)
             keep = (sign > 0) | (sign == 0) & ((b.imag < a.imag) | (b.imag == a.imag) & (b.real > a.real))
             t, cell, q = t[keep], cell[keep], q[keep]
-        # weight of vertex e: the cross product of the two other vertices about q
-        corner = v[t] - q[:, None]
-        w = np.imag(np.conj(np.roll(corner, -1, axis=1)) * np.roll(corner, -2, axis=1))
-        found.append((cell, start + t, w / w.sum(axis=1, keepdims=True)))
-    return tuple(np.concatenate(parts) for parts in zip(*found))
+        owner[cell] = start + t
+        hits += cell.size
+    if np.count_nonzero(owner >= 0) != hits:
+        raise ValueError("a grid point lies in two triangles (they overlap)")
+    return owner
+
+
+def _barycentric(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Barycentric weights (k, 3) of the points q (k,) in the triangles v (k, 3),
+    complex: the weight of vertex e is the cross product of the two others about q."""
+    corner = v - q[:, None]
+    w = np.imag(np.conj(np.roll(corner, -1, axis=1)) * np.roll(corner, -2, axis=1))
+    return w / w.sum(axis=1, keepdims=True)
 
 
 # ---- projection certification ----
@@ -623,7 +641,10 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
     of a 48-ring sampled mesh that holds it, with exact orientation signs and
     a tie rule that gives a point on an edge or vertex one triangle.  The hit
     cells are the mask, and Newton starts from the barycentric combination of
-    the triangle's parameter vertices.
+    the triangle's parameter vertices.  The mask's points, in np.nonzero
+    order, are pulled back and integrated in blocks of _PULL_BACK_BLOCK
+    (8192): each block's Newton runs until all its residuals are within
+    _TOL, so the working set does not grow with the grid.
 
     Heights are exact up to the Newton tolerance: the grid carries no
     interpolation error, only its own later finite-difference error.
@@ -642,23 +663,23 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
     j1 = int(np.ceil(poly.imag.max() / h)) + 1
     xs = h * np.arange(i0, i1 + 1)
     ys = h * np.arange(j0, j1 + 1)
-    cell, tri, weight = _locate(p, mesh.triangles, xs, ys)
-    mask = np.zeros((xs.size, ys.size), dtype=bool)
-    mask.flat[cell] = True
-    mask = _erode(mask, _RESAMPLE_MARGIN_CELLS)
+    owner = _locate(p, mesh.triangles, xs, ys)
+    mask = _erode((owner >= 0).reshape(xs.size, ys.size), _RESAMPLE_MARGIN_CELLS)
     if not mask.any():
         raise OverlapEmpty("no grid cells inside the projected domain at this spacing")
 
-    seed = np.zeros(mask.size, dtype=complex)
-    seed[cell] = np.sum(weight * mesh.vertices[mesh.triangles[tri]], axis=1)
-    i, j = np.nonzero(mask)
-    beta = _pull_back(im, seed[mask.ravel()], xs[i] + 1j * ys[j])
-    i3 = integrate_to_many(im.curve.psi3, im.base_point, beta)
-
     f = np.zeros(mask.shape)
     s = np.zeros(mask.shape)
-    f[mask] = data.base_value.x3 + i3.real
-    s[mask] = -i3.imag  # third component of the Euclidean dual: Re(i * I3)
+    flat = np.flatnonzero(mask)
+    for start in range(0, flat.size, _PULL_BACK_BLOCK):
+        k = flat[start:start + _PULL_BACK_BLOCK]
+        target = xs[k // ys.size] + 1j * ys[k % ys.size]
+        corners = mesh.triangles[owner[k]]
+        seed = np.sum(_barycentric(p[corners], target) * mesh.vertices[corners], axis=1)
+        beta = _pull_back(im, seed, target)
+        i3 = integrate_to_many(im.curve.psi3, im.base_point, beta)
+        f.flat[k] = data.base_value.x3 + i3.real
+        s.flat[k] = -i3.imag  # third component of the Euclidean dual: Re(i * I3)
     origin = (float(xs[0]), float(ys[0]))
     return ResampledGraph(ScalarField(origin, h, f, mask), ScalarField(origin, h, s, mask))
 
