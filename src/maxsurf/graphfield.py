@@ -64,7 +64,8 @@ def _validate_mask(mask: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Scalar samples on a masked uniform grid."""
+    """Scalar samples on a masked uniform grid, held C-contiguous and
+    read-only."""
 
     origin: tuple[float, float]
     spacing: float
@@ -72,8 +73,8 @@ class ScalarField:
     mask: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        mask = np.asarray(self.mask, dtype=bool)
+        values = np.ascontiguousarray(self.values, dtype=float)
+        mask = np.ascontiguousarray(self.mask, dtype=bool)
         if values.shape != mask.shape or values.ndim != 2:
             raise ValueError("values and mask must be equal-shape 2d arrays")
         if not (np.isfinite(self.spacing) and self.spacing > 0):
@@ -112,20 +113,6 @@ class ScalarField:
         return cls(origin, spacing, values, mask)
 
 
-@dataclass(frozen=True, eq=False)
-class VectorField2:
-    """Two scalar component grids sharing one mask and grid geometry."""
-
-    origin: tuple[float, float]
-    spacing: float
-    w1: np.ndarray
-    w2: np.ndarray
-    mask: np.ndarray
-
-    def magnitude(self) -> np.ndarray:
-        return np.hypot(self.w1, self.w2)
-
-
 # Difference rules as (grade, ((offset, weight), ...)): the derivative at cell
 # i is sum(weight * f[i + offset]) / h.  A cell takes the last rule whose
 # cells are all masked, so the central rule is last.  Grade 3 rules share the
@@ -146,43 +133,52 @@ _RULES = (
     (3, ((0, -2.5), (1, 5.5), (2, -5.0), (3, 2.5), (4, -0.5))),
     (3, ((1, 0.5), (-1, -0.5))),
 )
-_REACH = 4  # the largest |offset|
 
 
 def _axis_derivative(values, mask, h, axis):
-    """Best per-cell derivative along an axis by _RULES, with its grade."""
+    """Best per-cell derivative along an axis by _RULES, with its grade:
+    the last rule whose cells are all masked.  The central rule, last, is
+    applied first to the interior by slices; the others run only at masked
+    cells it does not fit, in reverse order, the first that fits winning.
+    Taps are summed in table order, so each estimate rounds alike."""
     v = values if axis == 0 else values.T
     m = mask if axis == 0 else mask.T
     n = v.shape[0]
-    vpad, mpad = (np.pad(a, ((_REACH, _REACH), (0, 0))) for a in (v, m))
-
-    def shifted(a, k):  # a[i + k], zero (unmasked) off the grid
-        return a[_REACH + k:_REACH + k + n]
-
     out = np.zeros(values.shape)
     qual = np.zeros(values.shape, dtype=np.int8)
     out_v, qual_v = (out, qual) if axis == 0 else (out.T, qual.T)
-    for grade, ((k0, w0), *taps) in _RULES:
-        sel = m & shifted(mpad, k0)
+    *fallbacks, (grade, ((k0, w0), *taps)) = _RULES
+
+    def inner(a, k=0):  # a[i + k] at the cells i one step inside the grid
+        return a[1 + k:n - 1 + k]
+
+    central = inner(m).copy()
+    for k in (k0, *(k for k, _ in taps)):
+        central &= inner(m, k)
+    est = np.multiply(inner(v, k0), w0, out=inner(out_v))
+    for k, w in taps:
+        est += w * inner(v, k)
+    est /= h
+    np.copyto(est, 0.0, where=~central)
+    inner(qual_v)[central] = grade
+    todo = m.copy()
+    todo[1:n - 1] &= ~central
+    i, j = np.nonzero(todo)
+    for grade, taps in reversed(fallbacks):
+        fits = np.ones(i.size, dtype=bool)
         for k, _ in taps:
-            sel &= shifted(mpad, k)
-        if sel.any():
-            est = w0 * shifted(vpad, k0)
-            for k, w in taps:
-                est += w * shifted(vpad, k)
-            est /= h
-            np.copyto(out_v, est, where=sel)
-            qual_v[sel] = grade
+            fits &= (0 <= i + k) & (i + k < n)
+            fits[fits] = m[i[fits] + k, j[fits]]
+        (k0, w0), *rest = taps
+        a, b = i[fits], j[fits]
+        est = w0 * v[a + k0, b]
+        for k, w in rest:
+            est += w * v[a + k, b]
+        est /= h
+        out_v[a, b] = est
+        qual_v[a, b] = grade
+        i, j = i[~fits], j[~fits]
     return out, qual
-
-
-def gradient(f: ScalarField) -> VectorField2:
-    """Central differences, one-sided at the mask boundary; affine exact."""
-    gx, qx = _axis_derivative(f.values, f.mask, f.spacing, 0)
-    gy, qy = _axis_derivative(f.values, f.mask, f.spacing, 1)
-    if np.any(f.mask & (qx == 0)) or np.any(f.mask & (qy == 0)):
-        raise DegenerateMask("a masked cell has no masked neighbor on a needed axis")
-    return VectorField2(f.origin, f.spacing, gx, gy, f.mask)
 
 
 class _EdgeData:
@@ -209,41 +205,47 @@ def _edges(f: ScalarField, axis: int):
     """Edges from cell i to i + 1 along an axis, as C-contiguous arrays:
     existence, the along-edge difference quotient, and the cross derivative
     averaged over the end cells, with its grade."""
-
-    def frame(a):
-        return a if axis == 0 else a.T
-
-    v, m, h = frame(f.values), frame(f.mask), f.spacing
-    c, q = map(frame, _axis_derivative(f.values, f.mask, h, 1 - axis))
-    exist = m[:-1] & m[1:]
-    d = np.where(exist, (v[1:] - v[:-1]) / h, 0.0)
-    ha, hb = q[:-1] > 0, q[1:] > 0
-    cnt = ha.astype(float) + hb.astype(float)
+    lo, hi = (np.s_[:-1], np.s_[1:]) if axis == 0 else (np.s_[:, :-1], np.s_[:, 1:])
+    v, m, h = f.values, f.mask, f.spacing
+    c, q = _axis_derivative(v, m, h, 1 - axis)
+    exist = m[lo] & m[hi]
+    d = (v[hi] - v[lo]) / h
+    np.copyto(d, 0.0, where=~exist)
+    ha, hb = q[lo] > 0, q[hi] > 0
+    cnt = ha.astype(np.int8) + hb
     if np.any(exist & (cnt == 0)):
         raise DegenerateMask("mask too thin for a cross-derivative estimate at an edge")
-    avg = np.zeros_like(c[1:])
-    both = np.where(ha, c[:-1], 0.0) + np.where(hb, c[1:], 0.0)
-    np.divide(both, cnt, out=avg, where=exist & (cnt > 0))
+    # where(ha, c_lo, 0) + where(hb, c_hi, 0) in place: an absent end adds +0.0
+    avg = np.where(ha, c[lo], 0.0)
+    np.add(avg, c[hi], out=avg, where=hb)
+    np.add(avg, 0.0, out=avg, where=~hb)
+    del c
+    np.divide(avg, cnt, out=avg, where=exist)
+    np.copyto(avg, 0.0, where=~exist)
     # A one-cell average sits half a spacing off the edge midpoint, so it is
     # first-order at best whatever the cell stencil was.
-    qual = np.where(cnt == 2, np.minimum(q[:-1], q[1:]), np.minimum(np.maximum(q[:-1], q[1:]), 1))
+    qual = np.where(cnt == 2, np.minimum(q[lo], q[hi]), np.minimum(np.maximum(q[lo], q[hi]), 1))
     qual = np.where(exist, qual, 0).astype(np.int8)
-    return tuple(np.ascontiguousarray(frame(a)) for a in (exist, d, avg, qual))
+    return exist, d, avg, qual
 
 
 def _normalizer(d, c, exist, sign):
-    s = 1.0 + sign * (d * d + c * c)
+    """sqrt|1 + sign |Df|^2| per edge, formed in d's buffer; 1 off the
+    edges, where d and c are 0."""
+    s = np.multiply(d, d, out=d)
+    s += c * c
+    s *= sign
+    s += 1.0
     if sign < 0 and np.any(exist & (s <= _SPACELIKE_EPS)):
         raise NotSpacelike("|Df| >= 1 at a grid edge; field is not a spacelike graph")
-    return np.sqrt(np.where(exist, np.abs(s), 1.0))
+    return np.sqrt(np.abs(s, out=s), out=s)
 
 
 def _plaquette_divergence(f: ScalarField, a_on_y, b_on_x, plaq) -> ScalarField:
     h = f.spacing
-    resid = np.zeros_like(plaq, dtype=float)
-    resid[plaq] = (
-        (a_on_y[1:, :] - a_on_y[:-1, :]) / h + (b_on_x[:, 1:] - b_on_x[:, :-1]) / h
-    )[plaq]
+    resid = (a_on_y[1:, :] - a_on_y[:-1, :]) / h
+    resid += (b_on_x[:, 1:] - b_on_x[:, :-1]) / h
+    np.copyto(resid, 0.0, where=~plaq)
     origin = (f.origin[0] + h / 2, f.origin[1] + h / 2)
     return ScalarField(origin, h, resid, plaq)
 
@@ -299,8 +301,9 @@ def _tree_integrate(mask, inc_x, inc_y, anchor) -> np.ndarray:
     vals = np.zeros(todo.size)
     start = (anchor[0] + 1) * (ny + 2) + anchor[1] + 1
     todo[start] = False
-    # (offset, increment, edge index taken at the destination)
-    steps = [(ny + 2, gx, False), (-(ny + 2), -gx, True), (1, gy, False), (-1, -gy, True)]
+    # (offset, increment, edge index taken at the destination); a step
+    # against an edge subtracts, which rounds as adding its negation does
+    steps = [(ny + 2, gx, False), (-(ny + 2), gx, True), (1, gy, False), (-1, gy, True)]
     recent = deque([np.array([start])], maxlen=4)
     for off, inc, at_dst in cycle(steps):
         src = np.concatenate(recent)
@@ -309,7 +312,7 @@ def _tree_integrate(mask, inc_x, inc_y, anchor) -> np.ndarray:
         dst = src + off
         keep = todo[dst]
         src, dst = src[keep], dst[keep]
-        vals[dst] = vals[src] + inc[dst if at_dst else src]
+        vals[dst] = vals[src] - inc[dst] if at_dst else vals[src] + inc[src]
         todo[dst] = False
         recent.append(dst)
     if todo.any():
@@ -318,17 +321,30 @@ def _tree_integrate(mask, inc_x, inc_y, anchor) -> np.ndarray:
 
 
 def _dualize(f: ScalarField, sign: float, curl_tol: float) -> ScalarField:
+    """Integrate W = sign * (-cx/nx, cy/ny) over the edges of f.  Each
+    array goes once consumed; in field-sized grids: the edge data (4, at
+    most 6 while built); the flux a = cy/ny, b = cx/nx formed in cy and cx
+    (2); its residual, the curl certificate, until checked (2 + 2); a and b
+    scaled by h in place into the tree's increments (2 + 3 in the tree);
+    the result (2 while masked)."""
     _validate_mask(f.mask)
     e = _EdgeData(f, sign)
-    resid = _residual(f, e)
+    a = np.divide(e.cy, e.ny_edge, out=e.cy)
+    b = np.divide(e.cx, e.nx_edge, out=e.cx)
+    plaq = e.supported
+    del e
+    resid = _plaquette_divergence(f, a, b, plaq)
     worst = float(np.max(np.abs(resid.values[resid.mask]))) if resid.mask.any() else 0.0
+    del resid
     if worst > curl_tol:
         raise CurlError(f"curl certificate {worst:.3g} exceeds tolerance {curl_tol:g}")
-    w1_on_x = (-sign) * e.cx / e.nx_edge
-    w2_on_y = (sign) * e.cy / e.ny_edge
+    # sign is +-1, so b * (-sign * h) rounds as h * ((-sign) * cx / nx)
     h = f.spacing
+    b *= (-sign) * h
+    a *= sign * h
     anchor = np.unravel_index(np.argmax(f.mask), f.mask.shape)  # lowest-index masked cell
-    vals = _tree_integrate(f.mask, h * w1_on_x, h * w2_on_y, anchor)
+    vals = _tree_integrate(f.mask, b, a, anchor)
+    del a, b
     return ScalarField(f.origin, h, np.where(f.mask, vals, 0.0), f.mask)
 
 

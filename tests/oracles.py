@@ -4,30 +4,36 @@ Everything here is computed by a route disjoint from the package internals:
 closed-form antiderivatives, composite Simpson quadrature on dense nodes,
 loop and all-pairs forms of the mesh build and planar predicates, row-by-row
 forms of the text writers and reader, one expression per finite-difference
-rule, the full-grid sweeps of the tree integration, the earlier forms of
+rule, the full-grid sweeps of the tree integration, the grid dual as first
+written on those sweeps and the per-axis edge data, the earlier forms of
 routines rewritten for speed (signed areas and the report span, half-edge
 pairing, per-form pole logarithms; the report oracle reuses the package's
 rim simplicity test), an exact rim convexity test in Fraction arithmetic,
 the projections in their earlier table and sum forms, the point location that the raster pass replaced, and hand-derived
 constants for the built-in catalog families.  Tests compare package output
-against these, never against the package itself.
+against these, never against the package itself.  The vector field and
+gradient helpers at the end are fixtures on the package's derivative layer,
+not oracles.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from maxsurf.errors import (
+    CurlError,
     DegenerateMask,
     DegenerateTriangle,
     FloatRangeError,
     NotSimplyConnected,
     NotSpacelike,
 )
+from maxsurf.graphfield import ScalarField, _axis_derivative, _validate_mask
 from maxsurf.meshcheck import _AREA_EPS, GraphReport, _boundary_simple, _offsets
 
 
@@ -530,7 +536,7 @@ def _edge_average(cell_vals, cell_q, exist, axis):
 def _normalizer(d, c, exist, sign):
     s = 1.0 + sign * (d * d + c * c)
     if sign < 0 and np.any(exist & (s <= 1e-12)):
-        raise NotSpacelike("|Df| >= 1 at a grid edge")
+        raise NotSpacelike("|Df| >= 1 at a grid edge; field is not a spacelike graph")
     return np.sqrt(np.where(exist, np.abs(s), 1.0))
 
 
@@ -602,6 +608,57 @@ def tree_integrate_sweeps(mask, inc_x, inc_y, anchor) -> np.ndarray:
     if not np.array_equal(visited, mask):
         raise NotSimplyConnected("mask is not 4-connected")
     return vals
+
+
+def dualize_reference(f, sign, curl_tol):
+    """The grid dual as first written, on the per-axis edge data and the
+    full-grid sweeps: sign +1 dualizes a minimal graph (and then checks that
+    the result is spacelike), -1 a maximal one.  The flux, the residual and
+    the increments are fresh arrays; the mask check is the package's."""
+    _validate_mask(f.mask)
+    e = EdgeDataPerAxis(f, sign)
+    a_on_y, b_on_x, h = e.cy / e.ny_edge, e.cx / e.nx_edge, f.spacing
+    resid = ((a_on_y[1:, :] - a_on_y[:-1, :]) / h + (b_on_x[:, 1:] - b_on_x[:, :-1]) / h)[e.supported]
+    worst = float(np.max(np.abs(resid))) if resid.size else 0.0
+    if worst > curl_tol:
+        raise CurlError(f"curl certificate {worst:.3g} exceeds tolerance {curl_tol:g}")
+    w1_on_x = (-sign) * e.cx / e.nx_edge
+    w2_on_y = (sign) * e.cy / e.ny_edge
+    anchor = np.unravel_index(np.argmax(f.mask), f.mask.shape)  # lowest-index masked cell
+    vals = tree_integrate_sweeps(f.mask, h * w1_on_x, h * w2_on_y, anchor)
+    out = ScalarField(f.origin, h, np.where(f.mask, vals, 0.0), f.mask)
+    if sign > 0:
+        EdgeDataPerAxis(out, -1.0)
+    return out
+
+
+# ---- test fixtures on the package's derivative layer ----
+#
+# Not oracles: the gradient reads graphfield._axis_derivative, which the
+# rule oracle above checks.
+
+
+@dataclass(frozen=True, eq=False)
+class VectorField2:
+    """Two scalar component grids sharing one mask and grid geometry."""
+
+    origin: tuple[float, float]
+    spacing: float
+    w1: np.ndarray
+    w2: np.ndarray
+    mask: np.ndarray
+
+    def magnitude(self) -> np.ndarray:
+        return np.hypot(self.w1, self.w2)
+
+
+def gradient(f) -> VectorField2:
+    """Central differences, one-sided at the mask boundary; affine exact."""
+    gx, qx = _axis_derivative(f.values, f.mask, f.spacing, 0)
+    gy, qy = _axis_derivative(f.values, f.mask, f.spacing, 1)
+    if np.any(f.mask & (qx == 0)) or np.any(f.mask & (qy == 0)):
+        raise DegenerateMask("a masked cell has no masked neighbor on a needed axis")
+    return VectorField2(f.origin, f.spacing, gx, gy, f.mask)
 
 
 # ---- the predicate and primitive forms before their array-speed rewrite ----

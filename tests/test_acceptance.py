@@ -16,7 +16,6 @@ from maxsurf.graphfield import (
     ScalarField,
     dualize_minimal_to_maximal,
     flux_curl,
-    gradient,
     minimal_residual,
     shift_agreement,
 )
@@ -45,6 +44,7 @@ from conftest import ACCEPTANCE_LINES, disk_samples
 from oracles import (
     catenoid_dual_height,
     catenoid_height,
+    gradient,
     helicoid_dual_height,
     helicoid_height,
 )

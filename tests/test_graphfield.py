@@ -22,7 +22,6 @@ from maxsurf.graphfield import (
     dualize_maximal_to_minimal,
     dualize_minimal_to_maximal,
     flux_curl,
-    gradient,
     load_field,
     maximal_residual,
     minimal_residual,
@@ -30,13 +29,15 @@ from maxsurf.graphfield import (
     shift_agreement,
 )
 
-from maxsurf.meshcheck import resample_graph
+from maxsurf.meshcheck import _LEE_CURL_TOL, resample_graph
 
-from conftest import assert_no_children
+from conftest import assert_no_children, traced_peak
 from oracles import (
     EdgeDataPerAxis,
     axis_derivative_rules,
+    dualize_reference,
     flux_curl_per_axis,
+    gradient,
     helicoid_dual_height,
     helicoid_height,
     load_field_rows,
@@ -586,6 +587,29 @@ def random_ragged_field(rng):
     return ScalarField(tuple(rng.normal(size=2)), h, np.where(mask, values, 0.0), mask)
 
 
+def comb_field(rng, axis):
+    """A spine two cells thick that runs across the axis, with a tooth of
+    random length along the axis from each spine cell: lone teeth are one
+    cell thin, so every fallback rule and the no-rule case occur.  Teeth of
+    at most one cell beyond the spine keep every edge's cross average
+    defined, and the root edge of a lone tooth averages its spine cell
+    alone.  Values are often signed zeros."""
+    ny = int(rng.integers(3, 30))
+    longest = 1 if rng.uniform() < 0.5 else 6
+    mask = np.zeros((2 + longest, ny), dtype=bool)
+    mask[:2, :] = True
+    for j in range(ny):
+        mask[2:2 + rng.integers(0, longest + 1), j] = True
+    h = 0.5
+    # slopes below 0.05 on edges and 0.4 for the widest rule: spacelike
+    values = 0.025 * h * rng.uniform(-1, 1, mask.shape)
+    zero = rng.uniform(size=mask.shape) < 0.4
+    values[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    if axis == 1:
+        mask, values = mask.T, values.T
+    return ScalarField((0.0, 0.0), h, np.where(mask, values, 0.0), mask)
+
+
 def assert_layer_matches_oracle(f):
     """_axis_derivative, _edges, _EdgeData and flux_curl against the
     per-rule, per-axis oracle: equal bits (signed zeros included), or the
@@ -647,6 +671,20 @@ class TestDerivativeOracle:
     def test_helicoid(self):
         assert_layer_matches_oracle(helicoid_rect(0.01))
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_masks_one_cell_thin(self, axis):
+        rng = np.random.default_rng(20261019 + axis)
+        grades = set()
+        compared = 0
+        for _ in range(40):
+            f = comb_field(rng, axis)
+            assert_layer_matches_oracle(f)
+            compared += assert_dual_matches_reference(f, np.inf)
+            for along in (0, 1):
+                grades.update(_axis_derivative(f.values, f.mask, f.spacing, along)[1][f.mask].tolist())
+        assert grades == {0, 1, 2, 3}
+        assert compared >= 10
+
     def test_resampled_catalog_fields(self, catalog_data):
         zeros = 0
         for data in catalog_data.values():
@@ -666,3 +704,51 @@ class TestDerivativeOracle:
         f = ScalarField((0.0, 0.0), 0.1, np.where(mask, 2.0 * 0.1 * np.arange(10)[:, None], 0.0), mask)
         with pytest.raises(DegenerateMask):
             maximal_residual(f)
+
+
+def assert_dual_matches_reference(f, curl_tol):
+    """Both dualizations against their first-written form: equal bits in
+    values and mask, or the same error type and message.  Returns how many
+    results were compared bit for bit."""
+    compared = 0
+    for sign, dualize in ((1.0, dualize_minimal_to_maximal), (-1.0, dualize_maximal_to_minimal)):
+        try:
+            want = dualize_reference(f, sign, curl_tol)
+        except MaxsurfError as exc:
+            with pytest.raises(MaxsurfError) as got:
+                dualize(f, curl_tol)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            continue
+        got = dualize(f, curl_tol)
+        assert same_bits(got.values, want.values) and same_bits(got.mask, want.mask)
+        compared += 1
+    return compared
+
+
+class TestDualizeOracle:
+    def test_random_ragged_masks(self):
+        rng = np.random.default_rng(20261019)
+        compared = 0
+        for _ in range(200):
+            f = random_ragged_field(rng)
+            # no curl bound stops an infinite tolerance; 1e-3 mostly refuses
+            for curl_tol in (np.inf, 1e-3):
+                compared += assert_dual_matches_reference(f, curl_tol)
+        assert compared >= 50  # the rest raise, on the mask or the slope
+
+    def test_helicoid(self):
+        assert assert_dual_matches_reference(helicoid_rect(0.01), 1e-2) == 2
+
+    def test_resampled_catalog_fields(self, catalog_data):
+        compared = 0
+        for data in catalog_data.values():
+            out = resample_graph(data, 0.02)
+            for f in (out.field, out.dual_height):
+                compared += assert_dual_matches_reference(f, _LEE_CURL_TOL)
+        assert compared >= 20
+
+    def test_traced_peak_within_eight_grids(self, catalog_data):
+        # the edge data, flux and tree increments once held 14.3 grids here
+        f = resample_graph(catalog_data["shift4-r09"], 0.01).field
+        peak = traced_peak(dualize_maximal_to_minimal, f, _LEE_CURL_TOL)
+        assert peak <= 8 * f.values.nbytes, peak / f.values.nbytes

@@ -1,12 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from maxsurf.duality import sharp
 from maxsurf import meshcheck
 from maxsurf.errors import CurlError, DegenerateTriangle, FloatRangeError, NewtonDivergence
-from maxsurf.graphfield import ScalarField, VectorField2, maximal_residual
+from maxsurf.graphfield import ScalarField, maximal_residual
 from maxsurf.lorentz import Ambient, Vec3
 from maxsurf.meshcheck import (
     PASS,
@@ -45,13 +43,14 @@ from maxsurf.weierstrass import (
     rotation_identity_check,
 )
 
-from conftest import disk_samples
+from conftest import disk_samples, traced_peak
 from oracles import (
     PLANE_KRUST_BOTH_SIDES,
     boundary_simple_all_pairs,
     boundary_simple_exact,
     check_disk_searched,
     disk_triangle_count,
+    VectorField2,
     disk_vertex_count,
     in_polygon_exact,
     in_polygon_ray_cast,
@@ -526,7 +525,7 @@ class TestPlanarPredicates:
         t = 2.0 * np.pi * np.arange(6144) / 6144
         z = _complex(np.column_stack([np.cos(t), np.sin(t)]))
         assert _boundary_simple(z)
-        peak = _traced_peak(_boundary_simple, z)
+        peak = traced_peak(_boundary_simple, z)
         assert peak < 8e6, peak
 
     @pytest.mark.parametrize("seed", range(4))
@@ -585,7 +584,7 @@ class TestPlanarPredicates:
         # per grid point (4 MB) and one block's candidates.
         mesh = triangulate_disk(1.0, 128)
         g = np.linspace(-1.1, 1.1, 1000)
-        peak = _traced_peak(_locate, mesh.vertices, mesh.triangles, g, g)
+        peak = traced_peak(_locate, mesh.vertices, mesh.triangles, g, g)
         assert peak < 10.5e6, peak
 
 
@@ -636,18 +635,6 @@ def _resample_grid(rim: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     j0 = int(np.floor(rim.imag.min() / h)) - 1
     j1 = int(np.ceil(rim.imag.max() / h)) + 1
     return h * np.arange(i0, i1 + 1), h * np.arange(j0, j1 + 1)
-
-
-def _traced_peak(fn, *args) -> int:
-    """Peak bytes allocated during fn(*args); numpy reports its buffers to
-    tracemalloc."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
 
 
 class TestKrustPipeline:
@@ -932,7 +919,7 @@ class TestResampling:
         # 377k grid points on plane-r09 at h = 0.0025.  Blocks of
         # _PULL_BACK_BLOCK points peak at 23 MB, mostly whole-grid arrays;
         # one block of all points peaks at 72-97 MB, on Newton temporaries.
-        peak = _traced_peak(resample_graph, catalog_data["plane-r09"], 0.0025)
+        peak = traced_peak(resample_graph, catalog_data["plane-r09"], 0.0025)
         assert peak < 30e6, peak
 
     @pytest.mark.xfail(strict=True, raises=CurlError,
