@@ -37,14 +37,6 @@ class EquatorError(MaxsurfError):
     """Stereographic preimage undefined on |z| = 1."""
 
 
-class OffHyperboloid(MaxsurfError):
-    """Point does not satisfy <x,x> = -1 within tolerance."""
-
-
-class NorthPole(MaxsurfError):
-    """Stereographic projection undefined at the projection center."""
-
-
 class CommonZeroError(MaxsurfError):
     """dh has a zero in the domain disk, where all components of the isotropic triple vanish."""
 

@@ -442,9 +442,9 @@ def load_field(csv_path, header_path) -> ScalarField:
     as "path:LINE: reason"."""
     origin, h, nx, ny = _read_header(header_path)
     with open(csv_path) as fh:
-        lines = fh.read().split("\n")[1:]
-    nonblank = list(map(str.strip, lines))
-    xyv, malformed = parse_rows(list(compress(lines, nonblank)), 3, memo=(0, 1))
+        fh.readline()
+        text = fh.read()
+    xyv, malformed = parse_rows(text, 3, memo=(0, 1))
     x, y, v = xyv.T  # per column: numpy reduces slowly over a length-3 axis
     finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(v)
     with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates land off the grid
@@ -459,7 +459,8 @@ def load_field(csv_path, header_path) -> ScalarField:
     fault = np.select([malformed, ~finite, ~on_grid, repeated], [1, 2, 3, 4])
     if fault.any():
         row = int(np.flatnonzero(fault)[0])
-        lineno = 2 + list(compress(range(len(lines)), nonblank))[row]
+        lines = text.split("\n")
+        lineno = 2 + list(compress(range(len(lines)), map(str.strip, lines)))[row]
         raise ValueError(f"{csv_path}:{lineno}: {_ROW_FAULTS[fault[row] - 1]}")
     i, j = fi.astype(np.intp), fj.astype(np.intp)
     values = np.zeros((nx, ny))

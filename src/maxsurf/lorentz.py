@@ -7,21 +7,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AmbientMismatch, EquatorError, NorthPole, OffHyperboloid
+from .errors import AmbientMismatch, EquatorError
 
 _LIGHT_BAND = 1e-12
-_HYPERBOLOID_TOL = 1e-8
 
 
 class Ambient(Enum):
     EUCLIDEAN = "euclidean"
     LORENTZIAN = "lorentzian"
-
-
-class CausalCharacter(Enum):
-    SPACELIKE = "spacelike"
-    TIMELIKE = "timelike"
-    LIGHTLIKE = "lightlike"
 
 
 @dataclass(frozen=True)
@@ -74,16 +67,6 @@ def inner(u: Vec3, v: Vec3) -> float:
     return u.x1 * v.x1 + u.x2 * v.x2 + s * u.x3 * v.x3
 
 
-def causal_character(v: Vec3) -> CausalCharacter:
-    """Classify a Lorentzian vector, with a 1e-12 band around lightlike."""
-    if v.ambient is not Ambient.LORENTZIAN:
-        raise AmbientMismatch("causal character requires the Lorentzian ambient")
-    q = inner(v, v)
-    if abs(q) < _LIGHT_BAND:
-        return CausalCharacter.LIGHTLIKE
-    return CausalCharacter.SPACELIKE if q > 0 else CausalCharacter.TIMELIKE
-
-
 def cross_lorentz(u: Vec3, v: Vec3) -> Vec3:
     """Lorentzian vector product, oriented so that <u x v, z> = -det(u, v, z).
 
@@ -113,15 +96,3 @@ def stereo_inv(z) -> Vec3:
         raise EquatorError("|z| = 1 has no hyperboloid preimage")
     d = m**2 - 1.0
     return Vec3(-2.0 * z.real / d, -2.0 * z.imag / d, (m**2 + 1.0) / d, Ambient.LORENTZIAN)
-
-
-def stereo(p: Vec3) -> complex:
-    """Stereographic projection from the north pole (0, 0, 1); inverse of stereo_inv."""
-    if p.ambient is not Ambient.LORENTZIAN:
-        raise AmbientMismatch("stereo requires a Lorentzian point")
-    q = inner(p, p)
-    if abs(q + 1.0) > _HYPERBOLOID_TOL:
-        raise OffHyperboloid(f"<p,p> = {q:.3g} != -1")
-    if abs(p.x3 - 1.0) < _LIGHT_BAND:
-        raise NorthPole("projection center has no image")
-    return complex(-p.x1 / (p.x3 - 1.0), -p.x2 / (p.x3 - 1.0))

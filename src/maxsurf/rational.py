@@ -206,12 +206,6 @@ class RationalHolomorphic:
         qd = np.convolve(self.num, _deriv_coeffs(self.den))
         return RationalHolomorphic(_padd(pd, -qd), np.convolve(self.den, self.den), self.radius)
 
-    def equivalent(self, other: "RationalHolomorphic") -> bool:
-        """Cross-multiplication test P1*Q2 == P2*Q1, exact on the coefficients."""
-        a = np.convolve(self.num, other.den)
-        b = np.convolve(other.num, self.den)
-        return not np.any(_padd(a, -b))
-
     @cached_property
     def primitive(self) -> "Primitive":
         return Primitive(self)

@@ -12,29 +12,36 @@ rim simplicity test), an exact rim convexity test in Fraction arithmetic,
 the projections in their earlier table and sum forms, the point location that the raster pass replaced, and hand-derived
 constants for the built-in catalog families.  Tests compare package output
 against these, never against the package itself.  The vector field and
-gradient helpers at the end are fixtures on the package's derivative layer,
-not oracles.
+gradient helpers are fixtures on the package's derivative layer, and the
+causal character, stereographic projection and coefficient equivalence are
+test-only helpers, not oracles.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
 from maxsurf.errors import (
+    AmbientMismatch,
     CurlError,
     DegenerateMask,
     DegenerateTriangle,
     FloatRangeError,
+    MaxsurfError,
     NotSimplyConnected,
     NotSpacelike,
 )
 from maxsurf.graphfield import ScalarField, _axis_derivative, _validate_mask
+from maxsurf.lorentz import Ambient, Vec3, inner
 from maxsurf.meshcheck import _AREA_EPS, GraphReport, _boundary_simple, _offsets
+from maxsurf.rational import _padd
 
 
 def simpson_line(func, a: complex, b: complex, n: int = 4096) -> complex:
@@ -434,7 +441,8 @@ def save_field_rows(f, csv_path, header_path):
 
 
 def load_field_rows(csv_path, header_path):
-    """(origin, spacing, values, mask) of a saved field, parsed line by line."""
+    """(origin, spacing, values, mask) of a saved field, parsed line by line.
+    The first malformed, non-finite, off-grid or repeated row raises."""
     with open(header_path) as fh:
         head = json.load(fh)
     nx, ny, h = int(head["nx"]), int(head["ny"]), float(head["spacing"])
@@ -448,13 +456,18 @@ def load_field_rows(csv_path, header_path):
                 continue
             try:
                 xs, ys, vs = line.split(",")
-                i = int(round((float(xs) - origin[0]) / h))
-                j = int(round((float(ys) - origin[1]) / h))
+                x, y, v = float(xs), float(ys), float(vs)
             except ValueError as exc:
                 raise ValueError(f"{csv_path}:{lineno}: expected 'x,y,value' floats") from exc
-            if not (0 <= i < nx and 0 <= j < ny):
+            if not all(map(math.isfinite, (x, y, v))):
+                raise ValueError(f"{csv_path}:{lineno}: non-finite coordinate or value")
+            fi, fj = (x - origin[0]) / h, (y - origin[1]) / h
+            if not (math.isfinite(fi) and math.isfinite(fj) and 0 <= round(fi) < nx and 0 <= round(fj) < ny):
                 raise ValueError(f"{csv_path}:{lineno}: point lies off the declared grid")
-            values[i, j] = float(vs)
+            i, j = round(fi), round(fj)
+            if mask[i, j]:
+                raise ValueError(f"{csv_path}:{lineno}: duplicate grid cell")
+            values[i, j] = v
             mask[i, j] = True
     return origin, h, values, mask
 
@@ -660,6 +673,58 @@ def gradient(f) -> VectorField2:
         raise DegenerateMask("a masked cell has no masked neighbor on a needed axis")
     return VectorField2(f.origin, f.spacing, gx, gy, f.mask)
 
+
+
+# ---- test-only vector, sphere and form helpers ----
+#
+# Not oracles: the causal character, the stereographic projection and the
+# coefficient equivalence test that the tests use to check package output.
+# The package itself needs none of them.
+
+
+class OffHyperboloid(MaxsurfError):
+    """Point does not satisfy <x,x> = -1 within tolerance."""
+
+
+class NorthPole(MaxsurfError):
+    """Stereographic projection undefined at the projection center."""
+
+
+class CausalCharacter(Enum):
+    SPACELIKE = "spacelike"
+    TIMELIKE = "timelike"
+    LIGHTLIKE = "lightlike"
+
+
+def causal_character(v: Vec3) -> CausalCharacter:
+    """Classify a Lorentzian vector, with a 1e-12 band around lightlike."""
+    if v.ambient is not Ambient.LORENTZIAN:
+        raise AmbientMismatch("causal character requires the Lorentzian ambient")
+    q = inner(v, v)
+    if abs(q) < 1e-12:
+        return CausalCharacter.LIGHTLIKE
+    return CausalCharacter.SPACELIKE if q > 0 else CausalCharacter.TIMELIKE
+
+
+def stereo(p: Vec3) -> complex:
+    """Stereographic projection from the north pole (0, 0, 1); inverse of
+    lorentz.stereo_inv."""
+    if p.ambient is not Ambient.LORENTZIAN:
+        raise AmbientMismatch("stereo requires a Lorentzian point")
+    q = inner(p, p)
+    if abs(q + 1.0) > 1e-8:
+        raise OffHyperboloid(f"<p,p> = {q:.3g} != -1")
+    if abs(p.x3 - 1.0) < 1e-12:
+        raise NorthPole("projection center has no image")
+    return complex(-p.x1 / (p.x3 - 1.0), -p.x2 / (p.x3 - 1.0))
+
+
+def equivalent(f, g) -> bool:
+    """Cross-multiplication test P1*Q2 == P2*Q1 of two RationalHolomorphic,
+    exact on the coefficients."""
+    a = np.convolve(f.num, g.den)
+    b = np.convolve(g.num, f.den)
+    return not np.any(_padd(a, -b))
 
 # ---- the predicate and primitive forms before their array-speed rewrite ----
 #

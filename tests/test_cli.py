@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from maxsurf.weierstrass import (
     immersion_from_data,
 )
 
-from conftest import assert_no_children
+from conftest import assert_no_children, traced_peak
 from oracles import (
     boundary_csv_rows,
     disk_triangle_count,
@@ -364,6 +365,38 @@ class TestExport:
         got = (tmp_path / "got.obj").read_bytes()
         assert got == (tmp_path / "want.obj").read_bytes()
         assert b"v -0.0 5e-324 1e-05\n" in got
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["chunk-less-1", "chunk", "chunk-plus-1"])
+    def test_chunk_cuts_match_row_oracle(self, tmp_path, rng, cores, extra):
+        # each part holds _CHUNK + extra vertex, face and boundary rows
+        rows = cores * (textio._CHUNK + extra)
+        assert len(textio._cuts(rows, rows)) == cores + 1
+        special = [-0.0, 5e-324, 1e-5, 1e16, 0.1, 1 / 3, -2.5e-300]
+        pos = rng.normal(size=(rows, 3))
+        pick = rng.uniform(size=(rows, 3)) < 0.3
+        pos[pick] = rng.choice(special, pick.sum())
+        triangles = rng.integers(0, rows, (rows, 3), dtype=np.int32)
+        param = SimpleNamespace(triangles=triangles, boundary=np.arange(rows))
+        mesh = SimpleNamespace(positions=pos, param=param)
+        _write_obj(tmp_path / "got.obj", mesh)
+        with open(tmp_path / "got.csv", "wb") as fh:  # as export writes boundary.csv
+            fh.write(b"x,y\n")
+            textio.write_rows(fh, "%r,%r\n", pos[param.boundary, :2])
+        assert_no_children()
+        write_obj_rows(tmp_path / "want.obj", mesh)
+        boundary_csv_rows(tmp_path / "want.csv", mesh)
+        assert (tmp_path / "got.obj").read_bytes() == (tmp_path / "want.obj").read_bytes()
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_obj_writer_holds_one_chunk(self, tmp_path):
+        # n = 256: 197,377 vertex and 393,216 face rows.  The writer holds the
+        # 1-based int32 faces (4.7 MB) and one chunk of rows; formatting each
+        # part whole traced 35 MB
+        data = get("rational-r09")
+        mesh = sample_surface(immersion_from_data(data), triangulate_disk(data.domain_radius, 256))
+        peak = traced_peak(_write_obj, tmp_path / "surface.obj", mesh)
+        assert peak < 10e6, peak / 1e6
+        assert_no_children()
 
 
 class TestErrors:

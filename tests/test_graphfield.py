@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from maxsurf import textio
 from maxsurf.errors import (
     CurlError,
     DegenerateMask,
@@ -19,6 +20,7 @@ from maxsurf.graphfield import (
     _EdgeData,
     _edges,
     _tree_integrate,
+    _validate_mask,
     dualize_maximal_to_minimal,
     dualize_minimal_to_maximal,
     flux_curl,
@@ -408,6 +410,22 @@ def assert_same_field(got: ScalarField, want):
     assert np.array_equal(got.mask, mask)
 
 
+def saved_rows(tmp_path):
+    """big_ragged_field saved: the CSV and header paths, and the CSV text
+    after its header line, as load_field parses it."""
+    csv, head = tmp_path / "f.csv", tmp_path / "f.json"
+    save_field(big_ragged_field(), csv, head)
+    return csv, head, csv.read_text().split("\n", 1)[1]
+
+
+def parse_cuts(text):
+    """Where textio.parse_rows cuts text: the part bounds, and the chunk
+    starts inside each part."""
+    cuts = textio._line_starts(text, textio._cuts(len(text), text.count("\n") + 1))
+    starts = [textio._line_starts(text, range(a, b, textio._CHUNK_CHARS)) for a, b in zip(cuts, cuts[1:])]
+    return cuts, [c for part in starts for c in part[1:]]
+
+
 class TestRowOracle:
     """save_field and load_field against their row-by-row forms."""
 
@@ -490,6 +508,74 @@ class TestRowOracle:
         assert str(got.value).endswith(f":{len(lines)}: expected 'x,y,value' floats")
         assert_no_children()
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_blank_lines_on_cuts(self, tmp_path, cores, newline):
+        csv, head, text = saved_rows(tmp_path)
+        cuts, chunks = parse_cuts(text)
+        assert len(cuts) == cores + 1 and chunks
+        lines = text.split("\n")
+        for c in cuts[1:-1] + chunks:
+            k = text.count("\n", 0, c)  # the line that starts at c
+            # a whitespace-only line ends the chunk before the cut, and an
+            # empty and a whitespace-only line begin the next; lengths stay,
+            # so the cuts do too
+            lines[k - 1] = "\t" + " " * (len(lines[k - 1]) - 1)
+            lines[k] = "\n" + " " * (len(lines[k]) - 1)
+        edited = "\n".join(lines)
+        assert parse_cuts(edited) == (cuts, chunks)
+        csv.write_bytes(("x,y,value\n" + edited).replace("\n", newline).encode())
+        got = load_field(csv, head)
+        assert_same_field(got, load_field_rows(csv, head))
+        assert got.mask.sum() == big_ragged_field().mask.sum() - 2 * (cores - 1 + len(chunks))
+        assert_no_children()
+
+    def test_no_final_newline_keeps_last_row(self, tmp_path, cores):
+        csv, head, text = saved_rows(tmp_path)
+        csv.write_text("x,y,value\n" + text.rstrip("\n"))
+        got = load_field(csv, head)
+        assert_same_field(got, load_field_rows(csv, head))
+        assert got.values.tobytes() == big_ragged_field().values.tobytes()
+        assert_no_children()
+
+    @pytest.mark.parametrize(
+        "fault, reason",
+        [
+            (lambda x, y: f"{x},{y}", "expected 'x,y,value' floats"),
+            (lambda x, y: f"{x},{y},inf", "non-finite coordinate or value"),
+            (lambda x, y: f"1e300,{y},0", "point lies off the declared grid"),
+            (lambda x, y: f"{x},{y},0", "duplicate grid cell"),
+        ],
+        ids=["malformed", "non-finite", "off-grid", "duplicate"],
+    )
+    def test_fault_after_chunk_cut_in_last_part(self, tmp_path, cores, fault, reason):
+        csv, head, text = saved_rows(tmp_path)
+        cuts, chunks = parse_cuts(text)
+        assert len(cuts) == cores + 1 and chunks[-1] > cuts[-2]  # a chunk cut in the last part
+        k = text.count("\n", 0, chunks[-1])
+        lines = text.split("\n")
+        x, y, _ = lines[k - 1].split(",")
+        row = fault(x, y)  # x, y of the row before: a duplicate cell
+        assert len(row) <= len(lines[k])
+        lines[k] = row.ljust(len(lines[k]))
+        edited = "\n".join(lines)
+        assert parse_cuts(edited) == (cuts, chunks)
+        csv.write_text("x,y,value\n" + edited)
+        with pytest.raises(ValueError) as want:
+            load_field_rows(csv, head)
+        with pytest.raises(ValueError) as got:
+            load_field(csv, head)
+        assert str(got.value) == str(want.value) == f"{csv}:{k + 2}: {reason}"
+        assert_no_children()
+
+    def test_load_holds_one_chunk(self, tmp_path):
+        # 154,401 rows, 7.1 MB of text.  The reader holds the text, one float
+        # table and the grid arrays; a list of every line traced 40 MB
+        csv, head = tmp_path / "f.csv", tmp_path / "f.json"
+        save_field(helicoid_rect(0.0025), csv, head)
+        peak = traced_peak(load_field, csv, head)
+        assert peak < 30e6, peak / 1e6
+        assert_no_children()
+
 
 class TestHostileFieldFiles:
     def write(self, tmp_path, head, rows="0.0,0.0,1.0\n"):
@@ -551,6 +637,13 @@ class TestHostileFieldFiles:
             with pytest.raises(ValueError, match=f":{2 + seen.index(True)}: duplicate grid cell$"):
                 load_field(csv, hp)
 
+    @pytest.mark.parametrize("text", ["x,y,value\n", "x,y,value", "x,y,value\r\n \r\n\r\n"])
+    def test_header_only_file_has_no_cells(self, tmp_path, text):
+        csv, hp = self.write(tmp_path, {})
+        csv.write_bytes(text.encode())
+        f = load_field(csv, hp)
+        assert not f.mask.any() and not f.values.any()
+
     def test_empty_file_has_no_cells(self, tmp_path):
         csv, hp = self.write(tmp_path, {}, "")
         csv.write_text("")
@@ -585,6 +678,50 @@ def random_ragged_field(rng):
         values = 10.0 ** rng.uniform(-8, 8) * rng.normal(size=(nx, ny))
     values[rng.uniform(size=(nx, ny)) < 0.05] = -0.0
     return ScalarField(tuple(rng.normal(size=2)), h, np.where(mask, values, 0.0), mask)
+
+
+def connected_ragged_field(rng):
+    """A region grown from one 2 x 2 block by random 2 x 2 blocks, each
+    overlapping or edge-adjacent to a random cell of the region, with its
+    holes filled: connected and hole-free, so it passes the mask check, and
+    every cell has a neighbour on each axis.  The values are a plane of slope
+    below 0.3 on each axis, plus up to 0.01 h per cell of noise, and half the
+    time an offset from 1e-8 to 1e8: both duals stay spacelike, so the tree
+    integration runs and its values compare."""
+    nx, ny = rng.integers(2, 40, 2)
+    mask = np.zeros((nx, ny), dtype=bool)
+    i, j = rng.integers(0, nx - 1), rng.integers(0, ny - 1)
+    mask[i:i + 2, j:j + 2] = True
+    steps = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+    for _ in range(rng.integers(0, nx * ny // 2)):
+        i, j = divmod(int(rng.choice(np.flatnonzero(mask))), ny)
+        di, dj = steps[rng.integers(5)]
+        # a block holding the cell or its neighbour (i + di, j + dj)
+        i = min(max(i + di - rng.integers(2), 0), nx - 2)
+        j = min(max(j + dj - rng.integers(2), 0), ny - 2)
+        mask[i:i + 2, j:j + 2] = True
+    # fill the holes: outside are the cells off the region that the border
+    # reaches through cells off the region
+    outside = np.zeros_like(mask)
+    outside[[0, -1], :] = outside[:, [0, -1]] = True
+    outside &= ~mask
+    while True:
+        grown = outside.copy()
+        grown[1:] |= outside[:-1]
+        grown[:-1] |= outside[1:]
+        grown[:, 1:] |= outside[:, :-1]
+        grown[:, :-1] |= outside[:, 1:]
+        grown &= ~mask
+        if np.array_equal(grown, outside):
+            break
+        outside = grown
+    h = 10.0 ** rng.uniform(-4, 1)
+    gi, gj = np.indices(mask.shape)
+    sx, sy = rng.uniform(-0.3, 0.3, 2)
+    values = h * (sx * gi + sy * gj + rng.uniform(-0.01, 0.01, mask.shape))
+    if rng.uniform() < 0.5:
+        values += rng.choice([-1, 1]) * 10.0 ** rng.uniform(-8, 8)
+    return ScalarField(tuple(rng.normal(size=2)), h, np.where(outside, 0.0, values), ~outside)
 
 
 def comb_field(rng, axis):
@@ -727,14 +864,18 @@ def assert_dual_matches_reference(f, curl_tol):
 
 class TestDualizeOracle:
     def test_random_ragged_masks(self):
-        rng = np.random.default_rng(20261019)
-        compared = 0
+        rng, grown = np.random.default_rng(20261019), np.random.default_rng(20261020)
+        unions = connected = 0
         for _ in range(200):
-            f = random_ragged_field(rng)
+            f, g = random_ragged_field(rng), connected_ragged_field(grown)
+            _validate_mask(g.mask)
             # no curl bound stops an infinite tolerance; 1e-3 mostly refuses
             for curl_tol in (np.inf, 1e-3):
-                compared += assert_dual_matches_reference(f, curl_tol)
-        assert compared >= 50  # the rest raise, on the mask or the slope
+                unions += assert_dual_matches_reference(f, curl_tol)
+            connected += assert_dual_matches_reference(g, np.inf)
+            assert_dual_matches_reference(g, 1e-3)
+        assert unions >= 50  # the rest raise, on the mask or the slope
+        assert connected == 400  # both directions of every grown field integrate
 
     def test_helicoid(self):
         assert assert_dual_matches_reference(helicoid_rect(0.01), 1e-2) == 2

@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
-from maxsurf.errors import AmbientMismatch, EquatorError, NorthPole, OffHyperboloid
-from maxsurf.lorentz import (
-    Ambient,
-    CausalCharacter,
-    Vec3,
-    causal_character,
-    cross_lorentz,
-    inner,
-    stereo,
-    stereo_inv,
-)
+from maxsurf.errors import AmbientMismatch, EquatorError
+from maxsurf.lorentz import Ambient, Vec3, cross_lorentz, inner, stereo_inv
+
+from oracles import CausalCharacter, NorthPole, OffHyperboloid, causal_character, stereo
 
 L = Ambient.LORENTZIAN
 E = Ambient.EUCLIDEAN

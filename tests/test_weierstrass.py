@@ -11,7 +11,7 @@ from maxsurf.errors import (
     NotSpacelike,
     PoleInDomain,
 )
-from maxsurf.lorentz import Ambient, CausalCharacter, Vec3, causal_character, cross_lorentz, inner
+from maxsurf.lorentz import Ambient, Vec3, cross_lorentz, inner
 from maxsurf.meshcheck import krust_pipeline
 from maxsurf.rational import RationalHolomorphic, integrate_to_many
 from maxsurf.weierstrass import (
@@ -34,6 +34,8 @@ from maxsurf.weierstrass import (
 
 from conftest import disk_samples
 from oracles import (
+    CausalCharacter,
+    causal_character,
     integrate_per_form,
     plane_conjugate_point,
     plane_immersion_point,
