@@ -98,7 +98,7 @@ _FLAGS = {
 _INPUT = ("--datum", "--config", "--out")
 _SAMPLED = _INPUT + ("--mesh-n",)
 _SETTINGS = ("mesh_n", "seed")
-_MAX_MESH_N = 1024  # a disk of n rings has 6n^2 triangles: 710 MB to certify n = 1024
+_MAX_MESH_N = 1024  # a disk of n rings has 6n^2 triangles: 319 MB to build and certify n = 1024
 
 
 class _Parser(argparse.ArgumentParser):

@@ -27,9 +27,10 @@ vanishing of all plaquette circulations is exactly path independence.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, cycle
+from itertools import cycle
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .errors import (
     OverlapEmpty,
 )
 from .rational import _number
-from .textio import parse_rows, write_rows
+from .textio import read_rows, write_rows
 
 _SPACELIKE_EPS = 1e-12
 # load_field's limit on the header's nx * ny: a 2048 x 2048 grid.
@@ -269,23 +270,6 @@ def maximal_residual(f: ScalarField) -> ScalarField:
     return _residual(f, _EdgeData(f, -1.0))
 
 
-def flux_curl(f: ScalarField, kind: str = "minimal") -> ScalarField:
-    """Loop circulation per plaquette of the dual edge field W.
-
-    Evaluated through the identical array expression as the residual, so it
-    equals minimal_residual(f) bit for bit (kind="minimal"), or
-    -maximal_residual(f) exactly (kind="maximal"; an exact zero keeps the
-    sign of the rotated flux's difference).  Any other kind raises ValueError.
-    """
-    if kind not in ("minimal", "maximal"):
-        raise ValueError(f"unknown kind {kind!r}; expected 'minimal' or 'maximal'")
-    sign = +1.0 if kind == "minimal" else -1.0
-    e = _EdgeData(f, sign)
-    return _plaquette_divergence(
-        f, sign * (e.cy / e.ny_edge), sign * (e.cx / e.nx_edge), e.supported
-    )
-
-
 def _tree_integrate(mask, inc_x, inc_y, anchor) -> np.ndarray:
     """Propagate values from the masked anchor across grid edges by a
     wavefront of steps east, west, north, south, repeated.  A cell reached
@@ -393,15 +377,31 @@ def save_field(f: ScalarField, csv_path, header_path):
             sort_keys=True,
         )
         fh.write("\n")
-    i, j = np.nonzero(f.mask)
-    table = np.empty((i.size, 3), dtype=object)
-    # each distinct grid coordinate is formatted once
-    table[:, 0] = np.array(list(map(repr, f.xs().tolist())), dtype=object)[i]
-    table[:, 1] = np.array(list(map(repr, f.ys().tolist())), dtype=object)[j]
-    table[:, 2] = f.values[i, j]
     with open(csv_path, "wb") as fh:
         fh.write(b"x,y,value\n")
-        write_rows(fh, "%s,%s,%r\n", table)
+        write_rows(fh, "%s,%s,%r\n", _MaskedRows(f))
+
+
+class _MaskedRows:
+    """The rows x, y, value of a field's masked cells, i-major, as a table
+    that forms the object rows of a slice when indexed: each distinct grid
+    coordinate is formatted once."""
+
+    def __init__(self, f: ScalarField):
+        self.cells, self.values, self.ny = np.flatnonzero(f.mask), f.values.reshape(-1), f.ny
+        self.xs = np.array(list(map(repr, f.xs().tolist())), dtype=object)
+        self.ys = np.array(list(map(repr, f.ys().tolist())), dtype=object)
+
+    def __len__(self):
+        return self.cells.size
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        k = self.cells[rows]
+        table = np.empty((k.size, 3), dtype=object)
+        table[:, 0] = self.xs[k // self.ny]
+        table[:, 1] = self.ys[k % self.ny]
+        table[:, 2] = self.values[k]
+        return table
 
 
 def _read_header(header_path) -> tuple[tuple[float, float], float, int, int]:
@@ -425,46 +425,65 @@ def _read_header(header_path) -> tuple[tuple[float, float], float, int, int]:
     return origin, h, nx, ny
 
 
-_ROW_FAULTS = (
-    "expected 'x,y,value' floats",
-    "non-finite coordinate or value",
-    "point lies off the declared grid",
-    "duplicate grid cell",
-)
-
-
 def load_field(csv_path, header_path) -> ScalarField:
     """Read a field written by save_field (contract: README, Formats).
 
     The header is validated before allocating; blank lines are skipped; rows
     parse as Python's float parses them and snap to the nearest cell.  The
     first malformed, non-finite, off-grid or repeated row raises ValueError
-    as "path:LINE: reason"."""
+    as "path:LINE: reason".  Rows stream from the file into the grid
+    (textio.read_rows); only a file that fails there is read again, whole,
+    by _load_rows, which names the fault."""
     origin, h, nx, ny = _read_header(header_path)
-    with open(csv_path) as fh:
-        fh.readline()
-        text = fh.read()
-    xyv, malformed = parse_rows(text, 3, memo=(0, 1))
-    x, y, v = xyv.T  # per column: numpy reduces slowly over a length-3 axis
-    finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(v)
-    with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates land off the grid
-        fi = np.rint((x - origin[0]) / h)
-        fj = np.rint((y - origin[1]) / h)
-        on_grid = (0 <= fi) & (fi < nx) & (0 <= fj) & (fj < ny)
-        # rows with another fault get distinct negative cells, so only cells collide
-        cell = np.where(finite & on_grid, fi * ny + fj, -1.0 - np.arange(len(xyv)))
-    order = np.argsort(cell, kind="stable")  # a cell's first row comes first
-    repeated = np.zeros(len(xyv), dtype=bool)
-    repeated[order[1:]] = cell[order[1:]] == cell[order[:-1]]
-    fault = np.select([malformed, ~finite, ~on_grid, repeated], [1, 2, 3, 4])
-    if fault.any():
-        row = int(np.flatnonzero(fault)[0])
-        lines = text.split("\n")
-        lineno = 2 + list(compress(range(len(lines)), map(str.strip, lines)))[row]
-        raise ValueError(f"{csv_path}:{lineno}: {_ROW_FAULTS[fault[row] - 1]}")
-    i, j = fi.astype(np.intp), fj.astype(np.intp)
     values = np.zeros((nx, ny))
     mask = np.zeros((nx, ny), dtype=bool)
-    values[i, j] = v
-    mask[i, j] = True
+    rows = 0
+
+    def put(xyv: np.ndarray) -> bool:
+        nonlocal rows
+        x, y, v = xyv.T
+        with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates land off the grid
+            fi = np.rint((x - origin[0]) / h)
+            fj = np.rint((y - origin[1]) / h)
+        if not (np.isfinite(xyv).all() and ((0 <= fi) & (fi < nx) & (0 <= fj) & (fj < ny)).all()):
+            return False
+        cell = fi.astype(np.intp) * ny + fj.astype(np.intp)
+        values.flat[cell] = v
+        mask.flat[cell] = True
+        rows += len(xyv)
+        return True
+
+    # a repeated cell leaves fewer masked cells than rows
+    if read_rows(csv_path, 3, (0, 1), put) and np.count_nonzero(mask) == rows:
+        return ScalarField(origin, h, values, mask)
+    del values, mask
+    return _load_rows(csv_path, origin, h, nx, ny)
+
+
+def _load_rows(csv_path, origin, h, nx, ny) -> ScalarField:
+    """load_field one row at a time, over the whole text as text mode reads
+    it: raises at the first faulty row."""
+    with open(csv_path) as fh:
+        fh.readline()
+        lines = fh.read().split("\n")
+    values = np.zeros((nx, ny))
+    mask = np.zeros((nx, ny), dtype=bool)
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        try:
+            x, y, v = map(float, line.split(","))
+        except ValueError:
+            raise ValueError(f"{csv_path}:{lineno}: expected 'x,y,value' floats") from None
+        fi, fj = (x - origin[0]) / h, (y - origin[1]) / h
+        if not all(map(math.isfinite, (x, y, v))):
+            fault = "non-finite coordinate or value"
+        elif not (math.isfinite(fi) and math.isfinite(fj) and 0 <= round(fi) < nx and 0 <= round(fj) < ny):
+            fault = "point lies off the declared grid"
+        elif mask[cell := (round(fi), round(fj))]:
+            fault = "duplicate grid cell"
+        else:
+            values[cell], mask[cell] = v, True
+            continue
+        raise ValueError(f"{csv_path}:{lineno}: {fault}")
     return ScalarField(origin, h, values, mask)

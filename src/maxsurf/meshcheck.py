@@ -76,6 +76,10 @@ _ORIENT_ABS = np.finfo(float).tiny
 # the least ratio is sqrt(3)/12 = 0.1443 for every n >= 2 measured (to 1024).
 _MESH_RADIUS = (2.0**-500, 2.0**500)
 _SHAPE = 0.14
+# Keys or triangles per block of the disk certificate (_check_disk), and
+# vertices per block of _ring_vertices and sample_surface: each float
+# temporary is 64 KiB.
+_DISK_BLOCK = 8192
 
 
 # ---- parameter-disk triangulation ----
@@ -114,57 +118,78 @@ class ParamMesh:
             object.__setattr__(self, name, value)
 
 
-def _half_edge_keys(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+def _half_edge_keys(a: np.ndarray, c: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """Half-edge a -> c between vertices below n as the int64 key
-    2 (min(a, c) n + max(a, c)) + (a > c): an edge's two half-edges sort
-    next to each other."""
-    key = np.multiply(np.minimum(a, c), n, dtype=np.int64)
-    key += np.maximum(a, c)
-    key *= 2
-    key += a > c
-    return key
+    2 (min(a, c) n + max(a, c)) + (a > c), formed in out: an edge's two
+    half-edges sort next to each other."""
+    np.minimum(a, c, out=out)
+    out *= n
+    out += np.maximum(a, c)
+    out *= 2
+    out += a > c
+    return out
 
 
 def _check_disk(z: np.ndarray, t: np.ndarray, b: np.ndarray):
     """Raise ValueError unless the triangles t over the vertices z form a positively
-    oriented disk with rim cycle b, each of area >= _SHAPE (longest edge)^2."""
+    oriented disk with rim cycle b, each of area >= _SHAPE (longest edge)^2.
+
+    Besides the half-edge keys (24 B a triangle) it holds one block of
+    _DISK_BLOCK keys or triangles at a time.  The checks raise in a fixed
+    order: the shape fault of a block is reported only once every block has
+    passed the orientation check."""
     n = z.size
     if min(t.min(), b.min()) < 0 or max(t.max(), b.max()) >= n:
         raise ValueError("vertex index out of range")
     if np.any(np.diff(np.sort(b)) == 0):
         raise ValueError("boundary cycle repeats a vertex")
-    # Each half-edge's key (_half_edge_keys), sorted once, in place.  In an
-    # oriented disk each half-edge occurs once; a repeat means two triangles
-    # lie on the same side of one edge, i.e. they overlap.
-    half = _half_edge_keys(t, np.roll(t, -1, axis=1), n).ravel()
+    # Each half-edge's key (_half_edge_keys), one corner column at a time,
+    # sorted once, in place.  In an oriented disk each half-edge occurs once;
+    # a repeat means two triangles lie on the same side of one edge, i.e.
+    # they overlap.
+    half = np.empty((3, t.shape[0]), dtype=np.int64)
+    for e in range(3):
+        _half_edge_keys(t[:, e], t[:, (e + 1) % 3], n, half[e])
+    half = half.reshape(-1)
     half.sort()
-    if np.any(half[1:] == half[:-1]):
-        raise ValueError("two triangles share a directed edge (they overlap)")
     # Without repeats an edge's half-edges are neighbours in half: an interior
-    # edge carries both, a rim edge one.
-    edge = half >> 1
-    twin = edge[1:] == edge[:-1]
-    del edge
-    if n - (half.size - np.count_nonzero(twin)) + t.shape[0] != 1:
+    # edge carries both (a twin pair), a rim edge one.  Each block reads one
+    # key either side of its own, so every neighbour pair is seen.
+    twins, rim = 0, []
+    for s in range(0, half.size, _DISK_BLOCK):
+        lo = max(s - 1, 0)
+        keys = half[lo:s + _DISK_BLOCK + 1]
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("two triangles share a directed edge (they overlap)")
+        keys = keys >> 1
+        twin = keys[1:] == keys[:-1]
+        twins += np.count_nonzero(twin[s - lo:])
+        alone = np.ones(keys.size, dtype=bool)
+        alone[1:] &= ~twin
+        alone[:-1] &= ~twin
+        rim.append(half[s:s + _DISK_BLOCK][alone[s - lo:s - lo + _DISK_BLOCK]])
+    if n - (half.size - twins) + t.shape[0] != 1:
         raise ValueError("mesh is not disk-type (Euler count != 1)")
     # Euler count 1 alone admits e.g. two triangles glued at a vertex; a
     # disk additionally has its rim half-edges forming the one given
     # cycle, traversed in the mesh's (counterclockwise) orientation.
-    rim = np.ones(half.size, dtype=bool)
-    rim[1:] &= ~twin
-    rim[:-1] &= ~twin
-    if not np.array_equal(np.sort(_half_edge_keys(b, np.roll(b, -1), n)), half[rim]):
+    cycle = np.sort(_half_edge_keys(b, np.roll(b, -1), n, np.empty(b.size, dtype=np.int64)))
+    if not np.array_equal(cycle, np.concatenate(rim)):
         raise ValueError("boundary must be the rim cycle of the triangulation")
-    del half, twin, rim  # 150 MB, 19 MB and 19 MB at n = 1024
-    u, w = edges = _edge_vectors(z, t)
-    area = _signed_areas(z, t, edges)
-    if not area.min() > 0:
-        raise ValueError("parameter triangles must be positively oriented")
-    longest = np.abs(u)
-    np.maximum(longest, np.abs(w), out=longest)
-    u -= w  # z1 - z2, in place: the third edge costs no 100 MB copy at n = 1024
-    np.maximum(longest, np.abs(u), out=longest)
-    if np.any(area < _SHAPE * longest**2):
+    del half, rim  # 9.4 MB at n = 256, 151 MB at n = 1024
+    thin = False
+    for s in range(0, t.shape[0], _DISK_BLOCK):
+        block = t[s:s + _DISK_BLOCK]
+        u, w = edges = _edge_vectors(z, block)
+        area = _signed_areas(z, block, edges)
+        if not area.min() > 0:
+            raise ValueError("parameter triangles must be positively oriented")
+        longest = np.abs(u)
+        np.maximum(longest, np.abs(w), out=longest)
+        u -= w  # z1 - z2, in place
+        np.maximum(longest, np.abs(u), out=longest)
+        thin = thin or bool(np.any(area < _SHAPE * longest**2))
+    if thin:
         raise ValueError(f"a triangle's area is below {_SHAPE} (longest edge)^2")
 
 
@@ -181,28 +206,42 @@ def _disk_triangles(n: int) -> np.ndarray:
     Inner-edge triangles are reversed so that all areas are positive."""
     t = np.empty((6 * n * n, 3), dtype=np.int32)
     j = np.arange(6)
-    t[:6] = np.column_stack([1 + j, 1 + (j + 1) % 6, 0 * j])
+    t[:6, 0], t[:6, 1], t[:6, 2] = 1 + j, 1 + (j + 1) % 6, 0
     rings = np.arange(2, n + 1)
     k = np.repeat(rings, 6 * rings)  # outer step o of ring k
     o = _offsets(6 * rings)
     m, mm = 6 * k - 6, 6 * k
     i = ((o + 1) * m - 1) // mm
-    t[6 * (k - 1) ** 2 + o + i] = np.column_stack(
-        [_ring_start(k) + o, _ring_start(k) + (o + 1) % mm, _ring_start(k - 1) + i])
+    row = 6 * (k - 1) ** 2 + o + i
+    t[row, 0] = _ring_start(k) + o
+    t[row, 1] = _ring_start(k) + (o + 1) % mm
+    t[row, 2] = _ring_start(k - 1) + i
     k = np.repeat(rings, 6 * rings - 6)  # inner step i of ring k
     i = _offsets(6 * rings - 6)
     m, mm = 6 * k - 6, 6 * k
     o = (i + 1) * mm // m
-    t[6 * (k - 1) ** 2 + o + i] = np.column_stack(
-        [_ring_start(k - 1) + (i + 1) % m, _ring_start(k - 1) + i, _ring_start(k) + o % mm])
+    row = 6 * (k - 1) ** 2 + o + i
+    t[row, 0] = _ring_start(k - 1) + (i + 1) % m
+    t[row, 1] = _ring_start(k - 1) + i
+    t[row, 2] = _ring_start(k) + o % mm
     return t
 
 
 def _ring_vertices(radius: float, n: int) -> np.ndarray:
-    """Vertex j of ring k at (radius k / n) exp(2 pi i j / 6k); ring 0 is the centre."""
+    """Vertex j of ring k at (radius k / n) exp(2 pi i j / 6k); ring 0 is the
+    centre.  Formed over runs of whole rings that start within _DISK_BLOCK
+    vertices of the run's first."""
     count = np.maximum(6 * np.arange(n + 1), 1)
-    ring = np.repeat(np.arange(n + 1), count)
-    return (radius * ring / n) * np.exp(1j * (2.0 * np.pi * _offsets(count) / count[ring]))
+    first = np.cumsum(count) - count
+    v = np.empty(_ring_start(n + 1), dtype=complex)
+    k0 = 0
+    while k0 <= n:
+        k1 = max(int(np.searchsorted(first, first[k0] + _DISK_BLOCK)), k0 + 1)
+        ring = np.repeat(np.arange(k0, k1), count[k0:k1])
+        angle = 2.0 * np.pi * _offsets(count[k0:k1]) / count[ring]
+        v[first[k0]:first[k0] + ring.size] = (radius * ring / n) * np.exp(1j * angle)
+        k0 = k1
+    return v
 
 
 @functools.lru_cache(maxsize=4)
@@ -243,8 +282,11 @@ class SurfaceMesh:
 
 
 def sample_surface(im: Immersion, mesh: ParamMesh) -> SurfaceMesh:
-    ints = integrals_at_many(im, mesh.vertices)
-    pos = im.base_value.as_array()[None, :] + ints.real
+    """Positions base value + Re (integrals), _DISK_BLOCK vertices at a time."""
+    w, base = mesh.vertices, im.base_value.as_array()
+    pos = np.empty((w.size, 3))
+    for s in range(0, w.size, _DISK_BLOCK):
+        np.add(base, integrals_at_many(im, w[s:s + _DISK_BLOCK]).real, out=pos[s:s + _DISK_BLOCK])
     return SurfaceMesh(mesh, pos)
 
 

@@ -2,27 +2,30 @@
 
 A float is written as its repr, the shortest text that float() reads back to
 the same bits, so every artifact round-trips exactly.  Tables of _MIN_ROWS
-rows or more are formatted and parsed in contiguous parts, one per available
-core up to _MAX_PARTS: the caller does part 0, and each further part runs in
-a forked child that sends its bytes back through a pipe and leaves by
-os._exit, so it never flushes inherited stdio or runs exit handlers.  The
-children only format and parse Python numbers and build numpy arrays (no
-BLAS call), and every child is reaped before the call returns.  The text is
-the same whatever the part count.
+rows or more, and files of about 32 bytes a row for that many, are formatted
+and parsed in contiguous parts, one per available core up to _MAX_PARTS:
+the caller does part 0, and each further part runs in a forked child that
+sends its bytes back through a pipe and leaves by os._exit, so it never
+flushes inherited stdio or runs exit handlers.  The children only format and
+parse Python numbers and build numpy arrays (no BLAS call), and every child
+is reaped before the call returns.  The text, and the rows read, are the same
+whatever the part count.
 
 The caller holds at most one chunk of rows as Python objects: it formats
-_CHUNK rows at a time and writes each to the file at once, parses
-_CHUNK_CHARS characters of whole lines at a time into one preallocated
-array, and copies each child's pipe in blocks.  A child formats or parses
-its whole part before it writes: one that wrote as it went would wait on
-its pipe until the caller had finished part 0, and the parts would no
-longer run side by side.
+_CHUNK rows at a time and writes each to the file at once, and copies each
+child's pipe in blocks of _CHUNK_CHARS bytes.  A reader never holds the
+file: each part opens it and reads its own byte range, _CHUNK_CHARS bytes of
+whole lines at a time, and the parsed rows reach the caller's sink one chunk
+or pipe block at a time.  A child formats or parses its whole part before it
+writes: one that wrote as it went would wait on its pipe until the caller
+had finished part 0, and the parts would no longer run side by side.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import re
 import shutil
 from itertools import compress, repeat
 
@@ -32,8 +35,8 @@ _MAX_PARTS = 8
 # Below this many rows a fork costs about what the part it takes over saves:
 # 4096 float rows format no faster in two parts than in one.
 _MIN_ROWS = 8192
-# Rows formatted at a time, and characters parsed at a time: 1 << 17 are
-# about 2,800 rows of a saved field of 46-character rows.
+# Rows formatted at a time, and bytes parsed or copied at a time: 1 << 17
+# are about 2,800 rows of a saved field of 46-character rows.
 _CHUNK = 4096
 _CHUNK_CHARS = 1 << 17
 
@@ -84,7 +87,7 @@ def _fork_map(work, cuts: list[int], out) -> bool:
         for _, r in children:
             with open(r, "rb", closefd=False) as fh:
                 parsed &= fh.read(1) == b"\1"
-                shutil.copyfileobj(fh, out, 1 << 20)
+                shutil.copyfileobj(fh, out, _CHUNK_CHARS)
     finally:
         # close every pipe first: a child blocked on a write then fails
         # (EPIPE) instead of waiting for a reader that is gone
@@ -112,9 +115,38 @@ def write_rows(fh, row: str, table: np.ndarray):
     _fork_map(work, _cuts(len(table), len(table)), fh)
 
 
-def _line_starts(text: str, cuts) -> list[int]:
-    """Each cut moved forward to the next start of a line of text, or its end."""
-    return [c if c in (0, len(text)) else text.find("\n", c - 1) + 1 or len(text) for c in cuts]
+# A line ends at "\n", "\r\n" or a lone "\r", as in a file opened in text mode.
+_EOL = re.compile(rb"\r\n?|\n")
+
+
+def _line_start(fh, c: int, scan: int = 1 << 12) -> int:
+    """The first line start at or after byte c >= 1 of the binary file fh, or
+    its size; read from byte c - 1 on, scan bytes at a time."""
+    fh.seek(c - 1)
+    while piece := fh.read(scan):
+        m = _EOL.search(piece)
+        if m:
+            end = fh.tell() - len(piece) + m.end()
+            if m.end() == len(piece) and m.group() == b"\r" and fh.read(1) == b"\n":
+                end += 1
+            return end
+    return fh.tell()
+
+
+def _part_cuts(fh) -> list[int]:
+    """Bounds of read_rows' parts of fh, line starts: the equal parts of the
+    bytes after its first line, each bound moved on to a line start."""
+    size = fh.seek(0, os.SEEK_END)
+    start = _line_start(fh, 1)
+    # rows of a saved field take 30 to 60 bytes
+    cuts = _cuts(size - start, (size - start) // 32)
+    return [start, *(_line_start(fh, start + c) for c in cuts[1:-1]), size]
+
+
+def _chunk_cuts(fh, a: int, b: int) -> list[int]:
+    """Bounds of the chunks of the part a .. b of fh: the first line start
+    at or after each a + k _CHUNK_CHARS."""
+    return [a, *(_line_start(fh, c) for c in range(a + _CHUNK_CHARS, b, _CHUNK_CHARS)), b]
 
 
 def _rows(text: str) -> list[str]:
@@ -145,53 +177,57 @@ def _parse(lines: list[str], width: int, memo: tuple[int, ...]) -> np.ndarray | 
     return out
 
 
-class _Fill:
-    """A binary sink that fills a preallocated C-contiguous array in order."""
+class _Rows:
+    """A binary sink that hands the float rows written to it, whole rows of
+    width at a time, to put; ok turns False once put returns False."""
 
-    def __init__(self, array: np.ndarray):
-        self.bytes = array.reshape(-1).view(np.uint8)
-        self.size = 0
+    def __init__(self, width: int, put):
+        self.width, self.put, self.ok, self.rest = width, put, True, b""
 
     def write(self, data):
-        data = np.frombuffer(data, np.uint8)
-        self.bytes[self.size:self.size + data.size] = data
-        self.size += data.size
+        data = self.rest + bytes(data)
+        end = len(data) - len(data) % (8 * self.width)
+        self.rest = data[end:]
+        if end and self.ok:
+            self.ok = self.put(np.frombuffer(data, count=end // 8).reshape(-1, self.width))
 
 
-def parse_rows(text: str, width: int, memo: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(n, width) floats of the n nonblank lines of text, comma-separated, as
-    float() reads them, and which rows do not parse (NaN there).  Lines end
-    at "\\n"; blank and whitespace-only lines are skipped.
+def read_rows(path, width: int, memo: tuple[int, ...], put) -> bool:
+    """Hand the rows of the text file at path after its first line to put,
+    in file order, as (k, width) float arrays: the nonblank lines,
+    comma-separated, as float() reads them.  Lines end as in text mode;
+    blank and whitespace-only lines are skipped.  Returns whether the
+    file was ASCII, every line parsed, and put returned True each time:
+    a file that fails may be read again by a slower reader, which names
+    the fault.
 
     The columns in memo repeat few distinct values (grid coordinates): each
     distinct token there is parsed once.  Every token still goes through
-    float(), so results and errors are as if parsed one by one.  Parts are
-    character ranges of text cut at line starts.
+    float(), so results are as if parsed one by one.  Each part opens the
+    file and reads its own byte range, one chunk at a time.
     """
-    values = np.empty((text.count("\n") + 1, width))
-    out = _Fill(values)
+    with open(path, "rb") as fh:
+        cuts = _part_cuts(fh)
+        fh.seek(0)
+        if not fh.read(cuts[0]).isascii():
+            return False
 
     def work(a, b, dst):
-        cuts = _line_starts(text, range(a, b, _CHUNK_CHARS)) + [b]
-        for c, d in zip(cuts, cuts[1:]):
-            chunk = _parse(_rows(text[c:d]), width, memo)
-            if chunk is None:
-                return False
-            dst.write(chunk)
+        with open(path, "rb") as fh:
+            bounds = _chunk_cuts(fh, a, b)
+            for c, d in zip(bounds, bounds[1:]):
+                fh.seek(c)
+                data = fh.read(d - c)
+                if not data.isascii():
+                    return False
+                text = data.decode("ascii")
+                if "\r" in text:
+                    text = text.replace("\r\n", "\n").replace("\r", "\n")
+                rows = _parse(_rows(text), width, memo)
+                if rows is None:
+                    return False
+                dst.write(rows)
         return True
 
-    cuts = _line_starts(text, _cuts(len(text), len(values)))
-    if _fork_map(work, cuts, out):
-        n = out.size // values.itemsize // width
-        return values[:n], np.zeros(n, dtype=bool)
-    # some row does not parse: find which, row by row
-    rows = _rows(text)
-    values, bad = np.full((len(rows), width), np.nan), np.ones(len(rows), dtype=bool)
-    for k, line in enumerate(rows):
-        try:
-            floats = list(map(float, line.split(",")))
-        except ValueError:
-            continue
-        if len(floats) == width:
-            values[k], bad[k] = floats, False
-    return values, bad
+    out = _Rows(width, put)
+    return _fork_map(work, cuts, out) and out.ok

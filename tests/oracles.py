@@ -11,10 +11,10 @@ pairing, per-form pole logarithms; the report oracle reuses the package's
 rim simplicity test), an exact rim convexity test in Fraction arithmetic,
 the projections in their earlier table and sum forms, the point location that the raster pass replaced, and hand-derived
 constants for the built-in catalog families.  Tests compare package output
-against these, never against the package itself.  The vector field and
-gradient helpers are fixtures on the package's derivative layer, and the
-causal character, stereographic projection and coefficient equivalence are
-test-only helpers, not oracles.
+against these, never against the package itself.  The vector field,
+gradient and flux curl helpers are fixtures on the package's derivative
+layer, and the causal character, stereographic projection and coefficient
+equivalence are test-only helpers, not oracles.
 """
 
 from __future__ import annotations
@@ -38,7 +38,13 @@ from maxsurf.errors import (
     NotSimplyConnected,
     NotSpacelike,
 )
-from maxsurf.graphfield import ScalarField, _axis_derivative, _validate_mask
+from maxsurf.graphfield import (
+    ScalarField,
+    _axis_derivative,
+    _EdgeData,
+    _plaquette_divergence,
+    _validate_mask,
+)
 from maxsurf.lorentz import Ambient, Vec3, inner
 from maxsurf.meshcheck import _AREA_EPS, GraphReport, _boundary_simple, _offsets
 from maxsurf.rational import _padd
@@ -648,7 +654,7 @@ def dualize_reference(f, sign, curl_tol):
 # ---- test fixtures on the package's derivative layer ----
 #
 # Not oracles: the gradient reads graphfield._axis_derivative, which the
-# rule oracle above checks.
+# rule oracle above checks, and the curl reads graphfield._EdgeData.
 
 
 @dataclass(frozen=True, eq=False)
@@ -672,6 +678,23 @@ def gradient(f) -> VectorField2:
     if np.any(f.mask & (qx == 0)) or np.any(f.mask & (qy == 0)):
         raise DegenerateMask("a masked cell has no masked neighbor on a needed axis")
     return VectorField2(f.origin, f.spacing, gx, gy, f.mask)
+
+
+def flux_curl(f: ScalarField, kind: str = "minimal") -> ScalarField:
+    """Loop circulation per plaquette of the dual edge field W.
+
+    Evaluated through the identical array expression as the residual, so it
+    equals minimal_residual(f) bit for bit (kind="minimal"), or
+    -maximal_residual(f) exactly (kind="maximal"; an exact zero keeps the
+    sign of the rotated flux's difference).  Any other kind raises ValueError.
+    """
+    if kind not in ("minimal", "maximal"):
+        raise ValueError(f"unknown kind {kind!r}; expected 'minimal' or 'maximal'")
+    sign = +1.0 if kind == "minimal" else -1.0
+    e = _EdgeData(f, sign)
+    return _plaquette_divergence(
+        f, sign * (e.cy / e.ny_edge), sign * (e.cx / e.nx_edge), e.supported
+    )
 
 
 

@@ -15,7 +15,6 @@ from maxsurf.duality import check_commutation, flat, sharp
 from maxsurf.graphfield import (
     ScalarField,
     dualize_minimal_to_maximal,
-    flux_curl,
     minimal_residual,
     shift_agreement,
 )
@@ -44,6 +43,7 @@ from conftest import ACCEPTANCE_LINES, disk_samples
 from oracles import (
     catenoid_dual_height,
     catenoid_height,
+    flux_curl,
     gradient,
     helicoid_dual_height,
     helicoid_height,

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 
@@ -17,13 +18,13 @@ from maxsurf.graphfield import (
     _RULES,
     ScalarField,
     _axis_derivative,
+    _dualize,
     _EdgeData,
     _edges,
     _tree_integrate,
     _validate_mask,
     dualize_maximal_to_minimal,
     dualize_minimal_to_maximal,
-    flux_curl,
     load_field,
     maximal_residual,
     minimal_residual,
@@ -38,6 +39,7 @@ from oracles import (
     EdgeDataPerAxis,
     axis_derivative_rules,
     dualize_reference,
+    flux_curl,
     flux_curl_per_axis,
     gradient,
     helicoid_dual_height,
@@ -200,6 +202,20 @@ class TestDualize:
         f = rect(lambda x, y: 0.25 * (x * x + y * y), h=0.05, nx=25, ny=25)
         with pytest.raises(CurlError):
             dualize_minimal_to_maximal(f)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["minimal", "maximal"])
+    def test_curl_certificate_is_the_residual(self, sign):
+        # _dualize's curl certificate is the input's largest plaquette
+        # residual, bit for bit: one ulp below it the field is refused, and
+        # at it the field passes
+        f = rect(lambda x, y: 0.25 * (x * x + y * y), h=0.05, nx=25, ny=25)
+        res = minimal_residual(f) if sign > 0 else maximal_residual(f)
+        worst = float(np.max(np.abs(res.values[res.mask])))
+        below = np.nextafter(worst, 0.0)
+        message = f"curl certificate {worst:.3g} exceeds tolerance {below:g}"
+        with pytest.raises(CurlError, match=f"^{re.escape(message)}$"):
+            _dualize(f, sign, below)
+        assert _dualize(f, sign, worst).mask.sum() == f.mask.sum()
 
     def test_non_spacelike_input_rejected(self):
         with pytest.raises(NotSpacelike):
@@ -411,19 +427,43 @@ def assert_same_field(got: ScalarField, want):
 
 
 def saved_rows(tmp_path):
-    """big_ragged_field saved: the CSV and header paths, and the CSV text
-    after its header line, as load_field parses it."""
+    """big_ragged_field saved: the CSV and header paths, and the CSV text."""
     csv, head = tmp_path / "f.csv", tmp_path / "f.json"
     save_field(big_ragged_field(), csv, head)
-    return csv, head, csv.read_text().split("\n", 1)[1]
+    return csv, head, csv.read_text()
 
 
 def parse_cuts(text):
-    """Where textio.parse_rows cuts text: the part bounds, and the chunk
-    starts inside each part."""
-    cuts = textio._line_starts(text, textio._cuts(len(text), text.count("\n") + 1))
-    starts = [textio._line_starts(text, range(a, b, textio._CHUNK_CHARS)) for a, b in zip(cuts, cuts[1:])]
-    return cuts, [c for part in starts for c in part[1:]]
+    """Where textio.read_rows cuts a file of this ASCII text: the part
+    bounds, and the chunk starts inside each part."""
+    fh = io.BytesIO(text.encode())
+    cuts = textio._part_cuts(fh)
+    return cuts, [c for a, b in zip(cuts, cuts[1:]) for c in textio._chunk_cuts(fh, a, b)[1:-1]]
+
+
+def raw_cuts(text):
+    """The offsets that textio.read_rows moves on to line starts in a file
+    of this ASCII text: the part bounds, then the chunk bounds."""
+    seen, line_start = [], textio._line_start
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textio, "_line_start", lambda fh, c: seen.append(c) or line_start(fh, c))
+        fh = io.BytesIO(text.encode())
+        cuts = textio._part_cuts(fh)
+        parts = seen[1:]  # after the end of the header line
+        seen.clear()
+        for a, b in zip(cuts, cuts[1:]):
+            textio._chunk_cuts(fh, a, b)
+    return parts, seen
+
+
+def straddle(text, c):
+    """CRLF text with "\\r\\n" at c - 1 and c: the line holding c - 1 and the
+    next become whitespace-only lines, at the same length."""
+    if text[c - 1:c + 1] == "\r\n":
+        return text
+    s = text.rfind("\n", 0, c - 1) + 1
+    e = text.index("\n", text.index("\n", c - 1) + 1) + 1
+    return text[:s] + " " * (c - 1 - s) + "\r\n" + " " * (e - c - 3) + "\r\n" + text[e:]
 
 
 class TestRowOracle:
@@ -443,10 +483,11 @@ class TestRowOracle:
             lambda text: text.replace("\n", "\n\n", 3) + "\n\n",
             lambda text: text.replace("\n", "\n  \t \n", 5),
             lambda text: text.replace("\n", "\r\n"),
+            lambda text: text.replace("\n", "\r"),
             lambda text: text.rstrip("\n"),
             lambda text: text.replace(",", " , ", 4),
         ],
-        ids=["plain", "blank-lines", "whitespace-lines", "crlf", "no-final-newline", "padded"],
+        ids=["plain", "blank-lines", "whitespace-lines", "crlf", "cr", "no-final-newline", "padded"],
     )
     def test_load_bit_identical(self, tmp_path, edit):
         f = ragged_field()
@@ -481,6 +522,31 @@ class TestRowOracle:
             load_field(csv, head)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"x,y,v\xc3\xa4lue\n0.0,0.0,1.0\n",  # UTF-8 in the header
+            b"x,y,value\n0.0,0.1,\xef\xbc\x91.5\n",  # a fullwidth digit, which float() reads
+            b"x,y,value\n0.0,0.0,1.0\n\xc2\xa00.1,0.0,2.0\n",  # a no-break space
+            b"x,\xffy,value\n0.0,0.0,1.0\n",  # not UTF-8 in the header
+            b"x,y,value\n0.0,0.0,1.0\n0.1,\xff,1.0\n",  # nor in a row
+        ],
+        ids=["header", "digit", "space", "bad-header", "bad-row"],
+    )
+    def test_non_ascii_text_as_text_mode(self, tmp_path, text):
+        head = tmp_path / "f.json"
+        head.write_text(json.dumps({"origin": [0, 0], "spacing": 0.1, "nx": 3, "ny": 3}))
+        csv = tmp_path / "f.csv"
+        csv.write_bytes(text)
+        try:
+            want = load_field_rows(csv, head)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                load_field(csv, head)
+            assert str(got.value) == str(exc)
+        else:
+            assert_same_field(load_field(csv, head), want)
+
     def test_large_field_matches_row_oracle(self, tmp_path, cores):
         f = big_ragged_field()
         assert f.mask.sum() >= 20_000
@@ -508,30 +574,50 @@ class TestRowOracle:
         assert str(got.value).endswith(f":{len(lines)}: expected 'x,y,value' floats")
         assert_no_children()
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_blank_lines_on_cuts(self, tmp_path, cores, newline):
         csv, head, text = saved_rows(tmp_path)
+        text = text.replace("\n", newline)
         cuts, chunks = parse_cuts(text)
         assert len(cuts) == cores + 1 and chunks
-        lines = text.split("\n")
+        lines = text.split(newline)
         for c in cuts[1:-1] + chunks:
-            k = text.count("\n", 0, c)  # the line that starts at c
+            k = text.count(newline, 0, c)  # the line that starts at c
             # a whitespace-only line ends the chunk before the cut, and an
             # empty and a whitespace-only line begin the next; lengths stay,
             # so the cuts do too
             lines[k - 1] = "\t" + " " * (len(lines[k - 1]) - 1)
-            lines[k] = "\n" + " " * (len(lines[k]) - 1)
-        edited = "\n".join(lines)
+            lines[k] = newline + " " * (len(lines[k]) - len(newline))
+        edited = newline.join(lines)
         assert parse_cuts(edited) == (cuts, chunks)
-        csv.write_bytes(("x,y,value\n" + edited).replace("\n", newline).encode())
+        csv.write_bytes(edited.encode())
         got = load_field(csv, head)
         assert_same_field(got, load_field_rows(csv, head))
         assert got.mask.sum() == big_ragged_field().mask.sum() - 2 * (cores - 1 + len(chunks))
         assert_no_children()
 
+    def test_crlf_straddling_cuts(self, tmp_path, cores):
+        # "\r\n" with the "\r" before a part or chunk bound and the "\n" after
+        # it: the part or chunk starts after the "\n"
+        csv, head, text = saved_rows(tmp_path)
+        text = text.replace("\n", "\r\n")
+        for which in (0, 1):  # the part bounds, then the chunk bounds of the parts they give
+            for c in raw_cuts(text)[which]:
+                text = straddle(text, c)
+        parts, chunks = raw_cuts(text)
+        assert len(parts) == cores - 1 and chunks
+        assert all(text[c - 1:c + 1] == "\r\n" for c in parts + chunks)
+        cuts, starts = parse_cuts(text)
+        assert cuts[1:-1] == [c + 1 for c in parts] and starts == [c + 1 for c in chunks]
+        csv.write_bytes(text.encode())
+        got = load_field(csv, head)
+        assert_same_field(got, load_field_rows(csv, head))
+        assert got.mask.sum() == big_ragged_field().mask.sum() - 2 * len(parts + chunks)
+        assert_no_children()
+
     def test_no_final_newline_keeps_last_row(self, tmp_path, cores):
         csv, head, text = saved_rows(tmp_path)
-        csv.write_text("x,y,value\n" + text.rstrip("\n"))
+        csv.write_text(text.rstrip("\n"))
         got = load_field(csv, head)
         assert_same_field(got, load_field_rows(csv, head))
         assert got.values.tobytes() == big_ragged_field().values.tobytes()
@@ -559,21 +645,76 @@ class TestRowOracle:
         lines[k] = row.ljust(len(lines[k]))
         edited = "\n".join(lines)
         assert parse_cuts(edited) == (cuts, chunks)
-        csv.write_text("x,y,value\n" + edited)
+        csv.write_text(edited)
         with pytest.raises(ValueError) as want:
             load_field_rows(csv, head)
         with pytest.raises(ValueError) as got:
             load_field(csv, head)
-        assert str(got.value) == str(want.value) == f"{csv}:{k + 2}: {reason}"
+        assert str(got.value) == str(want.value) == f"{csv}:{k + 1}: {reason}"
         assert_no_children()
 
+    @pytest.mark.parametrize("first", ["chunk", "part"])
+    def test_duplicate_of_an_earlier_chunk_or_part(self, tmp_path, cores, first):
+        # the first row of the cell ends the chunk before the last chunk
+        # cut, or starts the file; its repeat starts the last chunk, or the
+        # last part (with one part, the last chunk)
+        csv, head, text = saved_rows(tmp_path)
+        cuts, chunks = parse_cuts(text)
+        cut = cuts[-2] if first == "part" and cores > 1 else chunks[-1]
+        k = text.count("\n", 0, cut)
+        lines = text.split("\n")
+        x, y, _ = lines[k - 1 if first == "chunk" else 1].split(",")
+        assert len(f"{x},{y},0") <= len(lines[k])
+        lines[k] = f"{x},{y},0".ljust(len(lines[k]))
+        csv.write_text("\n".join(lines))
+        with pytest.raises(ValueError) as want:
+            load_field_rows(csv, head)
+        with pytest.raises(ValueError) as got:
+            load_field(csv, head)
+        assert str(got.value) == str(want.value) == f"{csv}:{k + 1}: duplicate grid cell"
+        assert_no_children()
+
+    def test_more_rows_than_cells(self, tmp_path, cores):
+        # every cell of a 150 x 170 grid, then its first rows again
+        f = ScalarField((-0.35, 1 / 3), 0.1, big_ragged_field().values, np.ones((150, 170), dtype=bool))
+        csv, head = tmp_path / "f.csv", tmp_path / "f.json"
+        save_field(f, csv, head)
+        lines = csv.read_text().split("\n")
+        csv.write_text("\n".join(lines + lines[1:4]))
+        with pytest.raises(ValueError) as want:
+            load_field_rows(csv, head)
+        with pytest.raises(ValueError) as got:
+            load_field(csv, head)
+        assert str(got.value) == str(want.value) == f"{csv}:{len(lines) + 1}: duplicate grid cell"
+        assert_no_children()
+
+    @pytest.mark.parametrize("scan", [1, 2, 3, 4096])
+    def test_line_start_as_text_mode(self, rng, scan):
+        # line ends "\n", "\r\n" and lone "\r", as splitlines reads them on
+        # this alphabet; the pieces read may end between "\r" and "\n"
+        for _ in range(50):
+            data = rng.choice(list(b"a\r\n"), rng.integers(1, 30)).astype(np.uint8).tobytes()
+            starts = np.cumsum([len(line) for line in data.decode().splitlines(keepends=True)])
+            for c in range(1, len(data) + 1):
+                want = int(starts[np.searchsorted(starts, c)])
+                assert textio._line_start(io.BytesIO(data), c, scan) == want, (data, c)
+
     def test_load_holds_one_chunk(self, tmp_path):
-        # 154,401 rows, 7.1 MB of text.  The reader holds the text, one float
-        # table and the grid arrays; a list of every line traced 40 MB
+        # 154,401 rows, 7.1 MB of text.  The reader holds the grid arrays
+        # (1.4 MB) and one chunk; reading the whole text, then checking
+        # every row at once, traced 23 MB
         csv, head = tmp_path / "f.csv", tmp_path / "f.json"
         save_field(helicoid_rect(0.0025), csv, head)
         peak = traced_peak(load_field, csv, head)
-        assert peak < 30e6, peak / 1e6
+        assert peak < 6e6, peak / 1e6
+        assert_no_children()
+
+    def test_save_holds_one_chunk(self, tmp_path):
+        # the 321 x 481 helicoid slab: formatting from one object table of
+        # every masked cell traced 12 MB
+        f = ScalarField.sample(helicoid_height, lambda x, y: x > -1.0, (1.6, -0.6), 0.0025, 321, 481)
+        peak = traced_peak(save_field, f, tmp_path / "f.csv", tmp_path / "f.json")
+        assert peak < 5e6, peak / 1e6
         assert_no_children()
 
 

@@ -220,6 +220,53 @@ class TestTriangulation:
             seen.add(got)
         assert len(seen) >= 5
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 8])
+    def test_verdicts_across_block_cuts(self, monkeypatch, block):
+        # _check_disk reads its sorted keys and its triangles in blocks: with
+        # blocks this small, repeated keys, twin pairs and rim half-edges of
+        # the n = 2 disk fall on every side of a cut, and each damage still
+        # gets the message of the unblocked oracle
+        monkeypatch.setattr(meshcheck, "_DISK_BLOCK", block)
+        mesh = triangulate_disk(1.0, 2)
+        z, t, b = mesh.vertices, np.array(mesh.triangles), np.array(mesh.boundary)
+        cases = [(z, t, b), (z, t, b[::-1]), (z, t, np.roll(b, 5))]
+        cases += [(z, np.concatenate([t, t[[i]]]), b) for i in range(len(t))]  # overlap, and Euler
+        cases += [(z, np.delete(t, i, axis=0), b) for i in range(len(t))]  # Euler, or rim
+        cases += [(z, t[:, [1, 0, 2]], b[::-1])]  # every triangle reversed, rim too
+        for v in range(z.size):  # one vertex moved: thin or reversed triangles
+            for move in (0.5, 0.9, -1.0, 1.5j):
+                zv = np.array(z)
+                zv[v] = move * zv[v] if v else 0.3 * move
+                cases.append((zv, t, b))
+
+        def verdict(check, *args):
+            try:
+                check(*args)
+            except ValueError as e:
+                return str(e)
+            return "ok"
+
+        seen = {verdict(_check_disk, *case) for case in cases}
+        for case in cases:
+            assert verdict(_check_disk, *case) == verdict(check_disk_searched, *case, _SHAPE)
+        assert len(seen) >= 6
+
+    @pytest.mark.parametrize("block", [1, 4, 8, 64])
+    def test_orientation_decided_before_shape(self, monkeypatch, block):
+        # n = 3: triangles 0 and 49 thin, 50 and 51 reversed; the thin one in
+        # the first block must not be reported ahead of the later reversal
+        monkeypatch.setattr(meshcheck, "_DISK_BLOCK", block)
+        mesh = triangulate_disk(1.0, 3)
+        z = np.array(mesh.vertices)
+        z[0] = 0.9 * (z[1] + z[2]) / 2  # squashes triangle (1, 2, 0)
+        with pytest.raises(ValueError, match="^a triangle's area is below 0.14"):
+            _check_disk(z, mesh.triangles, mesh.boundary)
+        z[mesh.boundary[-2]] *= 0.45  # a rim vertex inside ring 2
+        with pytest.raises(ValueError, match="^parameter triangles must be positively oriented$"):
+            _check_disk(z, mesh.triangles, mesh.boundary)
+        with pytest.raises(ValueError, match="^parameter triangles must be positively oriented$"):
+            check_disk_searched(z, mesh.triangles, mesh.boundary, _SHAPE)
+
     # Meshes as built: certified once per n, at every radius in range.
 
     @pytest.mark.parametrize("radius", [0.5, 0.9, 1e-3, 2.0])
@@ -230,6 +277,22 @@ class TestTriangulation:
         assert np.array_equal(mesh.vertices.view(np.int64), verts.view(np.int64))
         assert np.array_equal(mesh.triangles, tris)
         assert np.array_equal(mesh.boundary, boundary)
+
+    def test_build_holds_blocks(self):
+        # n = 256: 393,216 triangles (4.7 MB), 197,377 vertices (3.2 MB) and
+        # 9.4 MB of half-edge keys; full-size temporaries traced 30.3 MB
+        _disk_topology.cache_clear()
+        peak = traced_peak(triangulate_disk, 0.9, 256)
+        _disk_topology.cache_clear()
+        assert peak < 25e6, peak / 1e6
+
+    def test_sampling_holds_blocks(self, catalog_data):
+        # 4.7 MB of positions at n = 256; integrating every vertex at once
+        # traced 25.4 MB
+        mesh = triangulate_disk(0.9, 256)
+        im = immersion_from_data(catalog_data["rational-r09"])
+        peak = traced_peak(sample_surface, im, mesh)
+        assert peak < 8e6, peak / 1e6
 
     def test_arrays_read_only_and_triangles_int32(self):
         mesh = triangulate_disk(0.9, 5)
