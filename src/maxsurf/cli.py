@@ -184,10 +184,24 @@ def _write_json(path: Path, obj: dict):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+class _OneBased:
+    """An index table as 1-based rows, each slice formed when indexed, so a
+    writer holds one chunk of them rather than a copy of the table."""
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+
+    def __len__(self):
+        return len(self.table)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.table[rows] + 1
+
+
 def _write_obj(path: Path, mesh: SurfaceMesh):
     with open(path, "wb") as fh:
         write_rows(fh, "v %r %r %r\n", mesh.positions)
-        write_rows(fh, "f %d %d %d\n", mesh.param.triangles + 1)
+        write_rows(fh, "f %d %d %d\n", _OneBased(mesh.param.triangles))
 
 
 def _report(args: argparse.Namespace, **fields) -> dict:

@@ -130,6 +130,21 @@ class TestTriangulation:
             assert np.array_equal(mesh.vertices, verts)
             assert np.array_equal(mesh.triangles, tris)
 
+    @pytest.mark.parametrize("block, sizes", [(8192, range(37, 40)), (1, range(1, 13)), (7, range(1, 13))])
+    def test_builder_matches_merge_walk_across_run_cuts(self, monkeypatch, block, sizes):
+        # _disk_triangles forms runs of whole rings of about _DISK_BLOCK
+        # triangles: ring 38 starts at triangle 8214, past the default block,
+        # and blocks of 1 and 7 cut after every ring or every few
+        monkeypatch.setattr(meshcheck, "_DISK_BLOCK", block)
+        _disk_topology.cache_clear()
+        try:
+            for n in sizes:
+                tris = merge_walk_disk(1.0, n)[1]
+                assert np.array_equal(meshcheck._disk_triangles(n), tris)
+                assert np.array_equal(triangulate_disk(1.0, n).triangles, tris)
+        finally:
+            _disk_topology.cache_clear()
+
     def test_overlapping_flap_rejected(self):
         # both triangles sit left of the edge 0 -> 1 and overlap; Euler count
         # and the undirected rim alone accept this mesh
@@ -391,17 +406,13 @@ class TestProjectionReport:
     @pytest.mark.parametrize("n", [1, 7, 64])
     def test_catalog_reports_match_axis0_span_oracle(self, catalog_data, n):
         # 1-D span reductions and in-place halved areas keep the oracle's bits
-        def bits(rep):
-            floats = np.array([rep.min_projected_triangle_area, rep.boundary_convexity_defect])
-            return floats.view(np.int64).tolist(), rep.boundary_simple, rep.injective, rep.is_convex_domain
-
         for data in catalog_data.values():
             im = immersion_from_data(data)
             mesh = triangulate_disk(data.domain_radius, n)
             for z in _projections(im, mesh.vertices):
                 want = signed_areas_copy(z, mesh.triangles)
                 assert np.array_equal(_signed_areas(z, mesh.triangles).view(np.int64), want.view(np.int64))
-                assert bits(_report_from_points(z, mesh)) == bits(report_from_points_axis0(_xy(z), mesh))
+                assert _bits(_report_from_points(z, mesh)) == _bits(report_from_points_axis0(_xy(z), mesh))
 
     @pytest.mark.parametrize("n", [1, 7, 64])
     def test_projections_match_table_and_sum_oracles(self, catalog_data, n):
@@ -454,6 +465,59 @@ class TestProjectionReport:
         with pytest.raises(FloatRangeError, match="non-finite position"):
             SurfaceMesh(param, pos)
 
+    # blocks of one point at n = 64 would take 12,289 blocks per datum
+    @pytest.mark.parametrize("block, n", [(1, 7), (5, 7), (64, 7), (5, 64), (64, 64)])
+    def test_block_cuts_keep_oracle_bits(self, monkeypatch, catalog_data, block, n):
+        # _projections forms its points and _report_from_points its areas in
+        # blocks of _DISK_BLOCK: cuts anywhere keep the whole-mesh oracles' bits
+        monkeypatch.setattr(meshcheck, "_DISK_BLOCK", block)
+        for data in catalog_data.values():
+            im = immersion_from_data(data)
+            mesh = triangulate_disk(data.domain_radius, n)
+            got = _projections(im, mesh.vertices)
+            for g, w in zip(got, projections_from_tables(im, mesh.vertices), strict=True):
+                assert np.array_equal(g.view(np.int64), w.view(np.int64))
+            for z in got:
+                assert _bits(_report_from_points(z, mesh)) == _bits(report_from_points_axis0(_xy(z), mesh))
+
+    @pytest.mark.parametrize("far", ["point", "area"])
+    def test_non_finite_in_later_block_than_degenerate_triangle(self, monkeypatch, far):
+        # n = 2 in blocks of 5 triangles: triangle 0 is collapsed in the first
+        # block, and rim vertex 17 (triangles 19-21, blocks 3 and 4) is
+        # infinite, or it and vertex 18 are finite but their triangle's area
+        # overflows: the float range fault is raised, as the oracle raises it
+        monkeypatch.setattr(meshcheck, "_DISK_BLOCK", 5)
+        param = triangulate_disk(1.0, 2)
+        far_vertices = [17] if far == "point" else [17, 18]
+        assert not np.isin(far_vertices, param.triangles[:15]).any()
+        z = np.array(param.vertices)
+        z[0] = z[1]  # triangle (1, 2, 0)
+        z[far_vertices] = np.inf if far == "point" else 1e300 * z[far_vertices]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for report, points in ((_report_from_points, z), (report_from_points_axis0, _xy(z))):
+                with pytest.raises(FloatRangeError, match="not finite"):
+                    report(points, param)
+        z[far_vertices] = param.vertices[far_vertices]
+        for report, points in ((_report_from_points, z), (report_from_points_axis0, _xy(z))):
+            with pytest.raises(DegenerateTriangle):
+                report(points, param)
+
+    def test_krust_pipeline_holds_blocks(self, catalog_data):
+        # n = 256, mesh built beforehand: 3.2 MB of vertices and 6.3 MB of
+        # projections; whole-mesh integrals and areas traced 31.5 MB
+        data = catalog_data["rational-r09"]
+        im = immersion_from_data(data)
+        triangulate_disk(data.domain_radius, 256)
+        peak = traced_peak(krust_pipeline, im, 256)
+        assert peak < 12e6, peak / 1e6
+
+    def test_projection_report_holds_blocks(self, catalog_data):
+        # n = 256: 3.2 MB of projected points; whole-mesh areas traced 25.2 MB
+        data = catalog_data["rational-r09"]
+        mesh = sample_surface(immersion_from_data(data), triangulate_disk(data.domain_radius, 256))
+        peak = traced_peak(projection_report, mesh)
+        assert peak < 6e6, peak / 1e6
+
     def test_sample_surface_vertices_match_immersion(self, plane15):
         im = immersion_from_data(plane15)
         param = triangulate_disk(1.2, 4)
@@ -466,6 +530,12 @@ class TestProjectionReport:
 def _complex(pts: np.ndarray) -> np.ndarray:
     """The (m, 2) float points as complex points, bit for bit."""
     return np.ascontiguousarray(pts, dtype=float).view(complex)[:, 0]
+
+
+def _bits(rep) -> tuple:
+    """A GraphReport's floats as their int64 bits, with its verdicts."""
+    floats = np.array([rep.min_projected_triangle_area, rep.boundary_convexity_defect])
+    return floats.view(np.int64).tolist(), rep.boundary_simple, rep.injective, rep.is_convex_domain
 
 
 def _xy(z: np.ndarray) -> np.ndarray:
