@@ -184,24 +184,11 @@ def _write_json(path: Path, obj: dict):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-class _OneBased:
-    """An index table as 1-based rows, each slice formed when indexed, so a
-    writer holds one chunk of them rather than a copy of the table."""
-
-    def __init__(self, table: np.ndarray):
-        self.table = table
-
-    def __len__(self):
-        return len(self.table)
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.table[rows] + 1
-
-
 def _write_obj(path: Path, mesh: SurfaceMesh):
+    p, t = mesh.positions, mesh.param.triangles
     with open(path, "wb") as fh:
-        write_rows(fh, "v %r %r %r\n", mesh.positions)
-        write_rows(fh, "f %d %d %d\n", _OneBased(mesh.param.triangles))
+        write_rows(fh, "v %r %r %r\n", len(p), lambda a, b: p[a:b])
+        write_rows(fh, "f %d %d %d\n", len(t), lambda a, b: t[a:b] + 1)  # 1-based, a chunk at a time
 
 
 def _report(args: argparse.Namespace, **fields) -> dict:
@@ -375,7 +362,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
     _write_obj(files[2], mesh)
     with open(files[3], "wb") as fh:
         fh.write(b"x,y\n")
-        write_rows(fh, "%r,%r\n", mesh.positions[mesh.param.boundary, :2])
+        rim = mesh.positions[mesh.param.boundary, :2]
+        write_rows(fh, "%r,%r\n", len(rim), lambda a, b: rim[a:b])
     _emit(_report(args, files=[str(f) for f in files]))
     return 0
 

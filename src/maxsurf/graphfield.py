@@ -377,31 +377,21 @@ def save_field(f: ScalarField, csv_path, header_path):
             sort_keys=True,
         )
         fh.write("\n")
+    # the object rows of masked cells a .. b; each distinct grid coordinate
+    # is formatted once
+    cells, values = np.flatnonzero(f.mask), f.values.reshape(-1)
+    xs = np.array(list(map(repr, f.xs().tolist())), dtype=object)
+    ys = np.array(list(map(repr, f.ys().tolist())), dtype=object)
+
+    def rows(a, b):
+        k = cells[a:b]
+        table = np.empty((k.size, 3), dtype=object)
+        table[:, 0], table[:, 1], table[:, 2] = xs[k // f.ny], ys[k % f.ny], values[k]
+        return table
+
     with open(csv_path, "wb") as fh:
         fh.write(b"x,y,value\n")
-        write_rows(fh, "%s,%s,%r\n", _MaskedRows(f))
-
-
-class _MaskedRows:
-    """The rows x, y, value of a field's masked cells, i-major, as a table
-    that forms the object rows of a slice when indexed: each distinct grid
-    coordinate is formatted once."""
-
-    def __init__(self, f: ScalarField):
-        self.cells, self.values, self.ny = np.flatnonzero(f.mask), f.values.reshape(-1), f.ny
-        self.xs = np.array(list(map(repr, f.xs().tolist())), dtype=object)
-        self.ys = np.array(list(map(repr, f.ys().tolist())), dtype=object)
-
-    def __len__(self):
-        return self.cells.size
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        k = self.cells[rows]
-        table = np.empty((k.size, 3), dtype=object)
-        table[:, 0] = self.xs[k // self.ny]
-        table[:, 1] = self.ys[k % self.ny]
-        table[:, 2] = self.values[k]
-        return table
+        write_rows(fh, "%s,%s,%r\n", cells.size, rows)
 
 
 def _read_header(header_path) -> tuple[tuple[float, float], float, int, int]:

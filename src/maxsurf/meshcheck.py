@@ -9,14 +9,12 @@ graph).  The headline pipeline reports, per datum, whether the hypothesis
 itself certified as a graph.
 
 Also here: the Newton pull-back of plane points to the parameter disk
-(_pull_back: plain Newton, no step halving, continued step by step along
-straight plane segments), the positivity check of the conjugate-width inner
-product against its path-integral form, and resampling of a sampled graph
-onto a masked grid (used to compare the grid-level duality against the
+(_pull_back: plain Newton, no step halving), and resampling of a sampled
+graph onto a masked grid (used to compare the grid-level duality against the
 isotropic-curve duality): one exact raster pass over the projected triangles
 locates every grid point, which gives the mask and the Newton seeds, and the
-points are pulled back and integrated in blocks of _PULL_BACK_BLOCK (8192),
-each block's Newton run until all its residuals are within _TOL.
+points are pulled back and integrated in blocks of _BLOCK (8192), each
+block's Newton run until all its residuals are within _TOL.
 """
 
 from __future__ import annotations
@@ -57,16 +55,7 @@ _RESAMPLE_MARGIN_CELLS = 2
 # Triangles per block of _locate: its candidate arrays stay a few MB on the
 # catalog, where one block of all triangles raised peak RSS by 6%.
 _LOCATE_BLOCK = 2048
-# Grid points per block of resample_graph's pull-back: each Newton temporary
-# is 128 KiB.  One catalog pass of lee_equivalence_check at h = 0.01 peaked
-# at 50.7-52.4 MB RSS with blocks of 2048 to 32768 points, and at 64.2 MB
-# with one block of all points (up to 100k, on shift4-r09); 2-core x86-64,
-# numpy 2.4.6.
-_PULL_BACK_BLOCK = 8192
 _LEE_CURL_TOL = 1e-2
-# Rings of folded_disk_mesh; continuation (and trapezoid) steps of _walk.
-_FOLD_N = 16
-_KRUST_STEPS = 200
 # Shewchuk's bound on the rounding error of the float (b - a) x (c - a),
 # (3 + 16 eps) eps with eps = 2^-53, relative to the sum of the two products'
 # magnitudes; 8 x 2^-52 exceeds it.  The tiny term covers underflow.
@@ -76,13 +65,17 @@ _ORIENT_ABS = np.finfo(float).tiny
 # the least ratio is sqrt(3)/12 = 0.1443 for every n >= 2 measured (to 1024).
 _MESH_RADIUS = (2.0**-500, 2.0**500)
 _SHAPE = 0.14
-# Keys or triangles per block of the disk certificate (_check_disk), the disk
-# builder (_disk_triangles) and the area pass of _report_from_points, and
-# vertices per block of _ring_vertices, sample_surface and _projections: each
-# float temporary is 64 KiB and stays in the heap between calls, where a
-# whole-mesh one goes back to the OS and is mapped afresh: 22,400 minor page
-# faults per catalog verify-krust pass at n = 128, and none with blocks.
-_DISK_BLOCK = 8192
+# Entries per block: keys or triangles of the disk certificate (_check_disk),
+# the ring runs of the disk builder (_ring_runs) and the area pass of
+# _report_from_points; vertices of sample_surface and _projections; grid
+# points of resample_graph's pull-back.  Each float temporary is 64 KiB and
+# stays in the heap between calls, where a whole-mesh one goes back to the OS
+# and is mapped afresh: 22,400 minor page faults per catalog verify-krust pass
+# at n = 128, and none with blocks.  Each Newton temporary is 128 KiB: one
+# catalog pass of lee_equivalence_check at h = 0.01 peaked at 50.7-52.4 MB RSS
+# with blocks of 2048 to 32768 points, and at 64.2 MB with one block of all
+# points (up to 100k, on shift4-r09); 2-core x86-64, numpy 2.4.6.
+_BLOCK = 8192
 
 
 # ---- parameter-disk triangulation ----
@@ -138,7 +131,7 @@ def _check_disk(z: np.ndarray, t: np.ndarray, b: np.ndarray):
     oriented disk with rim cycle b, each of area >= _SHAPE (longest edge)^2.
 
     Besides the half-edge keys (24 B a triangle) it holds one block of
-    _DISK_BLOCK keys or triangles at a time.  The checks raise in a fixed
+    _BLOCK keys or triangles at a time.  The checks raise in a fixed
     order: the shape fault of a block is reported only once every block has
     passed the orientation check."""
     n = z.size
@@ -159,9 +152,9 @@ def _check_disk(z: np.ndarray, t: np.ndarray, b: np.ndarray):
     # edge carries both (a twin pair), a rim edge one.  Each block reads one
     # key either side of its own, so every neighbour pair is seen.
     twins, rim = 0, []
-    for s in range(0, half.size, _DISK_BLOCK):
+    for s in range(0, half.size, _BLOCK):
         lo = max(s - 1, 0)
-        keys = half[lo:s + _DISK_BLOCK + 1]
+        keys = half[lo:s + _BLOCK + 1]
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("two triangles share a directed edge (they overlap)")
         keys = keys >> 1
@@ -170,7 +163,7 @@ def _check_disk(z: np.ndarray, t: np.ndarray, b: np.ndarray):
         alone = np.ones(keys.size, dtype=bool)
         alone[1:] &= ~twin
         alone[:-1] &= ~twin
-        rim.append(half[s:s + _DISK_BLOCK][alone[s - lo:s - lo + _DISK_BLOCK]])
+        rim.append(half[s:s + _BLOCK][alone[s - lo:s - lo + _BLOCK]])
     if n - (half.size - twins) + t.shape[0] != 1:
         raise ValueError("mesh is not disk-type (Euler count != 1)")
     # Euler count 1 alone admits e.g. two triangles glued at a vertex; a
@@ -181,8 +174,8 @@ def _check_disk(z: np.ndarray, t: np.ndarray, b: np.ndarray):
         raise ValueError("boundary must be the rim cycle of the triangulation")
     del half, rim  # 9.4 MB at n = 256, 151 MB at n = 1024
     thin = False
-    for s in range(0, t.shape[0], _DISK_BLOCK):
-        block = t[s:s + _DISK_BLOCK]
+    for s in range(0, t.shape[0], _BLOCK):
+        block = t[s:s + _BLOCK]
         u, w = edges = _edge_vectors(z, block)
         area = _signed_areas(z, block, edges)
         if not area.min() > 0:
@@ -200,6 +193,15 @@ def _ring_start(k: int) -> int:
     return 1 + 3 * k * (k - 1)
 
 
+def _ring_runs(first: np.ndarray):
+    """Runs (i, j) of the whole rings whose ascending starts are first[i:j]: a
+    run holds its first ring and the later ones that start within _BLOCK of it."""
+    cut = [0]
+    while cut[-1] < first.size:
+        cut.append(max(int(np.searchsorted(first, first[cut[-1]] + _BLOCK)), cut[-1] + 1))
+    return zip(cut, cut[1:])
+
+
 def _disk_triangles(n: int) -> np.ndarray:
     """Triangles of the n-ring disk: the fan of ring 1, then from 6 (k-1)^2 on
     the merge walk by angle over ring k's m = 6(k-1) inner and mm = 6k outer
@@ -207,16 +209,12 @@ def _disk_triangles(n: int) -> np.ndarray:
     so step o follows ((o+1) m - 1) // mm inner steps, step i follows
     (i+1) mm // m outer ones, and either is triangle o + i of its ring.
     Inner-edge triangles are reversed so that all areas are positive.  Formed
-    over runs of whole rings that start within _DISK_BLOCK triangles of the
-    run's first."""
+    over _ring_runs."""
     t = np.empty((6 * n * n, 3), dtype=np.int32)
     j = np.arange(6)
     t[:6, 0], t[:6, 1], t[:6, 2] = 1 + j, 1 + (j + 1) % 6, 0
-    first = 6 * np.arange(n) ** 2  # the first triangle of ring k, at k - 1
-    k0 = 2
-    while k0 <= n:
-        k1 = max(int(np.searchsorted(first, first[k0 - 1] + _DISK_BLOCK)) + 1, k0 + 1)
-        rings = np.arange(k0, k1)
+    for a, b in _ring_runs(6 * np.arange(1, n) ** 2):  # the first triangles of rings 2 .. n
+        rings = np.arange(a + 2, b + 2)
         k = np.repeat(rings, 6 * rings)  # outer step o of ring k
         o = _offsets(6 * rings)
         m, mm = 6 * k - 6, 6 * k
@@ -233,24 +231,19 @@ def _disk_triangles(n: int) -> np.ndarray:
         t[row, 0] = _ring_start(k - 1) + (i + 1) % m
         t[row, 1] = _ring_start(k - 1) + i
         t[row, 2] = _ring_start(k) + o % mm
-        k0 = k1
     return t
 
 
 def _ring_vertices(radius: float, n: int) -> np.ndarray:
     """Vertex j of ring k at (radius k / n) exp(2 pi i j / 6k); ring 0 is the
-    centre.  Formed over runs of whole rings that start within _DISK_BLOCK
-    vertices of the run's first."""
+    centre.  Formed over _ring_runs."""
     count = np.maximum(6 * np.arange(n + 1), 1)
     first = np.cumsum(count) - count
     v = np.empty(_ring_start(n + 1), dtype=complex)
-    k0 = 0
-    while k0 <= n:
-        k1 = max(int(np.searchsorted(first, first[k0] + _DISK_BLOCK)), k0 + 1)
+    for k0, k1 in _ring_runs(first):
         ring = np.repeat(np.arange(k0, k1), count[k0:k1])
         angle = 2.0 * np.pi * _offsets(count[k0:k1]) / count[ring]
         v[first[k0]:first[k0] + ring.size] = (radius * ring / n) * np.exp(1j * angle)
-        k0 = k1
     return v
 
 
@@ -292,21 +285,11 @@ class SurfaceMesh:
 
 
 def sample_surface(im: Immersion, mesh: ParamMesh) -> SurfaceMesh:
-    """Positions base value + Re (integrals), _DISK_BLOCK vertices at a time."""
+    """Positions base value + Re (integrals), _BLOCK vertices at a time."""
     w, base = mesh.vertices, im.base_value.as_array()
     pos = np.empty((w.size, 3))
-    for s in range(0, w.size, _DISK_BLOCK):
-        np.add(base, integrals_at_many(im, w[s:s + _DISK_BLOCK]).real, out=pos[s:s + _DISK_BLOCK])
-    return SurfaceMesh(mesh, pos)
-
-
-def folded_disk_mesh() -> SurfaceMesh:
-    """Negative control: the flat disk (u, v, 0) folded by u -> u^2 for u < 0,
-    whose projection is certifiably non-injective."""
-    mesh = triangulate_disk(1.0, _FOLD_N)
-    u, v = mesh.vertices.real.copy(), mesh.vertices.imag
-    u[u < 0] = u[u < 0] ** 2
-    pos = np.column_stack([u, v, np.zeros_like(u)])
+    for s in range(0, w.size, _BLOCK):
+        np.add(base, integrals_at_many(im, w[s:s + _BLOCK]).real, out=pos[s:s + _BLOCK])
     return SurfaceMesh(mesh, pos)
 
 
@@ -483,14 +466,14 @@ class GraphReport:
 
 
 def _report_from_points(z: np.ndarray, param: ParamMesh) -> GraphReport:
-    # The areas, _DISK_BLOCK triangles at a time, reduced to whether all are
+    # The areas, _BLOCK triangles at a time, reduced to whether all are
     # finite, the least |area| and the least area.  These reductions are
     # exact, so the blocks give the whole-mesh values, and no verdict is
     # taken before the last block.
     t = param.triangles
     finite, least_abs, min_area = bool(np.all(np.isfinite(z))), np.inf, np.inf
-    for s in range(0, t.shape[0], _DISK_BLOCK):
-        areas = _signed_areas(z, t[s:s + _DISK_BLOCK])
+    for s in range(0, t.shape[0], _BLOCK):
+        areas = _signed_areas(z, t[s:s + _BLOCK])
         finite = finite and bool(np.all(np.isfinite(areas)))
         least_abs = min(least_abs, float(np.min(np.abs(areas))))
         min_area = min(min_area, float(areas.min()))
@@ -570,13 +553,13 @@ def krust_pipeline(im: Immersion, n: int = 64) -> KrustReport:
 def _projections(im: Immersion, w) -> tuple[np.ndarray, np.ndarray]:
     """pi(X) and pi(X*) at the parameters w (1-d) as complex arrays: with I_k the
     integral of psi_k from the base point w0, pi(X) = X(w0)_1 + Re I1 +
-    i (X(w0)_2 + Re I2) and pi(X*) = Im I1 + i Im I2.  Formed _DISK_BLOCK
+    i (X(w0)_2 + Re I2) and pi(X*) = Im I1 + i Im I2.  Formed _BLOCK
     points at a time; in each block psi1 and psi2 share their pole logarithms."""
     w = np.asarray(w, dtype=complex)
     p, q = np.empty_like(w), np.empty_like(w)
-    for s in range(0, w.size, _DISK_BLOCK):
-        block, logs = w[s:s + _DISK_BLOCK], {}
-        pb, qb = p[s:s + _DISK_BLOCK], q[s:s + _DISK_BLOCK]
+    for s in range(0, w.size, _BLOCK):
+        block, logs = w[s:s + _BLOCK], {}
+        pb, qb = p[s:s + _BLOCK], q[s:s + _BLOCK]
         i = integrate_to_many(im.curve.psi1, im.base_point, block, logs)
         np.add(im.base_value.x1, i.real, out=pb.real)  # each part one IEEE sum or copy
         qb.real = i.imag
@@ -610,67 +593,6 @@ def _pull_back(im: Immersion, w, target) -> np.ndarray:
             raise NewtonDivergence("a Newton iterate left the domain disk "
                                    "(the pulled-back path leaves the domain)")
     raise NewtonDivergence(f"no convergence in {_NEWTON_ITERS} Newton steps")
-
-
-def _walk(im: Immersion, w, p1, p2) -> np.ndarray:
-    """Pulled-back parameters at t = j / _KRUST_STEPS on p1 -> p2, each step's
-    Newton starting from the last; (_KRUST_STEPS + 1, k), row 0 is w."""
-    betas = np.empty((_KRUST_STEPS + 1, w.size), dtype=complex)
-    betas[0] = w
-    span = p2 - p1
-    for j in range(1, _KRUST_STEPS + 1):
-        betas[j] = _pull_back(im, betas[j - 1], p1 + (j / _KRUST_STEPS) * span)
-    return betas
-
-
-# ---- positivity of the conjugate width ----
-
-
-@dataclass(frozen=True, eq=False)
-class KrustInequality:
-    """Both sides of the positivity statement behind the graph certification."""
-
-    lhs: np.ndarray
-    integral: np.ndarray
-    margin: np.ndarray
-
-
-def krust_inequality_batch(data: WeierstrassData, w1, w2) -> KrustInequality:
-    """lhs = <p2 - p1, i (q2 - q1)>_0 with p = pi(X), q = pi(X*), against the
-    path-integral form along the pulled-back plane segment:
-
-        integral over [0,1] of |beta'|^2 |h'(beta)|^2 / 4 * (|g|^2 - 1/|g|^2).
-
-    Trapezoid quadrature on the continuation nodes, beta' by central
-    differences (second-order one-sided at the ends).  Both sides must be
-    positive; they agree to o(1/steps) for smooth data (steps = _KRUST_STEPS).
-    """
-    w1 = np.atleast_1d(np.asarray(w1, dtype=complex))
-    w2 = np.atleast_1d(np.asarray(w2, dtype=complex))
-    if w1.shape != w2.shape:
-        raise ValueError("endpoint arrays differ in shape")
-    if np.any(w1 == w2):
-        raise ValueError("pair endpoints must be distinct")
-
-    im = immersion_from_data(data)
-    p1, q1 = _projections(im, w1)
-    p2, q2 = _projections(im, w2)
-    lhs = np.real(np.conj(p2 - p1) * (1j * (q2 - q1)))
-
-    betas = _walk(im, w1, p1, p2)
-
-    dt = 1.0 / _KRUST_STEPS
-    bp = np.empty_like(betas)
-    bp[1:-1] = (betas[2:] - betas[:-2]) / (2 * dt)
-    bp[0] = (-3 * betas[0] + 4 * betas[1] - betas[2]) / (2 * dt)
-    bp[-1] = (3 * betas[-1] - 4 * betas[-2] + betas[-3]) / (2 * dt)
-
-    gv = np.abs(data.g._eval(betas))
-    hp = np.abs(data.dh._eval(betas))
-    f = (np.abs(bp) ** 2) * (hp ** 2) / 4.0 * (gv ** 2 - 1.0 / gv ** 2)
-    integral = dt * (0.5 * f[0] + f[1:-1].sum(axis=0) + 0.5 * f[-1])
-
-    return KrustInequality(lhs, integral, np.minimum(lhs, integral))
 
 
 # ---- grid resampling and the graph-duality comparison ----
@@ -707,9 +629,9 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
     a tie rule that gives a point on an edge or vertex one triangle.  The hit
     cells are the mask, and Newton starts from the barycentric combination of
     the triangle's parameter vertices.  The mask's points, in np.nonzero
-    order, are pulled back and integrated in blocks of _PULL_BACK_BLOCK
-    (8192): each block's Newton runs until all its residuals are within
-    _TOL, so the working set does not grow with the grid.
+    order, are pulled back and integrated in blocks of _BLOCK (8192): each
+    block's Newton runs until all its residuals are within _TOL, so the
+    working set does not grow with the grid.
 
     Heights are exact up to the Newton tolerance: the grid carries no
     interpolation error, only its own later finite-difference error.
@@ -736,8 +658,8 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
     f = np.zeros(mask.shape)
     s = np.zeros(mask.shape)
     flat = np.flatnonzero(mask)
-    for start in range(0, flat.size, _PULL_BACK_BLOCK):
-        k = flat[start:start + _PULL_BACK_BLOCK]
+    for start in range(0, flat.size, _BLOCK):
+        k = flat[start:start + _BLOCK]
         target = xs[k // ys.size] + 1j * ys[k % ys.size]
         corners = mesh.triangles[owner[k]]
         seed = np.sum(_barycentric(p[corners], target) * mesh.vertices[corners], axis=1)

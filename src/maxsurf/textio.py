@@ -11,9 +11,11 @@ parse Python numbers and build numpy arrays (no BLAS call), and every child
 is reaped before the call returns.  The text, and the rows read, are the same
 whatever the part count.
 
-The caller holds at most one chunk of rows as Python objects: it formats
-_CHUNK rows at a time and writes each to the file at once, and copies each
-child's pipe in blocks of _CHUNK_CHARS bytes.  A reader never holds the
+A writer takes a row count and a function rows(a, b) that returns rows
+a .. b as a 2-d array, and asks it for every row once, in ascending spans
+of at most _CHUNK rows within each part: the caller holds at most one chunk
+of rows as Python objects, writes each chunk's text to the file at once, and
+copies each child's pipe in blocks of _CHUNK_CHARS bytes.  A reader never holds the
 file: each part opens it and reads its own byte range, _CHUNK_CHARS bytes of
 whole lines at a time, and the parsed rows reach the caller's sink one chunk
 or pipe block at a time.  A child formats or parses its whole part before it
@@ -103,27 +105,29 @@ def _format(row: str, rows: np.ndarray) -> bytes:
     return ((row * len(rows)) % tuple(rows.ravel().tolist())).encode()
 
 
-def write_rows(fh, row: str, table: np.ndarray):
-    """Write `row % tuple(r)` for each row r of a 2-d table to the binary
-    file fh: %r prints a float as its repr, %d an int, %s a str."""
+def write_rows(fh, row: str, count: int, rows):
+    """Write `row % tuple(r)` for each of count rows r, asked of rows(a, b)
+    one chunk at a time, to the binary file fh: %r prints a float as its
+    repr, %d an int, %s a str."""
 
     def work(a, b, dst):
         for c in range(a, b, _CHUNK):
-            dst.write(_format(row, table[c:min(c + _CHUNK, b)]))
+            dst.write(_format(row, rows(c, min(c + _CHUNK, b))))
         return True
 
-    _fork_map(work, _cuts(len(table), len(table)), fh)
+    _fork_map(work, _cuts(count, count), fh)
 
 
 # A line ends at "\n", "\r\n" or a lone "\r", as in a file opened in text mode.
 _EOL = re.compile(rb"\r\n?|\n")
+_SCAN = 1 << 12
 
 
-def _line_start(fh, c: int, scan: int = 1 << 12) -> int:
+def _line_start(fh, c: int) -> int:
     """The first line start at or after byte c >= 1 of the binary file fh, or
-    its size; read from byte c - 1 on, scan bytes at a time."""
+    its size; read from byte c - 1 on, _SCAN bytes at a time."""
     fh.seek(c - 1)
-    while piece := fh.read(scan):
+    while piece := fh.read(_SCAN):
         m = _EOL.search(piece)
         if m:
             end = fh.tell() - len(piece) + m.end()

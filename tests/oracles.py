@@ -14,7 +14,9 @@ constants for the built-in catalog families.  Tests compare package output
 against these, never against the package itself.  The vector field,
 gradient and flux curl helpers are fixtures on the package's derivative
 layer, and the causal character, stereographic projection and coefficient
-equivalence are test-only helpers, not oracles.
+equivalence are test-only helpers, not oracles.  So are the Krust inequality,
+which continues the package's pull-back along plane segments, and the folded
+control mesh.
 """
 
 from __future__ import annotations
@@ -46,8 +48,18 @@ from maxsurf.graphfield import (
     _validate_mask,
 )
 from maxsurf.lorentz import Ambient, Vec3, inner
-from maxsurf.meshcheck import _AREA_EPS, GraphReport, _boundary_simple, _offsets
+from maxsurf.meshcheck import (
+    _AREA_EPS,
+    GraphReport,
+    SurfaceMesh,
+    _boundary_simple,
+    _offsets,
+    _projections,
+    _pull_back,
+    triangulate_disk,
+)
 from maxsurf.rational import _padd
+from maxsurf.weierstrass import Immersion, WeierstrassData, immersion_from_data
 
 
 def simpson_line(func, a: complex, b: complex, n: int = 4096) -> complex:
@@ -877,3 +889,83 @@ def projections_complex_formula(im, w):
     i1, i2 = _projection_integrals(im, w)
     off = complex(im.base_value.x1, im.base_value.x2)
     return off + i1.real + 1j * i2.real, i1.imag + 1j * i2.imag
+
+
+# ---- the Krust inequality and the folded control ----
+#
+# Test-only checks on the package's pull-back, not independent oracles: the
+# conjugate-width inner product against its path-integral form along the
+# pulled-back plane segment (acceptance criterion 4), and a folded disk whose
+# projection must not be certified injective (criterion 9).
+
+# Rings of folded_disk_mesh; continuation (and trapezoid) steps of _walk.
+_FOLD_N = 16
+_KRUST_STEPS = 200
+
+
+def folded_disk_mesh() -> SurfaceMesh:
+    """Negative control: the flat disk (u, v, 0) folded by u -> u^2 for u < 0,
+    whose projection is certifiably non-injective."""
+    mesh = triangulate_disk(1.0, _FOLD_N)
+    u, v = mesh.vertices.real.copy(), mesh.vertices.imag
+    u[u < 0] = u[u < 0] ** 2
+    pos = np.column_stack([u, v, np.zeros_like(u)])
+    return SurfaceMesh(mesh, pos)
+
+
+def _walk(im: Immersion, w, p1, p2) -> np.ndarray:
+    """Pulled-back parameters at t = j / _KRUST_STEPS on p1 -> p2, each step's
+    Newton starting from the last; (_KRUST_STEPS + 1, k), row 0 is w."""
+    betas = np.empty((_KRUST_STEPS + 1, w.size), dtype=complex)
+    betas[0] = w
+    span = p2 - p1
+    for j in range(1, _KRUST_STEPS + 1):
+        betas[j] = _pull_back(im, betas[j - 1], p1 + (j / _KRUST_STEPS) * span)
+    return betas
+
+
+@dataclass(frozen=True, eq=False)
+class KrustInequality:
+    """Both sides of the positivity statement behind the graph certification."""
+
+    lhs: np.ndarray
+    integral: np.ndarray
+    margin: np.ndarray
+
+
+def krust_inequality_batch(data: WeierstrassData, w1, w2) -> KrustInequality:
+    """lhs = <p2 - p1, i (q2 - q1)>_0 with p = pi(X), q = pi(X*), against the
+    path-integral form along the pulled-back plane segment:
+
+        integral over [0,1] of |beta'|^2 |h'(beta)|^2 / 4 * (|g|^2 - 1/|g|^2).
+
+    Trapezoid quadrature on the continuation nodes, beta' by central
+    differences (second-order one-sided at the ends).  Both sides must be
+    positive; they agree to o(1/steps) for smooth data (steps = _KRUST_STEPS).
+    """
+    w1 = np.atleast_1d(np.asarray(w1, dtype=complex))
+    w2 = np.atleast_1d(np.asarray(w2, dtype=complex))
+    if w1.shape != w2.shape:
+        raise ValueError("endpoint arrays differ in shape")
+    if np.any(w1 == w2):
+        raise ValueError("pair endpoints must be distinct")
+
+    im = immersion_from_data(data)
+    p1, q1 = _projections(im, w1)
+    p2, q2 = _projections(im, w2)
+    lhs = np.real(np.conj(p2 - p1) * (1j * (q2 - q1)))
+
+    betas = _walk(im, w1, p1, p2)
+
+    dt = 1.0 / _KRUST_STEPS
+    bp = np.empty_like(betas)
+    bp[1:-1] = (betas[2:] - betas[:-2]) / (2 * dt)
+    bp[0] = (-3 * betas[0] + 4 * betas[1] - betas[2]) / (2 * dt)
+    bp[-1] = (3 * betas[-1] - 4 * betas[-2] + betas[-3]) / (2 * dt)
+
+    gv = np.abs(data.g._eval(betas))
+    hp = np.abs(data.dh._eval(betas))
+    f = (np.abs(bp) ** 2) * (hp ** 2) / 4.0 * (gv ** 2 - 1.0 / gv ** 2)
+    integral = dt * (0.5 * f[0] + f[1:-1].sum(axis=0) + 0.5 * f[-1])
+
+    return KrustInequality(lhs, integral, np.minimum(lhs, integral))

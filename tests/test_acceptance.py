@@ -20,8 +20,6 @@ from maxsurf.graphfield import (
 )
 from maxsurf.lorentz import Ambient, Vec3
 from maxsurf.meshcheck import (
-    folded_disk_mesh,
-    krust_inequality_batch,
     krust_pipeline,
     lee_equivalence_check,
     projection_report,
@@ -44,9 +42,11 @@ from oracles import (
     catenoid_dual_height,
     catenoid_height,
     flux_curl,
+    folded_disk_mesh,
     gradient,
     helicoid_dual_height,
     helicoid_height,
+    krust_inequality_batch,
 )
 
 

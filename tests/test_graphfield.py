@@ -689,15 +689,38 @@ class TestRowOracle:
         assert_no_children()
 
     @pytest.mark.parametrize("scan", [1, 2, 3, 4096])
-    def test_line_start_as_text_mode(self, rng, scan):
+    def test_line_start_as_text_mode(self, monkeypatch, rng, scan):
         # line ends "\n", "\r\n" and lone "\r", as splitlines reads them on
         # this alphabet; the pieces read may end between "\r" and "\n"
+        monkeypatch.setattr(textio, "_SCAN", scan)
         for _ in range(50):
             data = rng.choice(list(b"a\r\n"), rng.integers(1, 30)).astype(np.uint8).tobytes()
             starts = np.cumsum([len(line) for line in data.decode().splitlines(keepends=True)])
             for c in range(1, len(data) + 1):
                 want = int(starts[np.searchsorted(starts, c)])
-                assert textio._line_start(io.BytesIO(data), c, scan) == want, (data, c)
+                assert textio._line_start(io.BytesIO(data), c) == want, (data, c)
+
+    @pytest.mark.parametrize("chunk, count", [(None, 8191), (None, 4096), (7, 50), (7, 49), (1, 3), (7, 0)])
+    def test_write_rows_asks_each_row_once(self, monkeypatch, rng, chunk, count):
+        # one part: rows(a, b) is asked for every row exactly once, in
+        # ascending spans of at most _CHUNK rows, and the bytes are
+        # row % tuple(r) over the whole table
+        if chunk:
+            monkeypatch.setattr(textio, "_CHUNK", chunk)
+        assert count < textio._MIN_ROWS
+        table = rng.normal(size=(count, 2))
+        table[rng.uniform(size=table.shape) < 0.3] = 5e-324
+        spans = []
+
+        def rows(a, b):
+            spans.append((a, b))
+            return table[a:b]
+
+        fh = io.BytesIO()
+        textio.write_rows(fh, "%r,%r\n", count, rows)
+        assert [i for a, b in spans for i in range(a, b)] == list(range(count))
+        assert all(0 < b - a <= textio._CHUNK for a, b in spans)
+        assert fh.getvalue() == "".join("%r,%r\n" % tuple(r) for r in table.tolist()).encode()
 
     def test_load_holds_one_chunk(self, tmp_path):
         # 154,401 rows, 7.1 MB of text.  The reader holds the grid arrays

@@ -8,10 +8,9 @@ from maxsurf.graphfield import ScalarField, maximal_residual
 from maxsurf.lorentz import Ambient, Vec3
 from maxsurf.meshcheck import (
     PASS,
-    KrustInequality,
     ParamMesh,
     SurfaceMesh,
-    _PULL_BACK_BLOCK,
+    _BLOCK,
     _SHAPE,
     _barycentric,
     _boundary_simple,
@@ -23,8 +22,6 @@ from maxsurf.meshcheck import (
     _pull_back,
     _report_from_points,
     _signed_areas,
-    folded_disk_mesh,
-    krust_inequality_batch,
     krust_pipeline,
     lee_equivalence_check,
     projection_report,
@@ -46,16 +43,19 @@ from maxsurf.weierstrass import (
 from conftest import disk_samples, traced_peak
 from oracles import (
     PLANE_KRUST_BOTH_SIDES,
+    KrustInequality,
     boundary_simple_all_pairs,
     boundary_simple_exact,
     check_disk_searched,
     disk_triangle_count,
     VectorField2,
     disk_vertex_count,
+    folded_disk_mesh,
     in_polygon_exact,
     in_polygon_ray_cast,
     in_polygon_scanline,
     integrate_per_form,
+    krust_inequality_batch,
     merge_walk_disk,
     nearest_vertex_bucketed,
     plane_immersion_point,
@@ -132,16 +132,19 @@ class TestTriangulation:
 
     @pytest.mark.parametrize("block, sizes", [(8192, range(37, 40)), (1, range(1, 13)), (7, range(1, 13))])
     def test_builder_matches_merge_walk_across_run_cuts(self, monkeypatch, block, sizes):
-        # _disk_triangles forms runs of whole rings of about _DISK_BLOCK
-        # triangles: ring 38 starts at triangle 8214, past the default block,
-        # and blocks of 1 and 7 cut after every ring or every few
-        monkeypatch.setattr(meshcheck, "_DISK_BLOCK", block)
+        # _disk_triangles and _ring_vertices form runs of whole rings of
+        # about _BLOCK triangles or vertices: ring 38 starts at triangle 8214,
+        # past the default block, and blocks of 1 and 7 cut after every ring
+        # or every few
+        monkeypatch.setattr(meshcheck, "_BLOCK", block)
         _disk_topology.cache_clear()
         try:
             for n in sizes:
                 tris = merge_walk_disk(1.0, n)[1]
                 assert np.array_equal(meshcheck._disk_triangles(n), tris)
                 assert np.array_equal(triangulate_disk(1.0, n).triangles, tris)
+                verts = merge_walk_disk(0.9, n)[0]
+                assert np.array_equal(triangulate_disk(0.9, n).vertices.view(np.int64), verts.view(np.int64))
         finally:
             _disk_topology.cache_clear()
 
@@ -241,7 +244,7 @@ class TestTriangulation:
         # blocks this small, repeated keys, twin pairs and rim half-edges of
         # the n = 2 disk fall on every side of a cut, and each damage still
         # gets the message of the unblocked oracle
-        monkeypatch.setattr(meshcheck, "_DISK_BLOCK", block)
+        monkeypatch.setattr(meshcheck, "_BLOCK", block)
         mesh = triangulate_disk(1.0, 2)
         z, t, b = mesh.vertices, np.array(mesh.triangles), np.array(mesh.boundary)
         cases = [(z, t, b), (z, t, b[::-1]), (z, t, np.roll(b, 5))]
@@ -270,7 +273,7 @@ class TestTriangulation:
     def test_orientation_decided_before_shape(self, monkeypatch, block):
         # n = 3: triangles 0 and 49 thin, 50 and 51 reversed; the thin one in
         # the first block must not be reported ahead of the later reversal
-        monkeypatch.setattr(meshcheck, "_DISK_BLOCK", block)
+        monkeypatch.setattr(meshcheck, "_BLOCK", block)
         mesh = triangulate_disk(1.0, 3)
         z = np.array(mesh.vertices)
         z[0] = 0.9 * (z[1] + z[2]) / 2  # squashes triangle (1, 2, 0)
@@ -469,8 +472,8 @@ class TestProjectionReport:
     @pytest.mark.parametrize("block, n", [(1, 7), (5, 7), (64, 7), (5, 64), (64, 64)])
     def test_block_cuts_keep_oracle_bits(self, monkeypatch, catalog_data, block, n):
         # _projections forms its points and _report_from_points its areas in
-        # blocks of _DISK_BLOCK: cuts anywhere keep the whole-mesh oracles' bits
-        monkeypatch.setattr(meshcheck, "_DISK_BLOCK", block)
+        # blocks of _BLOCK: cuts anywhere keep the whole-mesh oracles' bits
+        monkeypatch.setattr(meshcheck, "_BLOCK", block)
         for data in catalog_data.values():
             im = immersion_from_data(data)
             mesh = triangulate_disk(data.domain_radius, n)
@@ -486,7 +489,7 @@ class TestProjectionReport:
         # block, and rim vertex 17 (triangles 19-21, blocks 3 and 4) is
         # infinite, or it and vertex 18 are finite but their triangle's area
         # overflows: the float range fault is raised, as the oracle raises it
-        monkeypatch.setattr(meshcheck, "_DISK_BLOCK", 5)
+        monkeypatch.setattr(meshcheck, "_BLOCK", 5)
         param = triangulate_disk(1.0, 2)
         far_vertices = [17] if far == "point" else [17, 18]
         assert not np.isin(far_vertices, param.triangles[:15]).any()
@@ -1026,8 +1029,8 @@ class TestResampling:
 
         monkeypatch.setattr(meshcheck, "_pull_back", recorded)
         f = resample_graph(catalog_data["shift4-r09"], 0.01).field
-        assert sum(sizes) == np.count_nonzero(f.mask) > 10 * _PULL_BACK_BLOCK
-        assert max(sizes) == _PULL_BACK_BLOCK
+        assert sum(sizes) == np.count_nonzero(f.mask) > 10 * _BLOCK
+        assert max(sizes) == _BLOCK
 
     def test_blocked_heights_match_one_pull_back(self, catalog_data):
         # every point's Newton runs until its block converges; one call over
@@ -1040,7 +1043,7 @@ class TestResampling:
         p = _projections(im, mesh.vertices)[0]
         xs, ys = _resample_grid(p[mesh.boundary], h)
         i, j = np.nonzero(out.field.mask)
-        assert i.size > _PULL_BACK_BLOCK
+        assert i.size > _BLOCK
         targets = xs[i] + 1j * ys[j]
         corners = mesh.triangles[_locate(p, mesh.triangles, xs, ys).reshape(xs.size, ys.size)[i, j]]
         seeds = np.sum(_barycentric(p[corners], targets) * mesh.vertices[corners], axis=1)
@@ -1050,7 +1053,7 @@ class TestResampling:
 
     def test_resample_memory_is_blocked(self, catalog_data):
         # 377k grid points on plane-r09 at h = 0.0025.  Blocks of
-        # _PULL_BACK_BLOCK points peak at 23 MB, mostly whole-grid arrays;
+        # _BLOCK points peak at 23 MB, mostly whole-grid arrays;
         # one block of all points peaks at 72-97 MB, on Newton temporaries.
         peak = traced_peak(resample_graph, catalog_data["plane-r09"], 0.0025)
         assert peak < 30e6, peak
