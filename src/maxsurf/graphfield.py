@@ -422,8 +422,8 @@ def load_field(csv_path, header_path) -> ScalarField:
     parse as Python's float parses them and snap to the nearest cell.  The
     first malformed, non-finite, off-grid or repeated row raises ValueError
     as "path:LINE: reason".  Rows stream from the file into the grid
-    (textio.read_rows); only a file that fails there is read again, whole,
-    by _load_rows, which names the fault."""
+    (textio.read_rows); only a file that fails there is read again, a line
+    at a time, by _load_rows, which names the fault."""
     origin, h, nx, ny = _read_header(header_path)
     values = np.zeros((nx, ny))
     mask = np.zeros((nx, ny), dtype=bool)
@@ -451,29 +451,28 @@ def load_field(csv_path, header_path) -> ScalarField:
 
 
 def _load_rows(csv_path, origin, h, nx, ny) -> ScalarField:
-    """load_field one row at a time, over the whole text as text mode reads
-    it: raises at the first faulty row."""
-    with open(csv_path) as fh:
-        fh.readline()
-        lines = fh.read().split("\n")
+    """load_field one row at a time, over the lines as text mode splits
+    them: raises at the first faulty row."""
     values = np.zeros((nx, ny))
     mask = np.zeros((nx, ny), dtype=bool)
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        try:
-            x, y, v = map(float, line.split(","))
-        except ValueError:
-            raise ValueError(f"{csv_path}:{lineno}: expected 'x,y,value' floats") from None
-        fi, fj = (x - origin[0]) / h, (y - origin[1]) / h
-        if not all(map(math.isfinite, (x, y, v))):
-            fault = "non-finite coordinate or value"
-        elif not (math.isfinite(fi) and math.isfinite(fj) and 0 <= round(fi) < nx and 0 <= round(fj) < ny):
-            fault = "point lies off the declared grid"
-        elif mask[cell := (round(fi), round(fj))]:
-            fault = "duplicate grid cell"
-        else:
-            values[cell], mask[cell] = v, True
-            continue
-        raise ValueError(f"{csv_path}:{lineno}: {fault}")
+    with open(csv_path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                x, y, v = map(float, line.split(","))
+            except ValueError:
+                raise ValueError(f"{csv_path}:{lineno}: expected 'x,y,value' floats") from None
+            fi, fj = (x - origin[0]) / h, (y - origin[1]) / h
+            if not all(map(math.isfinite, (x, y, v))):
+                fault = "non-finite coordinate or value"
+            elif not (math.isfinite(fi) and math.isfinite(fj) and 0 <= round(fi) < nx and 0 <= round(fj) < ny):
+                fault = "point lies off the declared grid"
+            elif mask[cell := (round(fi), round(fj))]:
+                fault = "duplicate grid cell"
+            else:
+                values[cell], mask[cell] = v, True
+                continue
+            raise ValueError(f"{csv_path}:{lineno}: {fault}")
     return ScalarField(origin, h, values, mask)

@@ -147,13 +147,17 @@ class WeierstrassData:
     def from_obj(cls, obj: dict) -> "WeierstrassData":
         if obj["kind"] != MAXIMAL_GRAPH:
             raise ValueError(f"unknown kind {obj['kind']!r}; the only kind is {MAXIMAL_GRAPH!r}")
-        bx, by, bz = (_number(v, "base_value") for v in obj["base_value"])
+        for key, count in (("base", 2), ("base_value", 3)):
+            if not isinstance(obj[key], list) or len(obj[key]) != count:
+                raise ValueError(f"{key} must be a list of {count} numbers, got {obj[key]!r}")
+        bx, by = (_number(v, "base") for v in obj["base"])
+        vx, vy, vz = (_number(v, "base_value") for v in obj["base_value"])
         return cls(
             RationalHolomorphic.from_obj(obj["g"]),
             RationalHolomorphic.from_obj(obj["dh"]),
             _number(obj["radius"], "radius"),
-            complex(_number(obj["base"][0], "base"), _number(obj["base"][1], "base")),
-            Vec3(bx, by, bz, Ambient.LORENTZIAN),
+            complex(bx, by),
+            Vec3(vx, vy, vz, Ambient.LORENTZIAN),
         )
 
 

@@ -635,6 +635,11 @@ class TestErrors:
              f"{BAD}radius must be a number, got bool"),
             ("identities", {**PLANE, "base": [0, None]}, f"{BAD}base must be a number, got NoneType"),
             ("export", {**PLANE, "radius": 10**400}, f"{BAD}radius is beyond the float range"),
+            # base is exactly two numbers and base_value three
+            ("verify-krust", {**PLANE, "base": [0.0]}, f"{BAD}base must be a list of 2 numbers, got [0.0]"),
+            ("verify-krust", {**PLANE, "base": []}, f"{BAD}base must be a list of 2 numbers, got []"),
+            ("verify-krust", {**PLANE, "base": [0, 0, 5]}, f"{BAD}base must be a list of 2 numbers, got [0, 0, 5]"),
+            ("verify-krust", {**PLANE, "base_value": [0, 0]}, f"{BAD}base_value must be a list of 3 numbers, got [0, 0]"),
         ],
     )
     def test_hostile_config_shape(self, tmp_path, capsys, command, obj, message):

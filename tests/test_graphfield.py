@@ -21,6 +21,8 @@ from maxsurf.graphfield import (
     _dualize,
     _EdgeData,
     _edges,
+    _load_rows,
+    _read_header,
     _tree_integrate,
     _validate_mask,
     dualize_maximal_to_minimal,
@@ -731,6 +733,25 @@ class TestRowOracle:
         peak = traced_peak(load_field, csv, head)
         assert peak < 6e6, peak / 1e6
         assert_no_children()
+
+    def test_fault_path_streams(self, tmp_path):
+        # a truncated last row sends load_field to its row-by-row reader,
+        # which reads a line at a time: holding the whole text and its lines
+        # traced 3.1 times the 1.1 MB file
+        csv, head, text = saved_rows(tmp_path)
+        csv.write_text(text[:text.rindex(",")] + "\n")
+        lineno = text.count("\n")  # the truncated row's
+        message = f"{csv}:{lineno}: expected 'x,y,value' floats"
+        with pytest.raises(ValueError) as exc:
+            load_field(csv, head)
+        assert str(exc.value) == message
+
+        def load_rows():
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _load_rows(csv, *_read_header(head))
+
+        peak = traced_peak(load_rows)
+        assert peak < csv.stat().st_size / 2, peak / 1e6
 
     def test_save_holds_one_chunk(self, tmp_path):
         # the 321 x 481 helicoid slab: formatting from one object table of

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from maxsurf.meshcheck import (
     _disk_topology,
     _erode,
     _locate,
+    _orientation,
     _projections,
     _pull_back,
     _report_from_points,
@@ -392,6 +395,29 @@ class TestProjectionReport:
         assert not rep.boundary_simple
         assert not rep.is_convex_domain
 
+    @pytest.mark.parametrize("m, k", [(3, 1), (4, 1), (6, 1), (64, 1), (5, 2), (7, 2), (7, 3), (8, 3), (11, 3)])
+    def test_star_polygon_convex_iff_regular(self, m, k):
+        # the star {m/k} turns left at every vertex and winds k times
+        rim = np.exp(2j * np.pi * k * np.arange(m) / m)
+        assert np.all(_orientation(rim, np.roll(rim, -1), np.roll(rim, -2)) > 0)
+        rep = _fan_report(rim, 0j)
+        assert rep.boundary_simple is rep.is_convex_domain is (k == 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_left_turning_rims_match_exact_oracle(self, rng, k):
+        # points at increasing angles, steps under pi, on a random ellipse:
+        # every turn is to the left and the rim winds k times
+        for _ in range(100):
+            m = int(rng.integers(8 * k, 41))
+            step = rng.uniform(0.2, 1.0, m)
+            angle = rng.uniform(0.0, 2.0 * np.pi) + np.cumsum(step * 2.0 * np.pi * k / step.sum())
+            centre = complex(*rng.normal(size=2))
+            a, b = rng.uniform(0.5, 2.0, 2)
+            rim = centre + np.exp(1j * rng.uniform(0.0, np.pi)) * (a * np.cos(angle) + 1j * b * np.sin(angle))
+            assert np.all(_orientation(rim, np.roll(rim, -1), np.roll(rim, -2)) > 0)
+            rep = _fan_report(rim, centre)
+            assert rep.is_convex_domain is rim_convex_exact(_xy(rim)) is (k == 1)
+
     @pytest.mark.parametrize("shift", [-1e-16, 0.0, 1e-16])
     def test_rim_convexity_ties_decided_exactly(self, shift):
         # each rim vertex in turn moved to its neighbours' rounded midpoint,
@@ -541,6 +567,15 @@ def _bits(rep) -> tuple:
     return floats.view(np.int64).tolist(), rep.boundary_simple, rep.injective, rep.is_convex_domain
 
 
+def _fan_report(rim: np.ndarray, centre: complex):
+    """_report_from_points over the triangles (centre, rim[j], rim[j + 1]),
+    the rim cycle being the closed polyline rim."""
+    m = rim.size
+    j = np.arange(m)
+    param = SimpleNamespace(triangles=np.column_stack([np.full(m, m), j, (j + 1) % m]), boundary=j)
+    return _report_from_points(np.append(rim, centre), param)
+
+
 def _xy(z: np.ndarray) -> np.ndarray:
     """The complex points as an (m, 2) float array, bit for bit (the oracles' format)."""
     return np.column_stack([z.real, z.imag])
@@ -614,8 +649,9 @@ class TestPlanarPredicates:
         assert 0 < sum(verdicts) < len(verdicts)  # both verdicts exercised
 
     def test_boundary_simple_without_non_adjacent_candidates(self):
-        # the unit square's cells hold only adjacent edges, so no pair is
-        # left to test after the adjacent ones are dropped
+        # the unit square's two non-adjacent pairs are dropped by their boxes:
+        # the horizontal edges' y ranges and the vertical edges' x ranges are
+        # disjoint, so no pair is left to test
         z = np.array([0, 1, 1 + 1j, 1j])
         assert _boundary_simple(z)
         assert not _boundary_simple(z[[0, 2, 1, 3]])  # the crossed bow tie
@@ -655,14 +691,23 @@ class TestPlanarPredicates:
     def test_boundary_simple_memory_is_linear(self):
         # 6144-edge circle, the rim of the n = 1024 disk.  The all-pairs form holds (m, m)
         # arrays: 6144^2 * 8 B = 302 MB per float array, 38 MB per bool array.
-        # Bucketing holds O(m) arrays: each edge covers at most 2 x 2 cells,
-        # so the (cell, edge) entries and candidate pairs number about 4m, and
-        # 32 int64 arrays of 4m entries are 32 * 4 * 6144 * 8 B = 6.3 MB.
+        # The sweep holds O(m) arrays: each edge's x range meets those of
+        # about 2 later edges in the sorted order, so the candidate pairs
+        # number about 2m, and 32 int64 arrays of 2m entries are 3.1 MB.
         t = 2.0 * np.pi * np.arange(6144) / 6144
         z = _complex(np.column_stack([np.cos(t), np.sin(t)]))
         assert _boundary_simple(z)
         peak = traced_peak(_boundary_simple, z)
         assert peak < 8e6, peak
+
+    def test_boundary_simple_memory_with_one_long_edge(self):
+        # a 2047-point semicircle closed by its chord: the chord's x range
+        # meets every other edge's, about m pairs.  A float grid whose cell is
+        # the longest edge put every edge in one cell: m^2 / 2 pairs, 437.7 MB
+        z = np.exp(1j * np.pi * np.arange(2047) / 2046)
+        assert _boundary_simple(z)
+        peak = traced_peak(_boundary_simple, z)
+        assert peak <= 5e6, peak
 
     @pytest.mark.parametrize("seed", range(4))
     def test_locate_lattice_points_in_one_triangle(self, seed):
