@@ -31,7 +31,7 @@ from .errors import (
     NotAGraph,
     OverlapEmpty,
 )
-from .graphfield import ScalarField, dualize_maximal_to_minimal, shift_agreement
+from .graphfield import _MAX_CELLS, ScalarField, dualize_maximal_to_minimal, shift_agreement
 from .rational import _dyadic, integrate_to_many
 from .weierstrass import (
     Immersion,
@@ -52,9 +52,13 @@ _NEWTON_ITERS = 30
 _TOL = 1e-10
 _RESAMPLE_MESH_N = 48
 _RESAMPLE_MARGIN_CELLS = 2
-# Triangles per block of _locate: its candidate arrays stay a few MB on the
-# catalog, where one block of all triangles raised peak RSS by 6%.
-_LOCATE_BLOCK = 2048
+# Triangles per block of _locate: its per-column float arrays reach 107 KiB on
+# the catalog at h = 0.01, and 212 KiB in blocks of 2048, with which a catalog
+# Lee pass peaked 0.8 MB higher (ru_maxrss, 2-core x86-64, numpy 2.4.6).
+_LOCATE_BLOCK = 1024
+# _locate's margin on a float P.y + (x - P.x) m: 2^-40 of |P.y| + w |m|, w >= |x - P.x|,
+# about 10^3 times its rounding bound 7 eps, plus 2^-960 for underflow.
+_LINE_REL, _LINE_ABS = 2.0**-40, 2.0**-960
 _LEE_CURL_TOL = 1e-2
 # Shewchuk's bound on the rounding error of the float (b - a) x (c - a),
 # (3 + 16 eps) eps with eps = 2^-53, relative to the sum of the two products'
@@ -329,10 +333,10 @@ def _orientation(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return sign
 
 
-def _offsets(count: np.ndarray) -> np.ndarray:
-    """0, 1, ..., count[g] - 1 for each run g in turn (the index of each
-    entry of np.repeat(..., count) within its run)."""
-    return np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
+def _offsets(count: np.ndarray, first=0) -> np.ndarray:
+    """first[g], ..., first[g] + count[g] - 1 for each run g in turn (with first = 0,
+    the index of each entry of np.repeat(..., count) within its run)."""
+    return np.arange(int(count.sum())) + np.repeat(first - np.cumsum(count) + count, count)
 
 
 def _boundary_simple(z: np.ndarray) -> bool:
@@ -389,39 +393,83 @@ def _boundary_simple(z: np.ndarray) -> bool:
     return not bool(np.any(contact))
 
 
-def _locate(z: np.ndarray, triangles: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Which of the triangles over the points z (complex; positively oriented,
-    not overlapping) holds each grid point (xs[i], ys[j]), xs and ys ascending.
+def _claim(v: np.ndarray, t: np.ndarray, cell: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """The pairs (t, cell) whose grid point the triangle v[t] holds: its exact sign (_orientation)
+    against every edge a -> b is positive, or zero with b.y < a.y, or b.y == a.y and b.x > a.x."""
+    q = xs[cell // ys.size] + 1j * ys[cell % ys.size]
+    for e in range(3):
+        a, b = v[t, e], v[t, (e + 1) % 3]
+        sign = _orientation(a, b, q)
+        keep = (sign > 0) | (sign == 0) & ((b.imag < a.imag) | (b.imag == a.imag) & (b.real > a.real))
+        t, cell, q = t[keep], cell[keep], q[keep]
+    return t, cell
 
-    Each triangle is tested against the grid points in its bounding box, in
-    blocks of _LOCATE_BLOCK triangles.  A point is kept when its exact sign
-    (_orientation) against every edge a -> b is positive, or zero with
-    b.y < a.y, or b.y == a.y and b.x > a.x: the signs of the point moved by
-    (+e, +e^2), e infinitesimal.  So a point on a shared edge or vertex lies
-    in exactly one triangle, and one on the union's rim is inside iff the
-    moved point is.  Returns the triangle of each grid point, flat at
-    i * ys.size + j, or -1 where none holds it (int32, 4 B a grid point).
-    Raises ValueError if a point lies in two triangles (they overlap).
+
+def _locate(z: np.ndarray, triangles: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Which of the triangles over the points z (complex, not overlapping)
+    holds each grid point (xs[i], ys[j]), xs and ys ascending: the one whose
+    exact signs against its edges are positive, or zero where the point moved
+    by (+e, +e^2), e infinitesimal, is inside (_claim).  So a point on a shared
+    edge or vertex lies in one triangle, one on the union's rim is inside iff
+    the moved point is, and a clockwise or zero-area triangle holds none.
+
+    Most points are placed by float spans, one per triangle and grid column
+    x.  A triangle lies above the line of each edge that runs right and below
+    that of each edge that runs left.  Each line is evaluated as P.y +
+    (x - P.x) m, P the edge's first corner and m its slope, with a margin
+    d = 2^-40 (|P.y| + w |m|) + 2^-960, w the triangle's width: about 10^3
+    times the value's rounding bound.  If the float area is certainly
+    positive and no slope underflowed, rows more than d outside one line are
+    not the triangle's, and the others are, unless a margin band holds one.
+    Only then do they get the exact test, as do the bounding box's rows on a
+    column with non-finite line data (on every column when an edge is
+    vertical) and of every other triangle.  Work is linear in
+    triangle-columns plus hits, in blocks of _LOCATE_BLOCK triangles.
+
+    Returns the triangle of each grid point, flat at i * ys.size + j, or -1
+    where none holds it (int32, 4 B a grid point).  Raises ValueError if a
+    point lies in two triangles (they overlap).
     """
-    owner = np.full(xs.size * ys.size, -1, dtype=np.int32)
-    hits = 0
-    for start in range(0, triangles.shape[0], _LOCATE_BLOCK):
-        v = z[triangles[start:start + _LOCATE_BLOCK]]
-        i0 = np.searchsorted(xs, v.real.min(axis=1))
-        j0 = np.searchsorted(ys, v.imag.min(axis=1))
-        nx = np.searchsorted(xs, v.real.max(axis=1), side="right") - i0
-        ny = np.searchsorted(ys, v.imag.max(axis=1), side="right") - j0
-        t = np.repeat(np.arange(v.shape[0]), nx * ny)
-        k = _offsets(nx * ny)
-        cell = (i0[t] + k // ny[t]) * ys.size + j0[t] + k % ny[t]
-        q = xs[cell // ys.size] + 1j * ys[cell % ys.size]
-        for e in range(3):
-            a, b = v[t, e], v[t, (e + 1) % 3]
-            sign = _orientation(a, b, q)
-            keep = (sign > 0) | (sign == 0) & ((b.imag < a.imag) | (b.imag == a.imag) & (b.real > a.real))
-            t, cell, q = t[keep], cell[keep], q[keep]
-        owner[cell] = start + t
+    owner, hits = np.full(xs.size * ys.size, -1, dtype=np.int32), 0
+    for start in range(0, triangles.shape[0] if owner.size else 0, _LOCATE_BLOCK):  # an empty grid: none
+        tri = triangles[start:start + _LOCATE_BLOCK]
+        vx, vy = z.real.take(tri.T), z.imag.take(tri.T)  # (3, k): corner, triangle
+        x0, x1 = vx.min(axis=0), vx.max(axis=0)
+        i0 = np.searchsorted(xs, x0)
+        cols = np.searchsorted(xs, x1, side="right") - i0
+        t, i = np.repeat(np.arange(tri.shape[0]), cols), _offsets(cols, i0)  # triangle, column
+        ex, ey = vx[[1, 2, 0]] - vx, vy[[1, 2, 0]] - vy  # edge e runs from corner e to corner e + 1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slope = ey / ex
+            slope[(np.abs(slope) < np.finfo(float).tiny) & (ey != 0)] = np.nan  # underflowed
+            left, right = ex[0] * ey[1], ey[0] * ex[1]  # twice the area and its bound, as in _orientation
+            slope[:, ~(left - right > _ORIENT_REL * (np.abs(left) + np.abs(right)) + _ORIENT_ABS)] = np.nan
+            margin = _LINE_REL * (np.abs(vy) + (x1 - x0) * np.abs(slope)) + _LINE_ABS
+            # (3, columns) in C order, for the reductions over axis 0
+            line = vy.take(t, axis=1) + (xs[i] - vx.take(t, axis=1)) * slope.take(t, axis=1)
+            margin = margin.take(t, axis=1)
+            below, above = line - margin, line + margin
+            up = (ex > 0).take(t, axis=1)  # the triangle lies above the line
+            lo_out = np.where(up, below, -np.inf).max(axis=0)
+            lo_in = np.where(up, above, -np.inf).max(axis=0)
+            hi_in = np.where(up, np.inf, below).min(axis=0)
+            hi_out = np.where(up, np.inf, above).min(axis=0)
+            ok = np.isfinite(lo_out + lo_in + hi_in + hi_out)
+        out0, out1 = np.searchsorted(ys, lo_out), np.searchsorted(ys, hi_out, side="right")  # not surely out
+        exact = ~ok | (ys.take(out0, mode="clip") <= lo_in) | (ys.take(out1 - 1, mode="clip") >= hi_in)
+        count = np.where(exact, 0, out1 - out0)
+        cell = _offsets(count, i * ys.size + out0)
+        owner[cell] = start + np.repeat(t, count)
         hits += cell.size
+        if (e := np.flatnonzero(exact)).size:
+            bad = e[~ok[e]]  # without float spans: the bounding box
+            out0[bad] = np.searchsorted(ys, vy.take(t[bad], axis=1).min(axis=0))
+            out1[bad] = np.searchsorted(ys, vy.take(t[bad], axis=1).max(axis=0), side="right")
+            count = out1[e] - out0[e]
+            cell = _offsets(count, i[e] * ys.size + out0[e])
+            t, cell = _claim(z[tri], np.repeat(t[e], count), cell, xs, ys)
+            owner[cell] = start + t
+            hits += cell.size
     if np.count_nonzero(owner >= 0) != hits:
         raise ValueError("a grid point lies in two triangles (they overlap)")
     return owner
@@ -604,6 +652,21 @@ def _erode(mask: np.ndarray, rounds: int) -> np.ndarray:
     return out
 
 
+def _resample_grid(rim: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """resample_graph's grid xs, ys of spacing h, a cell beyond the rim's box.  Raises ValueError
+    before allocating them if h is not finite and positive or they pass _MAX_CELLS points."""
+    h = float(h)
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"grid spacing must be finite and positive, got {h!r}")
+    with np.errstate(over="ignore"):
+        box = np.array([rim.real.min(), rim.imag.min(), rim.real.max(), rim.imag.max()]) / h
+    lo, hi = np.floor(box[:2]) - 1, np.ceil(box[2:]) + 1
+    if not (size := float(np.prod(hi - lo + 1))) <= _MAX_CELLS:
+        raise ValueError(f"a grid of spacing {h!r} has {size:.3g} points, above {_MAX_CELLS}")
+    (i0, j0), (i1, j1) = lo.astype(int), hi.astype(int)
+    return h * np.arange(i0, i1 + 1), h * np.arange(j0, j1 + 1)
+
+
 def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
     """Resample x3 as a function of (x1, x2) on a grid inside the projected
     domain (eroded by two cells), by Newton inversion of the projection.
@@ -626,14 +689,7 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
     if not _report_from_points(p, mesh).injective:
         raise NotAGraph("projection of the sampled surface is not injective")
 
-    poly = p[mesh.boundary]
-    h = float(grid_h)
-    i0 = int(np.floor(poly.real.min() / h)) - 1
-    i1 = int(np.ceil(poly.real.max() / h)) + 1
-    j0 = int(np.floor(poly.imag.min() / h)) - 1
-    j1 = int(np.ceil(poly.imag.max() / h)) + 1
-    xs = h * np.arange(i0, i1 + 1)
-    ys = h * np.arange(j0, j1 + 1)
+    xs, ys = _resample_grid(p[mesh.boundary], grid_h)
     owner = _locate(p, mesh.triangles, xs, ys)
     mask = _erode((owner >= 0).reshape(xs.size, ys.size), _RESAMPLE_MARGIN_CELLS)
     if not mask.any():
@@ -651,7 +707,7 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
         i3 = integrate_to_many(im.curve.psi3, im.base_point, beta)
         f.flat[k] = data.base_value.x3 + i3.real
         s.flat[k] = -i3.imag  # third component of the Euclidean dual: Re(i * I3)
-    origin = (float(xs[0]), float(ys[0]))
+    origin, h = (float(xs[0]), float(ys[0])), float(grid_h)
     return ResampledGraph(ScalarField(origin, h, f, mask), ScalarField(origin, h, s, mask))
 
 

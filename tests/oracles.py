@@ -54,6 +54,7 @@ from maxsurf.meshcheck import (
     SurfaceMesh,
     _boundary_simple,
     _offsets,
+    _orientation,
     _projections,
     _pull_back,
     triangulate_disk,
@@ -328,7 +329,9 @@ def in_polygon_exact(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.nda
 #
 # The scanline in-domain test and the bucketed nearest-vertex search that
 # resample_graph used before meshcheck._locate: references for its masks
-# and for the heights Newton reaches from other seeds.
+# and for the heights Newton reaches from other seeds.  And _locate as first
+# written, testing every grid point in each triangle's bounding box: the
+# reference for its float spans.
 
 
 def in_polygon_scanline(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -413,6 +416,34 @@ def nearest_vertex_bucketed(points: np.ndarray, triangles: np.ndarray, targets: 
         best = np.where(take, run_best, best)
         nearest = np.where(take, run_nearest, nearest)
     return nearest
+
+
+def locate_by_candidates(z: np.ndarray, triangles: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """meshcheck._locate's owner array, with every grid point in each
+    triangle's bounding box tested by exact signs and the (+e, +e^2) tie
+    rule, in blocks of 2048 triangles."""
+    owner = np.full(xs.size * ys.size, -1, dtype=np.int32)
+    hits = 0
+    for start in range(0, triangles.shape[0], 2048):
+        v = z[triangles[start:start + 2048]]
+        i0 = np.searchsorted(xs, v.real.min(axis=1))
+        j0 = np.searchsorted(ys, v.imag.min(axis=1))
+        nx = np.searchsorted(xs, v.real.max(axis=1), side="right") - i0
+        ny = np.searchsorted(ys, v.imag.max(axis=1), side="right") - j0
+        t = np.repeat(np.arange(v.shape[0]), nx * ny)
+        k = _offsets(nx * ny)
+        cell = (i0[t] + k // ny[t]) * ys.size + j0[t] + k % ny[t]
+        q = xs[cell // ys.size] + 1j * ys[cell % ys.size]
+        for e in range(3):
+            a, b = v[t, e], v[t, (e + 1) % 3]
+            sign = _orientation(a, b, q)
+            keep = (sign > 0) | (sign == 0) & ((b.imag < a.imag) | (b.imag == a.imag) & (b.real > a.real))
+            t, cell, q = t[keep], cell[keep], q[keep]
+        owner[cell] = start + t
+        hits += cell.size
+    if np.count_nonzero(owner >= 0) != hits:
+        raise ValueError("a grid point lies in two triangles (they overlap)")
+    return owner
 
 
 # ---- row-by-row text writers and reader ----

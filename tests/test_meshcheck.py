@@ -24,6 +24,7 @@ from maxsurf.meshcheck import (
     _projections,
     _pull_back,
     _report_from_points,
+    _resample_grid,
     _signed_areas,
     krust_pipeline,
     lee_equivalence_check,
@@ -59,6 +60,7 @@ from oracles import (
     in_polygon_scanline,
     integrate_per_form,
     krust_inequality_batch,
+    locate_by_candidates,
     merge_walk_disk,
     nearest_vertex_bucketed,
     plane_immersion_point,
@@ -759,14 +761,15 @@ class TestPlanarPredicates:
 
     def test_locate_memory_is_linear(self):
         # 10^6 grid points against the 98,304 triangles of the n = 128 unit
-        # disk, 0.65M hits.  All triangles in one block peak at 230 MB, on
-        # the candidates' index, coordinate and orientation arrays.  Blocks of
-        # _LOCATE_BLOCK triangles peak at 9.2 MB: the returned int32 triangle
-        # per grid point (4 MB) and one block's candidates.
+        # disk, 0.65M hits.  Testing every grid point in each triangle's
+        # bounding box peaked at 230 MB with all triangles in one block and
+        # 9.2 MB in blocks of 2048.  Float spans in blocks of _LOCATE_BLOCK
+        # triangles peak at 5.9 MB: the returned int32 triangle per grid
+        # point (4 MB) and one block's per-column arrays.
         mesh = triangulate_disk(1.0, 128)
         g = np.linspace(-1.1, 1.1, 1000)
         peak = traced_peak(_locate, mesh.vertices, mesh.triangles, g, g)
-        assert peak < 10.5e6, peak
+        assert peak < 6.5e6, peak
 
 
 def _shuffled_lattice(seed: int):
@@ -809,13 +812,89 @@ def _jittered_lattice(rng, integer: bool, n: int = 5):
     return points.astype(complex), triangles, rim, xs
 
 
-def _resample_grid(rim: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """resample_graph's grid coordinates around a projected rim."""
-    i0 = int(np.floor(rim.real.min() / h)) - 1
-    i1 = int(np.ceil(rim.real.max() / h)) + 1
-    j0 = int(np.floor(rim.imag.min() / h)) - 1
-    j1 = int(np.ceil(rim.imag.max() / h)) + 1
-    return h * np.arange(i0, i1 + 1), h * np.arange(j0, j1 + 1)
+def _same_as_candidates(points, triangles, xs, ys):
+    """_locate's owner array equals the bounding-box oracle's; returns it."""
+    owner = _locate(points, triangles, xs, ys)
+    assert np.array_equal(owner, locate_by_candidates(points, triangles, xs, ys))
+    return owner
+
+
+class TestLocateOracle:
+    """_locate's float spans against locate_by_candidates, which tests every
+    grid point in each triangle's bounding box exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_lattice(self, seed):
+        points, triangles, _ = _shuffled_lattice(seed)
+        for step in (0.5, 0.25, 1 / 3):
+            g = np.arange(-0.5, 4.75, step)
+            assert np.count_nonzero(_same_as_candidates(points, triangles, g, g) >= 0) > 0
+        assert _same_as_candidates(points, triangles, g, g[:0]).size == 0  # no rows
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_jittered_lattice(self, seed):
+        points, triangles, _, xs = _jittered_lattice(np.random.default_rng(seed), integer=seed % 2 == 0)
+        _same_as_candidates(points, triangles, xs, xs)
+        _same_as_candidates(points, triangles, xs, xs[::3] + 0.01)
+
+    def test_vertical_edges_on_grid_columns(self):
+        # an edge up x = 1 and an edge down x = 2, each with grid points on it
+        points = np.array([1, 1 + 1j, 0.5j, 2 + 1j, 2, 3 + 0.5j])
+        triangles = np.array([[0, 1, 2], [3, 4, 5]])
+        g = np.arange(-0.5, 3.6, 0.25)
+        owner = _same_as_candidates(points, triangles, g, g)
+        assert np.count_nonzero(owner == 0) > 0 and np.count_nonzero(owner == 1) > 0
+
+    def test_horizontal_edges_and_corners_on_grid_points(self):
+        # the edges y = 0 and y = 1 lie on grid rows, every corner on a grid point
+        points = np.array([0, 1, 0.5 + 1j, 3 + 1j, 2 + 1j, 2.5])
+        g = np.arange(-0.5, 3.6, 0.25)
+        _same_as_candidates(points, np.array([[0, 1, 2], [3, 4, 5]]), g, g)
+
+    def test_slivers_on_the_long_edge(self):
+        # B one ulp below AC (a float area within its rounding bound), and
+        # 1e-13 below it (a certain area whose lines lie within the margin of
+        # AC); a second triangle shares AC, and grid points lie on AC: moved
+        # by (+e, +e^2) they fall below it
+        g = np.arange(-0.25, 1.3, 0.125)
+        for b in (0.5 + 1j * np.nextafter(0.25, 0), 0.5 + 1j * (0.25 - 1e-13)):
+            points = np.array([0, b, 1 + 0.5j, 0.5 + 0.75j])
+            triangles = np.array([[0, 1, 2], [0, 2, 3]])
+            owner = _same_as_candidates(points, triangles, g, g).reshape(g.size, g.size)
+            assert owner[np.searchsorted(g, 0.5), np.searchsorted(g, 0.25)] == 0
+
+    def test_spacing_below_the_margin(self):
+        # spacing 2^-45 at coordinates near 1: each margin band (about 2^-40)
+        # holds dozens of rows
+        points, triangles, _, _ = _jittered_lattice(np.random.default_rng(3), integer=False)
+        points = 1 + 1j + points * 2.0**-42
+        g = 1 + np.arange(-4, 48) * 2.0**-45
+        assert np.count_nonzero(_same_as_candidates(points, triangles, g, g) >= 0) > 1000
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_scaled_coordinates(self, scale):
+        for integer in (True, False):
+            points, triangles, _, xs = _jittered_lattice(np.random.default_rng(1), integer=integer)
+            owner = _same_as_candidates(points * scale, triangles, xs * scale, xs * scale)
+            assert np.count_nonzero(owner >= 0) > 0
+
+    def test_clockwise_and_zero_area_triangles_hold_nothing(self):
+        # beside one counterclockwise triangle: two clockwise ones (one with a
+        # vertical edge), two collinear ones and one with a repeated corner,
+        # each over grid points
+        points = np.array([0, 2, 2j, 3.1 + 0.1j, 3.7 + 2.2j, 4.6 + 0.4j, 1.1 + 3.1j, 2.1 + 3.6j,
+                           3.1 + 4.1j, 5, 5 + 2j, 6, 1 + 5j, 3 + 5j, 4 + 5j])
+        triangles = np.array([[0, 1, 2], [3, 4, 5], [9, 10, 11], [6, 7, 8], [12, 13, 14], [4, 4, 8]])
+        g = np.arange(-0.5, 6.6, 0.5)
+        owner = _same_as_candidates(points, triangles, g, g)
+        assert set(np.unique(owner)) == {-1, 0}
+
+    @pytest.mark.parametrize("h", [0.05, 0.02, 0.01, 0.005])
+    def test_catalog_grids(self, catalog_data, h):
+        for data in catalog_data.values():
+            mesh = triangulate_disk(data.domain_radius, 48)
+            p = _projections(immersion_from_data(data), mesh.vertices)[0]
+            _same_as_candidates(p, mesh.triangles, *_resample_grid(p[mesh.boundary], h))
 
 
 class TestKrustPipeline:
@@ -1095,6 +1174,25 @@ class TestResampling:
         i3 = integrate_to_many(im.curve.psi3, im.base_point, _pull_back(im, seeds, targets))
         assert np.max(np.abs(out.field.values[i, j] - (data.base_value.x3 + i3.real))) < 1e-12
         assert np.max(np.abs(out.dual_height.values[i, j] + i3.imag)) < 1e-12
+
+    @pytest.mark.parametrize("h", [0.0, -0.01, float("nan"), float("inf")])
+    def test_resample_refuses_bad_spacing_by_name(self, catalog_data, h):
+        # 0, -0.01 and nan failed inside numpy; inf raised OverlapEmpty
+        with pytest.raises(ValueError, match="grid spacing must be finite and positive"):
+            resample_graph(catalog_data["shift4-r09"], h)
+
+    def test_resample_refuses_oversized_grid_before_allocating(self, catalog_data):
+        # h = 1e-4 on shift4-r09 asks for 1.33e9 grid points (a 5.3 GB owner
+        # array); the projection of the n = 48 mesh traces 0.97 MB before
+        # the grid check
+        data = catalog_data["shift4-r09"]
+        resample_graph(data, 0.05)  # the mesh topology, cached
+
+        def refused():
+            with pytest.raises(ValueError, match="points, above 4194304"):
+                resample_graph(data, 1e-4)
+
+        assert traced_peak(refused) < 1e6
 
     def test_resample_memory_is_blocked(self, catalog_data):
         # 377k grid points on plane-r09 at h = 0.0025.  Blocks of
