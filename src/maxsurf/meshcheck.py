@@ -9,12 +9,13 @@ graph).  The headline pipeline reports, per datum, whether the hypothesis
 itself certified as a graph.
 
 Also here: the Newton pull-back of plane points to the parameter disk
-(_pull_back: plain Newton, no step halving), and resampling of a sampled
-graph onto a masked grid (used to compare the grid-level duality against the
-isotropic-curve duality): one exact raster pass over the projected triangles
-locates every grid point, which gives the mask and the Newton seeds, and the
-points are pulled back and integrated in blocks of _BLOCK (8192), each
-block's Newton run until all its residuals are within _TOL.
+(_pull_back: plain Newton, no step halving, each point stepped until its own
+residual is within _TOL), and resampling of a sampled graph onto a masked grid
+(used to compare the grid-level duality against the isotropic-curve duality):
+one exact raster pass over the projected triangles locates every grid point,
+which gives the mask and the Newton seeds, and the points are pulled back and
+integrated in blocks of _BLOCK (8192); a point's height does not depend on
+the block it falls in.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from .errors import (
     DegenerateTriangle,
+    DomainError,
     FloatRangeError,
     NewtonDivergence,
     NotAGraph,
@@ -476,11 +478,17 @@ def _locate(z: np.ndarray, triangles: np.ndarray, xs: np.ndarray, ys: np.ndarray
 
 
 def _barycentric(v: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Barycentric weights (k, 3) of the points q (k,) in the triangles v (k, 3),
-    complex: the weight of vertex e is the cross product of the two others about q."""
-    corner = v - q[:, None]
-    w = np.imag(np.conj(np.roll(corner, -1, axis=1)) * np.roll(corner, -2, axis=1))
-    return w / w.sum(axis=1, keepdims=True)
+    """Barycentric weights (3, k) of the points q (k,) in the triangles whose
+    corners are the rows of v (3, k), complex: the weight of corner e is the
+    cross product Im(conj(c_f) c_g) of the two others about q, f = e + 1 and
+    g = e + 2 (mod 3), over the sum (w0 + w1) + w2.  The complex product is
+    kept: numpy may fuse its multiply-add, which x_f y_g - y_f x_g would not."""
+    c = v - q
+    w = np.empty(v.shape)
+    for e in range(3):
+        w[e] = np.imag(np.conj(c[(e + 1) % 3]) * c[(e + 2) % 3])
+    w /= (w[0] + w[1]) + w[2]
+    return w
 
 
 # ---- projection certification ----
@@ -602,28 +610,58 @@ def _projections(im: Immersion, w) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pull_back(im: Immersion, w, target) -> np.ndarray:
-    """Parameters beta with pi(X(beta)) = target: plain Newton from w, all points
-    until every residual is within _TOL.  No step is halved: across a non-convex
-    dent no step size has a preimage.  Raises NewtonDivergence when an iterate
-    leaves the domain disk (nothing is evaluated outside it), the projected
-    differential is singular, or _NEWTON_ITERS steps do not converge."""
-    w = np.array(w, dtype=complex)
+    """Parameters beta with pi(X(beta)) = target: plain Newton from w, each point
+    stepped until its own residual is within _TOL, so a point's beta does not
+    depend on the points beside it.  pi(X) has _projections' bits: F_k(w0) is
+    formed once, and psi1 and psi2 share the pole logarithms of each iterate.
+    No step is halved: across a non-convex dent no step size has a preimage.
+    A seed outside the domain disk raises DomainError.  Raises NewtonDivergence
+    when an iterate or a residual is not finite, an iterate leaves the domain
+    disk (nothing is evaluated outside it), the projected differential is
+    singular at a point being stepped, or _NEWTON_ITERS steps do not converge."""
+    psi1, psi2 = im.curve.psi1, im.curve.psi2
+    base = np.asarray(im.base_point, dtype=complex)  # as integrate_to_many forms F_k(w0)
+    f1, f2 = psi1.primitive(base), psi2.primitive(base)
+    x1, x2 = im.base_value.x1, im.base_value.x2
     radius = im.domain_radius * (1.0 + 1e-12)
+    beta = np.array(w, dtype=complex)
+    flat = w = beta.reshape(-1)  # w: the iterates of the points not yet converged
+    t = np.broadcast_to(np.asarray(target, dtype=complex), beta.shape).reshape(-1)
+    live = np.arange(w.size)  # their indices in flat
+    size = float(np.max(np.abs(w), initial=0.0))
+    if not np.isfinite(size):
+        raise NewtonDivergence("a Newton seed is not finite")
+    if size > radius:
+        raise DomainError("segment endpoint outside validity disk")
     for _ in range(_NEWTON_ITERS):
-        r = _projections(im, w)[0] - target
-        if float(np.max(np.abs(r))) <= _TOL:
-            return w
-        v1 = im.curve.psi1._eval(w)
-        v2 = im.curve.psi2._eval(w)
+        logs, p = {}, np.empty_like(w)
+        np.add(x1, (psi1.primitive(w, logs) - f1).real, out=p.real)  # as _projections
+        np.add(x2, (psi2.primitive(w, logs) - f2).real, out=p.imag)
+        r = p - t
+        err = np.abs(r)
+        if not np.isfinite(np.max(err, initial=0.0)):
+            raise NewtonDivergence("a Newton residual is not finite")
+        keep = err > _TOL
+        if not keep.any():
+            return beta
+        live, w, t, r = live[keep], w[keep], t[keep], r[keep]
+        v1 = psi1._eval(w)
+        v2 = psi2._eval(w)
         a = 0.5 * (v1 + 1j * v2)
         bc = 0.5 * np.conj(v1 - 1j * v2)
         det = np.abs(a) ** 2 - np.abs(bc) ** 2
         if float(np.min(np.abs(det))) < 1e-300:
             raise NewtonDivergence("projected differential is singular")
-        w = w + (-np.conj(a) * r + bc * np.conj(r)) / det
-        if float(np.max(np.abs(w))) > radius:
+        # np.multiply, as bc * np.conj(r) above 256 KiB runs in the temporary's
+        # memory as conj(r) * bc, and a fused complex product rounds apart
+        w = w + (-np.conj(a) * r + np.multiply(bc, np.conj(r))) / det
+        size = float(np.max(np.abs(w)))
+        if not np.isfinite(size):
+            raise NewtonDivergence("a Newton iterate is not finite")
+        if size > radius:
             raise NewtonDivergence("a Newton iterate left the domain disk "
                                    "(the pulled-back path leaves the domain)")
+        flat[live] = w
     raise NewtonDivergence(f"no convergence in {_NEWTON_ITERS} Newton steps")
 
 
@@ -676,9 +714,9 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
     a tie rule that gives a point on an edge or vertex one triangle.  The hit
     cells are the mask, and Newton starts from the barycentric combination of
     the triangle's parameter vertices.  The mask's points, in np.nonzero
-    order, are pulled back and integrated in blocks of _BLOCK (8192): each
-    block's Newton runs until all its residuals are within _TOL, so the
-    working set does not grow with the grid.
+    order, are pulled back and integrated in blocks of _BLOCK (8192), so the
+    working set does not grow with the grid; each point's Newton stops at its
+    own _TOL, so its height does not depend on the block it falls in.
 
     Heights are exact up to the Newton tolerance: the grid carries no
     interpolation error, only its own later finite-difference error.
@@ -700,10 +738,11 @@ def resample_graph(data: WeierstrassData, grid_h: float) -> ResampledGraph:
     flat = np.flatnonzero(mask)
     for start in range(0, flat.size, _BLOCK):
         k = flat[start:start + _BLOCK]
-        target = xs[k // ys.size] + 1j * ys[k % ys.size]
-        corners = mesh.triangles[owner[k]]
-        seed = np.sum(_barycentric(p[corners], target) * mesh.vertices[corners], axis=1)
-        beta = _pull_back(im, seed, target)
+        i, j = np.divmod(k, ys.size)
+        target = xs[i] + 1j * ys[j]
+        corners = mesh.triangles[owner[k]].T
+        w, v = _barycentric(p[corners], target), mesh.vertices[corners]
+        beta = _pull_back(im, (w[0] * v[0] + w[1] * v[1]) + w[2] * v[2], target)
         i3 = integrate_to_many(im.curve.psi3, im.base_point, beta)
         f.flat[k] = data.base_value.x3 + i3.real
         s.flat[k] = -i3.imag  # third component of the Euclidean dual: Re(i * I3)

@@ -149,7 +149,7 @@ class RationalHolomorphic:
     def eval(self, z):
         """Evaluate at a point (or array of points) inside the disk."""
         zmax = np.max(np.abs(z))
-        if zmax > self.radius * (1.0 + 1e-12):
+        if not zmax <= self.radius * (1.0 + 1e-12):  # a NaN point fails too
             raise DomainError(f"|z| = {zmax:g} exceeds validity radius {self.radius:g}")
         return self._eval(z)
 
@@ -352,13 +352,13 @@ def integrate_to_many(f: RationalHolomorphic, a, endpoints, logs=None) -> np.nda
 
     The start a is one point or an array shaped like endpoints.  Evaluates f's
     cached closed-form primitive, F(w) - F(a); see Primitive for its error
-    bound.  All start and end points must lie in the validity disk.  Calls on
-    the same endpoints may pass one dict as logs to share the pole logarithms
-    at w (see Primitive.__call__).
+    bound.  All start and end points must be finite and lie in the validity
+    disk.  Calls on the same endpoints may pass one dict as logs to share the
+    pole logarithms at w (see Primitive.__call__).
     """
     w = np.asarray(endpoints, dtype=complex)
     a = np.asarray(a, dtype=complex)
     r = f.radius * (1.0 + 1e-12)
-    if np.max(np.abs(a), initial=0.0) > r or np.max(np.abs(w), initial=0.0) > r:
-        raise DomainError("segment endpoint outside validity disk")
+    if not (np.max(np.abs(a), initial=0.0) <= r and np.max(np.abs(w), initial=0.0) <= r):
+        raise DomainError("segment endpoint outside validity disk")  # or not finite
     return f.primitive(w, logs) - f.primitive(a)

@@ -9,8 +9,10 @@ written on those sweeps and the per-axis edge data, the earlier forms of
 routines rewritten for speed (signed areas and the report span, half-edge
 pairing, per-form pole logarithms; the report oracle reuses the package's
 rim simplicity test), an exact rim convexity test in Fraction arithmetic,
-the projections in their earlier table and sum forms, the point location that the raster pass replaced, and hand-derived
-constants for the built-in catalog families.  Tests compare package output
+the projections in their earlier table and sum forms, the point location
+that the raster pass replaced, the barycentric weights with their columns
+rolled into place, and hand-derived constants for the built-in catalog
+families.  Tests compare package output
 against these, never against the package itself.  The vector field,
 gradient and flux curl helpers are fixtures on the package's derivative
 layer, and the causal character, stereographic projection and coefficient
@@ -444,6 +446,15 @@ def locate_by_candidates(z: np.ndarray, triangles: np.ndarray, xs: np.ndarray, y
     if np.count_nonzero(owner >= 0) != hits:
         raise ValueError("a grid point lies in two triangles (they overlap)")
     return owner
+
+
+def barycentric_by_roll(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """meshcheck._barycentric as first written, on the (k, 3) corner layout:
+    the weight of corner e is Im(conj(c_{e+1}) c_{e+2}) about q, the columns
+    rolled into place, over their np.sum."""
+    corner = v - q[:, None]
+    w = np.imag(np.conj(np.roll(corner, -1, axis=1)) * np.roll(corner, -2, axis=1))
+    return w / w.sum(axis=1, keepdims=True)
 
 
 # ---- row-by-row text writers and reader ----

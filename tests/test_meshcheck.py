@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from maxsurf.duality import sharp
-from maxsurf import meshcheck
-from maxsurf.errors import CurlError, DegenerateTriangle, FloatRangeError, NewtonDivergence
+from maxsurf import meshcheck, rational
+from maxsurf.errors import CurlError, DegenerateTriangle, DomainError, FloatRangeError, NewtonDivergence
 from maxsurf.graphfield import ScalarField, maximal_residual
 from maxsurf.lorentz import Ambient, Vec3
 from maxsurf.meshcheck import (
@@ -48,6 +48,7 @@ from conftest import disk_samples, traced_peak
 from oracles import (
     PLANE_KRUST_BOTH_SIDES,
     KrustInequality,
+    barycentric_by_roll,
     boundary_simple_all_pairs,
     boundary_simple_exact,
     check_disk_searched,
@@ -725,9 +726,23 @@ class TestPlanarPredicates:
         cell = np.flatnonzero(owner >= 0)
         q = (gx + 1j * gy).ravel()[cell]
         corners = points[triangles[owner[cell]]]
-        weight = _barycentric(corners, q)
+        weight = _barycentric(corners.T, q).T
         assert np.max(np.abs(np.sum(weight * corners, axis=1) - q)) < 1e-14
         assert np.all(weight >= 0) and np.allclose(weight.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def test_barycentric_matches_roll_oracle_on_random_triangles(self, rng):
+        # about half the triangles are clockwise; the seeds' explicit
+        # (w0 v0 + w1 v1) + w2 v2 has np.sum's bits
+        for scale in (1.0, 1e-8, 1e8):
+            v = scale * (rng.normal(size=(20000, 3)) + 1j * rng.normal(size=(20000, 3)))
+            q = scale * (rng.normal(size=20000) + 1j * rng.normal(size=20000))
+            u = rng.normal(size=(20000, 3)) + 1j * rng.normal(size=(20000, 3))
+            want = barycentric_by_roll(v, q)
+            got = _barycentric(v.T, q)
+            assert np.count_nonzero(np.imag(np.conj(v[:, 1] - v[:, 0]) * (v[:, 2] - v[:, 0])) < 0) > 5000
+            assert np.array_equal(got.view(np.int64), want.T.view(np.int64))
+            seed = (got[0] * u[:, 0] + got[1] * u[:, 1]) + got[2] * u[:, 2]
+            assert np.array_equal(seed.view(np.int64), np.sum(want * u, axis=1).view(np.int64))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_locate_mask_matches_exact_oracle(self, seed):
@@ -998,17 +1013,17 @@ class TestPullbackAndInequality:
 
     def test_pull_back_stops_where_iterates_leave_the_domain(self, catalog_data, monkeypatch):
         # the target 10 lies far outside the projected domain: the iterate
-        # that leaves the disk ends the pull-back by name, and no projection is
-        # evaluated outside the disk
+        # that leaves the disk ends the pull-back by name, and no primitive
+        # (so no projection) is evaluated outside the disk
         im = immersion_from_data(catalog_data["rational-r05"])
         seen = []
-        original = meshcheck._projections
+        original = rational.Primitive.__call__
 
-        def projections(im, w):
+        def primitive(self, w, logs=None):
             seen.append(float(np.max(np.abs(w))))
-            return original(im, w)
+            return original(self, w, logs)
 
-        monkeypatch.setattr(meshcheck, "_projections", projections)
+        monkeypatch.setattr(rational.Primitive, "__call__", primitive)
         with pytest.raises(NewtonDivergence, match="left the domain disk"):
             _pull_back(im, [0j, 0.1 + 0j], np.array([0.2 + 0j, 10.0 + 0j]))
         assert seen and max(seen) <= im.domain_radius
@@ -1029,6 +1044,47 @@ class TestPullbackAndInequality:
                                RationalHolomorphic.constant(1e-155, 2.0), 0.5)
         with pytest.raises(NewtonDivergence, match="projected differential is singular"):
             _pull_back(immersion_from_data(data), [0.1], [1.0])
+
+    def test_pull_back_seed_outside_the_disk(self, catalog_data):
+        im = immersion_from_data(catalog_data["rational-r05"])
+        with pytest.raises(DomainError, match="outside validity disk"):
+            _pull_back(im, [0j, 1.01 * im.domain_radius], [0j, 0j])
+
+    @pytest.mark.parametrize("where", ["target", "seed"])
+    def test_pull_back_refuses_nan_at_once(self, catalog_data, where):
+        # a nan target or seed ran _NEWTON_ITERS steps of nan before "no
+        # convergence"; a per-point err > _TOL would call a nan converged
+        im = immersion_from_data(catalog_data["rational-r05"])
+        w = np.array([0.1 + 0.1j, 0.2 + 0j, -0.1j])
+        target = _projections(im, w)[0]
+        (target if where == "target" else w)[1] = complex(np.nan, 0.0)
+        with pytest.raises(NewtonDivergence, match="not finite"):
+            _pull_back(im, w, target)
+
+    def test_pull_back_projection_has_projections_bits(self, catalog_data, monkeypatch, rng):
+        # with _TOL = 0, only _projections' own bits meet a target that is
+        # _projections' image of w: one step more fails with no convergence
+        monkeypatch.setattr(meshcheck, "_TOL", 0.0)
+        monkeypatch.setattr(meshcheck, "_NEWTON_ITERS", 1)
+        for name in ("rational-r09", "shift4-r09", "plane-r05"):
+            data = catalog_data[name]
+            im = immersion_from_data(data)
+            w = disk_samples(rng, data.domain_radius, 2000)
+            beta = _pull_back(im, w, _projections(im, w)[0])
+            assert np.array_equal(beta.view(np.int64), w.view(np.int64))
+
+    def test_pull_back_stops_each_point_at_its_own_tol(self, catalog_data):
+        # an easy point (seeded 1e-6 off) and a hard one (0.05 off): stepping
+        # every point until the batch converged moved the easy one's beta by
+        # 1.0e-13 against its own run
+        im = immersion_from_data(catalog_data["shift4-r09"])
+        w = np.array([0.3 + 0.2j, -0.5 + 0.1j])
+        target = _projections(im, w)[0]
+        seed = w + np.array([1e-6, 0.05])
+        alone = _pull_back(im, seed[:1], target[:1])
+        both = _pull_back(im, seed, target)
+        assert np.array_equal(both[:1].view(np.int64), alone.view(np.int64))
+        assert np.max(np.abs(both - w)) < 1e-9
 
     def test_pull_back_no_convergence(self, catalog_data, monkeypatch):
         im = immersion_from_data(catalog_data["plane-r05"])
@@ -1066,8 +1122,8 @@ class TestResampling:
             assert abs(p.x3 - f.values[i, j]) < 1e-8
 
     def test_walker_projection_bits_per_form(self, catalog_data, rng):
-        # psi1 and psi2 share their pole logarithms in _projections, which the
-        # pull-back evaluates at each Newton iterate
+        # psi1 and psi2 share their pole logarithms in _projections, as the
+        # pull-back does at each Newton iterate
         for name in ("rational-r09", "shift4-r05"):
             data = catalog_data[name]
             im = immersion_from_data(data)
@@ -1156,9 +1212,46 @@ class TestResampling:
         assert sum(sizes) == np.count_nonzero(f.mask) > 10 * _BLOCK
         assert max(sizes) == _BLOCK
 
+    def test_pull_back_work_per_point(self, catalog_data, monkeypatch):
+        # about 100k grid points on shift4-r09 at h = 0.01; after one Newton
+        # step 1 to 333 points per block stay above _TOL.  Stepping every
+        # point until its block converged gave psi1's primitive 3.00 and its
+        # _eval 2.00 points per grid point inside _pull_back
+        counts = {"primitive": 0, "eval": 0}
+        inside = []
+        pull_back, primitive_call = meshcheck._pull_back, rational.Primitive.__call__
+        eval_call = RationalHolomorphic._eval
+
+        def recorded(im, w, target):
+            inside.append(im.curve.psi1)
+            try:
+                return pull_back(im, w, target)
+            finally:
+                inside.pop()
+
+        def primitive(self, w, logs=None):
+            if inside and self is inside[-1].primitive:
+                counts["primitive"] += np.size(w)
+            return primitive_call(self, w, logs)
+
+        def evaluate(self, z):
+            if inside and self is inside[-1]:
+                counts["eval"] += np.size(z)
+            return eval_call(self, z)
+
+        monkeypatch.setattr(meshcheck, "_pull_back", recorded)
+        monkeypatch.setattr(rational.Primitive, "__call__", primitive)
+        monkeypatch.setattr(RationalHolomorphic, "_eval", evaluate)
+        points = np.count_nonzero(resample_graph(catalog_data["shift4-r09"], 0.01).field.mask)
+        assert points > 10 * _BLOCK
+        assert counts["primitive"] <= 2.05 * points, counts["primitive"] / points
+        assert points <= counts["eval"] <= 1.05 * points, counts["eval"] / points
+
     def test_blocked_heights_match_one_pull_back(self, catalog_data):
-        # every point's Newton runs until its block converges; one call over
-        # all points runs until all converge: both meet _TOL
+        # each point's Newton stops at its own _TOL, so blocks cut at other
+        # points give the same bits, and one call over all points the same
+        # heights (to rounding: numpy may form a product of arrays above
+        # 256 KiB in a temporary operand's memory, with the operands swapped)
         data = catalog_data["shift4-r09"]
         h = 0.01
         out = resample_graph(data, h)
@@ -1170,10 +1263,43 @@ class TestResampling:
         assert i.size > _BLOCK
         targets = xs[i] + 1j * ys[j]
         corners = mesh.triangles[_locate(p, mesh.triangles, xs, ys).reshape(xs.size, ys.size)[i, j]]
-        seeds = np.sum(_barycentric(p[corners], targets) * mesh.vertices[corners], axis=1)
+        seeds = np.sum(barycentric_by_roll(p[corners], targets) * mesh.vertices[corners], axis=1)
+        i3 = np.concatenate([integrate_to_many(im.curve.psi3, im.base_point,
+                                               _pull_back(im, seeds[s:s + 3000], targets[s:s + 3000]))
+                             for s in range(0, i.size, 3000)])
+        assert np.array_equal(out.field.values[i, j], data.base_value.x3 + i3.real)
+        assert np.array_equal(out.dual_height.values[i, j], -i3.imag)
         i3 = integrate_to_many(im.curve.psi3, im.base_point, _pull_back(im, seeds, targets))
         assert np.max(np.abs(out.field.values[i, j] - (data.base_value.x3 + i3.real))) < 1e-12
         assert np.max(np.abs(out.dual_height.values[i, j] + i3.imag)) < 1e-12
+
+    @pytest.mark.parametrize("h", [0.05, 0.01])
+    def test_resample_seeds_match_barycentric_oracle(self, catalog_data, monkeypatch, h):
+        # the targets and seeds resample_graph gives _pull_back, against the
+        # np.roll weights and their np.sum seeds on the same owner triangles
+        calls = []
+        pull_back = meshcheck._pull_back
+
+        def recorded(im, w, target):
+            calls.append((np.copy(w), np.copy(target)))
+            return pull_back(im, w, target)
+
+        monkeypatch.setattr(meshcheck, "_pull_back", recorded)
+        for data in catalog_data.values():
+            calls.clear()
+            mask = resample_graph(data, h).field.mask
+            mesh = triangulate_disk(data.domain_radius, 48)
+            p = _projections(immersion_from_data(data), mesh.vertices)[0]
+            xs, ys = _resample_grid(p[mesh.boundary], h)
+            k = np.flatnonzero(mask)
+            targets = xs[k // ys.size] + 1j * ys[k % ys.size]
+            corners = mesh.triangles[_locate(p, mesh.triangles, xs, ys)[k]]
+            weights = barycentric_by_roll(p[corners], targets)
+            assert np.array_equal(_barycentric(p[corners.T], targets).view(np.int64), weights.T.view(np.int64))
+            seeds = np.sum(weights * mesh.vertices[corners], axis=1)
+            got_seeds, got_targets = (np.concatenate(c) for c in zip(*calls))
+            assert np.array_equal(got_targets.view(np.int64), targets.view(np.int64))
+            assert np.array_equal(got_seeds.view(np.int64), seeds.view(np.int64))
 
     @pytest.mark.parametrize("h", [0.0, -0.01, float("nan"), float("inf")])
     def test_resample_refuses_bad_spacing_by_name(self, catalog_data, h):

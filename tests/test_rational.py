@@ -95,6 +95,13 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             f.eval(1.0 + 1e-6)
 
+    def test_eval_refuses_non_finite_points(self):
+        # max |z| is nan: a guard written as max > radius let [nan, 0.1] through
+        f = rh([1.0], radius=1.0)
+        for z in ([np.nan, 0.1], [0.1, complex(0.0, np.nan)], [np.inf]):
+            with pytest.raises(DomainError):
+                f.eval(np.array(z))
+
     def test_eval_near_denominator_zero_raises_pole_error(self):
         f = rh([1.0], [(-1.5), 1.0], radius=1.0)  # pole at 1.5, outside disk
         with pytest.raises(PoleError):
@@ -136,6 +143,14 @@ class TestPathIntegration:
             integrate_to_many(f, 1.0 + 1e-6, [0.0, 0.5])
         with pytest.raises(DomainError):
             integrate_to_many(f, [0.0, -1.0 - 1e-6], [0.5, 0.5])
+
+    def test_non_finite_endpoint_raises(self):
+        # a nan endpoint or start passed a guard written as max > radius
+        f = rh([1.0], radius=1.0)
+        for a, w in ((0.0, [np.nan, 0.1]), (0.0, [0.1, complex(0.0, np.nan)]),
+                     ([np.nan, 0.0], [0.5, 0.5]), (0.0, [np.inf])):
+            with pytest.raises(DomainError):
+                integrate_to_many(f, a, w)
 
     def test_zero_length_segment(self):
         f = rh([2.0, 1.0])
