@@ -377,21 +377,16 @@ def save_field(f: ScalarField, csv_path, header_path):
             sort_keys=True,
         )
         fh.write("\n")
-    # the object rows of masked cells a .. b; each distinct grid coordinate
-    # is formatted once
-    cells, values = np.flatnonzero(f.mask), f.values.reshape(-1)
-    xs = np.array(list(map(repr, f.xs().tolist())), dtype=object)
-    ys = np.array(list(map(repr, f.ys().tolist())), dtype=object)
+    # the x, y, value rows of masked cells a .. b
+    cells, values, xs, ys = np.flatnonzero(f.mask), f.values.reshape(-1), f.xs(), f.ys()
 
     def rows(a, b):
-        k = cells[a:b]
-        table = np.empty((k.size, 3), dtype=object)
-        table[:, 0], table[:, 1], table[:, 2] = xs[k // f.ny], ys[k % f.ny], values[k]
-        return table
+        i, j = np.divmod(cells[a:b], f.ny)
+        return np.stack([xs[i], ys[j], values[cells[a:b]]], axis=1)
 
     with open(csv_path, "wb") as fh:
         fh.write(b"x,y,value\n")
-        write_rows(fh, "%s,%s,%r\n", cells.size, rows)
+        write_rows(fh, "%r,%r,%r\n", cells.size, rows)
 
 
 def _read_header(header_path) -> tuple[tuple[float, float], float, int, int]:

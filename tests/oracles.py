@@ -3,8 +3,9 @@
 Everything here is computed by a route disjoint from the package internals:
 closed-form antiderivatives, composite Simpson quadrature on dense nodes,
 loop and all-pairs forms of the mesh build and planar predicates, row-by-row
-forms of the text writers and reader, one expression per finite-difference
-rule, the full-grid sweeps of the tree integration, the grid dual as first
+forms of the text writers and reader, the writer's Python formatting of a
+chunk of rows, one expression per finite-difference rule, the full-grid
+sweeps of the tree integration, the grid dual as first
 written on those sweeps and the per-axis edge data, the earlier forms of
 routines rewritten for speed (signed areas and the report span, half-edge
 pairing, per-form pole logarithms; the report oracle reuses the package's
@@ -461,6 +462,13 @@ def barycentric_by_roll(v: np.ndarray, q: np.ndarray) -> np.ndarray:
 #
 # One f-string per row and one parse per line: the package's columnar
 # writers and reader must match these byte for byte and bit for bit.
+
+
+def format_rows(row, rows):
+    """The bytes of row % tuple(r) for each row r of the 2-d array rows, by
+    Python's own formatting: the text writer's earlier form, and its byte
+    oracle."""
+    return ((row * len(rows)) % tuple(rows.ravel().tolist())).encode()
 
 
 def write_obj_rows(path, mesh):

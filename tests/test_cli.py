@@ -391,9 +391,10 @@ class TestExport:
 
     def test_obj_writer_holds_one_chunk(self, tmp_path):
         # n = 256: 197,377 vertex and 393,216 face rows.  The writer holds
-        # one chunk of rows, made 1-based as it is formatted: 0.71 MB traced
-        # with 1, 2 or 8 parts.  Formatting each part whole traced 35 MB, and
-        # a 1-based copy of the faces 5.4 MB
+        # one chunk of rows, made 1-based as it is formatted, and its text:
+        # 0.96 MB traced with 1, 2 or 8 parts (0.71 MB with Python's
+        # formatting).  Formatting each part whole traced 35 MB, and a
+        # 1-based copy of the faces 5.4 MB
         data = get("rational-r09")
         mesh = sample_surface(immersion_from_data(data), triangulate_disk(data.domain_radius, 256))
         peak = traced_peak(_write_obj, tmp_path / "surface.obj", mesh)
