@@ -50,6 +50,7 @@ from .meshcheck import (
 from .rational import _number
 from .textio import write_rows
 from .weierstrass import (
+    _ISOTROPY_TOL,
     Immersion,
     IsotropicCurve,
     WeierstrassData,
@@ -64,7 +65,7 @@ from .weierstrass import (
 )
 
 _THRESHOLDS = {
-    "isotropy": 1e-10,
+    "isotropy": _ISOTROPY_TOL,  # IsotropicCurve's guard
     "projection": 1e-8,
     "rotation": 1e-8,
     "commutation": 1e-15,

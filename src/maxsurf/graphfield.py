@@ -417,8 +417,8 @@ def load_field(csv_path, header_path) -> ScalarField:
     parse as Python's float parses them and snap to the nearest cell.  The
     first malformed, non-finite, off-grid or repeated row raises ValueError
     as "path:LINE: reason".  Rows stream from the file into the grid
-    (textio.read_rows); only a file that fails there is read again, a line
-    at a time, by _load_rows, which names the fault."""
+    (textio.read_rows); a file that fails there, or ends a line at a lone
+    "\\r", is read again, a line at a time, by _load_rows (same result)."""
     origin, h, nx, ny = _read_header(header_path)
     values = np.zeros((nx, ny))
     mask = np.zeros((nx, ny), dtype=bool)

@@ -18,25 +18,25 @@ call), and every child is reaped before the call returns.  The text, and the
 rows read, are the same whatever the part count.
 
 A writer takes a row count and a function rows(a, b) that returns rows
-a .. b as a 2-d array, and asks it for every row once, in ascending spans
-of at most _CHUNK rows within each part: the caller holds at most one chunk
-of rows and its text, writes each chunk's text to the file at once, and
-copies each child's pipe in blocks of _CHUNK_CHARS bytes.  A reader never
-holds the file: each part opens it and reads its own byte range,
-_CHUNK_CHARS bytes of whole lines at a time, and the parsed rows reach the
-caller's sink one chunk or pipe block at a time.  A child formats or parses
-its whole part before it writes: one that wrote as it went would wait on
-its pipe until the caller had finished part 0, and the parts would no
-longer run side by side.
+a .. b as a 2-d array, and asks it for every row once, in ascending spans of
+at most _CHUNK rows within each part: the caller holds at most one chunk of
+rows and its text, writes each chunk's text to the file at once, and copies
+each child's pipe in blocks of _CHUNK_CHARS bytes.  A reader never holds the
+file: each part opens it and reads its own byte range, _CHUNK_CHARS bytes of
+whole lines at a time, and the parsed rows reach the caller's sink one chunk
+or pipe block at a time.  Its lines end at "\\n": a lone "\\r", a line end
+in text mode, or a line near _CHUNK_CHARS bytes long leaves the file to the
+caller's slower reader.  A child formats or parses its whole part before it
+writes: one that wrote as it went would wait on its pipe until the caller
+had finished part 0, and the parts would no longer run side by side.
 """
 
 from __future__ import annotations
 
 import io
 import os
-import re
 import shutil
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 
 import numpy as np
 
@@ -240,23 +240,17 @@ def write_rows(fh, row: str, count: int, rows):
     _fork_map(work, _cuts(count, count), fh)
 
 
-# A line ends at "\n", "\r\n" or a lone "\r", as in a file opened in text mode.
-_EOL = re.compile(rb"\r\n?|\n")
-_SCAN = 1 << 12
-
-
 def _line_start(fh, c: int) -> int:
-    """The first line start at or after byte c >= 1 of the binary file fh, or
-    its size; read from byte c - 1 on, _SCAN bytes at a time."""
+    """The byte after the first "\\n" at or after byte c - 1 of fh, or its size."""
     fh.seek(c - 1)
-    while piece := fh.read(_SCAN):
-        m = _EOL.search(piece)
-        if m:
-            end = fh.tell() - len(piece) + m.end()
-            if m.end() == len(piece) and m.group() == b"\r" and fh.read(1) == b"\n":
-                end += 1
-            return end
+    while (piece := fh.readline(_CHUNK_CHARS)) and piece[-1] != 10:
+        pass
     return fh.tell()
+
+
+def _plain(data: bytes) -> bool:
+    """Whether data is ASCII and each "\\r" in it begins a "\\r\\n"."""
+    return data.isascii() and (b"\r" not in data or data.count(b"\r") == data.count(b"\r\n"))
 
 
 def _part_cuts(fh) -> list[int]:
@@ -264,15 +258,15 @@ def _part_cuts(fh) -> list[int]:
     bytes after its first line, each bound moved on to a line start."""
     size = fh.seek(0, os.SEEK_END)
     start = _line_start(fh, 1)
-    # rows of a saved field take 30 to 60 bytes
-    cuts = _cuts(size - start, (size - start) // 32)
+    cuts = _cuts(size - start, (size - start) // 32)  # rows of a saved field take 30 to 60 bytes
     return [start, *(_line_start(fh, start + c) for c in cuts[1:-1]), size]
 
 
 def _chunk_cuts(fh, a: int, b: int) -> list[int]:
     """Bounds of the chunks of the part a .. b of fh: the first line start
-    at or after each a + k _CHUNK_CHARS."""
-    return [a, *(_line_start(fh, c) for c in range(a + _CHUNK_CHARS, b, _CHUNK_CHARS)), b]
+    at or after each a + k _CHUNK_CHARS; no byte is scanned twice."""
+    ends = range(a + _CHUNK_CHARS, b, _CHUNK_CHARS)
+    return [*accumulate(ends, lambda s, c: s if s >= c else _line_start(fh, c), initial=a), b]
 
 
 def _rows(text: str) -> list[str]:
@@ -321,21 +315,20 @@ class _Rows:
 def read_rows(path, width: int, memo: tuple[int, ...], put) -> bool:
     """Hand the rows of the text file at path after its first line to put,
     in file order, as (k, width) float arrays: the nonblank lines,
-    comma-separated, as float() reads them.  Lines end as in text mode;
-    blank and whitespace-only lines are skipped.  Returns whether the
-    file was ASCII, every line parsed, and put returned True each time:
-    a file that fails may be read again by a slower reader, which names
-    the fault.
+    comma-separated, as float() reads them.  Lines end at "\\n" or "\\r\\n";
+    blank and whitespace-only lines are skipped.  Returns whether the file
+    was _plain with short lines, every line parsed, and put returned True
+    each time: a file that fails (one with a lone "\\r" too, a line end in
+    text mode) may be read again by a slower reader, which names the fault.
 
     The columns in memo repeat few distinct values (grid coordinates): each
     distinct token there is parsed once.  Every token still goes through
-    float(), so results are as if parsed one by one.  Each part opens the
-    file and reads its own byte range, one chunk at a time.
+    float(), so results are as if parsed one by one.
     """
     with open(path, "rb") as fh:
         cuts = _part_cuts(fh)
         fh.seek(0)
-        if not fh.read(cuts[0]).isascii():
+        if cuts[0] > _CHUNK_CHARS or not _plain(fh.read(cuts[0])):
             return False
 
     def work(a, b, dst):
@@ -343,13 +336,9 @@ def read_rows(path, width: int, memo: tuple[int, ...], put) -> bool:
             bounds = _chunk_cuts(fh, a, b)
             for c, d in zip(bounds, bounds[1:]):
                 fh.seek(c)
-                data = fh.read(d - c)
-                if not data.isascii():
+                if d - c > 2 * _CHUNK_CHARS or not _plain(data := fh.read(d - c)):
                     return False
-                text = data.decode("ascii")
-                if "\r" in text:
-                    text = text.replace("\r\n", "\n").replace("\r", "\n")
-                rows = _parse(_rows(text), width, memo)
+                rows = _parse(_rows(data.decode("ascii")), width, memo)
                 if rows is None:
                     return False
                 dst.write(rows)

@@ -458,6 +458,22 @@ def raw_cuts(text):
     return parts, seen
 
 
+def load_or_message(csv, head, load):
+    """load(csv, head), or the message of the ValueError it raises."""
+    try:
+        return load(csv, head)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, want):
+    """The same message, or got is the field whose parts want holds."""
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_field(got, want)
+
+
 def straddle(text, c):
     """CRLF text with "\\r\\n" at c - 1 and c: the line holding c - 1 and the
     next become whitespace-only lines, at the same length."""
@@ -576,7 +592,7 @@ class TestRowOracle:
         assert str(got.value).endswith(f":{len(lines)}: expected 'x,y,value' floats")
         assert_no_children()
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_blank_lines_on_cuts(self, tmp_path, cores, newline):
         csv, head, text = saved_rows(tmp_path)
         text = text.replace("\n", newline)
@@ -616,6 +632,68 @@ class TestRowOracle:
         assert_same_field(got, load_field_rows(csv, head))
         assert got.mask.sum() == big_ragged_field().mask.sum() - 2 * len(parts + chunks)
         assert_no_children()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("\n", "\r\r\n", 1),
+            lambda text: text[:text.index(",", len(text) // 2)] + ",\r" + text[text.index(",", len(text) // 2) + 1:],
+            lambda text: text[:-1] + "\r",
+            lambda text: text.replace("\n", "\r").replace("\r", "\n", 1),
+        ],
+        ids=["header", "inside-a-row", "file-end", "every-row"],
+    )
+    def test_lone_cr_read_by_rows(self, tmp_path, cores, edit):
+        # text mode ends a line at a lone "\r"; the forked reader, which
+        # splits at "\n", leaves the file to _load_rows, within the bound of
+        # test_load_holds_one_chunk
+        csv, head, text = saved_rows(tmp_path)
+        csv.write_bytes(edit(text).encode())
+        assert_same_outcome(load_or_message(csv, head, load_field), load_or_message(csv, head, load_field_rows))
+        assert traced_peak(load_or_message, csv, head, load_field) < 6e6
+        assert_no_children()
+
+    @pytest.mark.parametrize("header", ["x,y,value\n", "x,y,value\r"], ids=["lf-header", "cr-header"])
+    def test_lone_cr_lines_read_in_pieces(self, tmp_path, cores, header):
+        # with no "\n" after its first line, the 1.1 MB file is one line to
+        # the forked reader: it gives up reading pieces of at most
+        # _CHUNK_CHARS (0.40 MB traced), where reading the line whole traced
+        # 1.14 MB
+        csv, head, text = saved_rows(tmp_path)
+        csv.write_bytes((header + text.split("\n", 1)[1].replace("\n", "\r")).encode())
+        assert not textio.read_rows(csv, 3, (0, 1), lambda rows: True)
+        assert traced_peak(textio.read_rows, csv, 3, (0, 1), lambda rows: True) < 5 * textio._CHUNK_CHARS
+        assert_no_children()
+
+    def test_chunk_cuts_scan_a_long_line_once(self, monkeypatch):
+        # 1.2 MB with no "\n" after the header is one line: the first chunk
+        # cut scans to its end, and the later cuts, which that scan passed,
+        # are not scanned for again.  Scanning for each, read_rows took
+        # 0.30 s on 8 MB of such rows and 3.75 s on 32 MB (2-vCPU x86-64)
+        fh = io.BytesIO(b"x,y,value\n" + b"0.1,0.2,0.3\r" * 100_000)
+        size = len(fh.getvalue())
+        seen, line_start = [], textio._line_start
+        monkeypatch.setattr(textio, "_line_start", lambda fh, c: seen.append(c) or line_start(fh, c))
+        cuts = textio._chunk_cuts(fh, 10, size)
+        assert len(cuts) > 3 and cuts == [10] + [size] * (len(cuts) - 1)
+        assert seen == [10 + textio._CHUNK_CHARS]
+
+    def test_fuzz_as_text_mode(self, tmp_path, rng):
+        # short files of random fields and line ends: the field, or the
+        # message, of the line-by-line reader
+        csv, head = tmp_path / "f.csv", tmp_path / "f.json"
+        head.write_text(json.dumps({"origin": [0, 0], "spacing": 1, "nx": 100, "ny": 100}))
+        tokens = [*"0123456789", ".", "-", ",", " ", "\t", "\r", "\n", "x", "inf", "1_0"]
+        weights = np.where([t.isdigit() for t in tokens], 6.0, 1.0)
+        ends = ["\n", "\n", "\n", "\r\n", "\r", ""]
+
+        def field():
+            return "".join(rng.choice(tokens, rng.integers(1, 4), p=weights / weights.sum()))
+
+        for _ in range(4000):
+            rows = (",".join(field() for _ in range(3)) + rng.choice(ends) for _ in range(rng.integers(0, 7)))
+            csv.write_bytes(("x,y,value" + rng.choice(ends) + "".join(rows)).encode())
+            assert_same_outcome(load_or_message(csv, head, load_field), load_or_message(csv, head, load_field_rows))
 
     def test_no_final_newline_keeps_last_row(self, tmp_path, cores):
         csv, head, text = saved_rows(tmp_path)
@@ -690,16 +768,16 @@ class TestRowOracle:
         assert str(got.value) == str(want.value) == f"{csv}:{len(lines) + 1}: duplicate grid cell"
         assert_no_children()
 
-    @pytest.mark.parametrize("scan", [1, 2, 3, 4096])
-    def test_line_start_as_text_mode(self, monkeypatch, rng, scan):
-        # line ends "\n", "\r\n" and lone "\r", as splitlines reads them on
-        # this alphabet; the pieces read may end between "\r" and "\n"
-        monkeypatch.setattr(textio, "_SCAN", scan)
+    @pytest.mark.parametrize("piece", [1, 2, 3, 4096])
+    def test_line_start_as_text_mode(self, monkeypatch, rng, piece):
+        # the byte after the next "\n" from c - 1 on, which ends a line in
+        # text mode when each "\r" begins a "\r\n", read in lines of at
+        # most piece bytes, which may end between "\r" and "\n"
+        monkeypatch.setattr(textio, "_CHUNK_CHARS", piece)
         for _ in range(50):
             data = rng.choice(list(b"a\r\n"), rng.integers(1, 30)).astype(np.uint8).tobytes()
-            starts = np.cumsum([len(line) for line in data.decode().splitlines(keepends=True)])
             for c in range(1, len(data) + 1):
-                want = int(starts[np.searchsorted(starts, c)])
+                want = data.find(b"\n", c - 1) + 1 or len(data)
                 assert textio._line_start(io.BytesIO(data), c) == want, (data, c)
 
     @pytest.mark.parametrize("chunk, count", [(None, 8191), (None, 4096), (7, 50), (7, 49), (1, 3), (7, 0)])

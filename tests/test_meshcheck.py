@@ -74,6 +74,11 @@ from oracles import (
     triangulate_disk_uncached,
 )
 
+# _locate forms slopes of vertical edges (0/0, x/0) and may overflow on huge
+# coordinates; it keeps these inside np.errstate.  The pull-back stops at a
+# nan seed or residual before it steps on it.  So no test here may warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestTriangulation:
     @pytest.mark.parametrize("n", [1, 2, 3, 8])

@@ -13,6 +13,10 @@ from maxsurf import textio
 from conftest import assert_no_children
 from oracles import format_rows
 
+# the kernel sets the values it leaves to repr (0, nan, inf, out of range)
+# to 1.0 before log10 and the int casts, so none may warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _bits(bits) -> np.ndarray:
     return np.asarray(bits, dtype=np.int64).view(np.float64)
